@@ -19,17 +19,24 @@ The arclength kind is rescaled to total area 4*pi and transformed into
 momentum coordinates before use (its reported eigenvalues refer to the
 normalized metric; the applied scale factor is printed).
 
-Exit codes: 0 success / embeddable; 2 not embeddable; 3 profile validation
-failed; 1 I/O or solver failure; 4 verify-suite failure; 64 usage error.
+Exit codes
+    0   success; for analyze, the profile is embeddable
+    1   run failure: solver, budget, numerical, I/O or internal invariant
+    2   not embeddable: the analyze verdict, or mesh refused by |f'| > 2
+    3   invalid or unreadable profile
+    4   verify: a check failed
+    64  usage error
+
+Every failure ends with one line on stderr, never a traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -42,15 +49,16 @@ from .profile import (ArclengthProfile, InvalidProfileError, Profile,
                       profile_from_text, require_valid, validate)
 from .quadrature import QuadratureError
 from .obstruction import full_report
-from .embed import (NotEmbeddableError, curve_csv_text, embed_profile_curve,
+from .embed import (NotEmbeddableError, embed_profile_curve,
                     euler_characteristic, export_obj, induced_metric_residual,
                     make_mesh, mesh_area)
-from .solver import ConvergenceError, SolverError, rayleigh_quotient, refine
-from .spectrum import (BudgetError, bounds_report, channel_lower_bound,
-                       enumerate_below, lambda01_upper_bound)
+from .solver import REFINE_START, SolverError, rayleigh_quotient, refine
+from .spectrum import (BudgetError, SpectrumInvariantError, bounds_report,
+                       channel_lower_bound, enumerate_below,
+                       lambda01_upper_bound)
 from .serialize import fmt17, json_text, write_bytes, write_text
 
-__all__ = ["main", "build_parser", "load_profile", "RunConfig"]
+__all__ = ["main", "build_parser", "load_profile"]
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -58,6 +66,19 @@ EXIT_NOT_EMBEDDABLE = 2
 EXIT_INVALID_PROFILE = 3
 EXIT_VERIFY_FAILED = 4
 EXIT_USAGE = 64
+
+# Every failure a command can end in, first match wins: the exception
+# types, the prefix of the one stderr line, the exit code.
+_FAILURES = (
+    ((InvalidProfileError,), "validation failed", EXIT_INVALID_PROFILE),
+    ((ProfileDefinitionError,), "profile error", EXIT_INVALID_PROFILE),
+    ((NotEmbeddableError,), "cannot mesh", EXIT_NOT_EMBEDDABLE),
+    ((SolverError, BudgetError), "solver failure", EXIT_FAILURE),
+    ((QuadratureError, EvalDomainError), "numerical failure", EXIT_FAILURE),
+    ((SpectrumInvariantError,), "invariant failure", EXIT_FAILURE),
+    ((OSError,), "i/o failure", EXIT_FAILURE),
+)
+_FAILURE_TYPES = sum((types for types, _, _ in _FAILURES), ())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,25 +93,26 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs, extracted from parsed flags."""
+def _number(kind, low, high=math.inf, low_open=False):
+    """argparse type: a ``kind`` in ``[low, high)``, or ``(low, high)``."""
+    def convert(text: str):
+        value = kind(text)
+        if not (low < value if low_open else low <= value) or not value < high:
+            raise argparse.ArgumentTypeError(
+                f"{text} is outside {'(' if low_open else '['}{low:g}, {high:g})")
+        return value
+    convert.__name__ = kind.__name__  # argparse names it in its error
+    return convert
 
-    command: str
-    builtin: str | None = None
-    expr: str | None = None
-    profile_path: str | None = None
-    tol: float = 1e-8
-    basis_cap: int = 1024
-    cluster_tol: float = 1e-6
-    out: str | None = None
-    fmt: str = "json"
-    below: float | None = None
-    n_theta: int = 64
-    n_samples: int = 256
-    eps_values: tuple[float, ...] = ()
-    n_values: tuple[int, ...] = ()
-    quad_mult: int = 4
+
+def _numbers(kind, low):
+    """argparse type: comma-separated ``kind`` values, each at least ``low``."""
+    one = _number(kind, low)
+
+    def numbers(text: str):
+        return [one(item) for item in text.split(",")]
+    numbers.__name__ = f"comma-separated {kind.__name__}"
+    return numbers
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -100,100 +122,72 @@ def build_parser() -> argparse.ArgumentParser:
                                  "invariant sphere metrics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, profile_required=True):
-        if profile_required:
-            grp = sp.add_mutually_exclusive_group(required=True)
-            grp.add_argument("--builtin", choices=sorted(BUILTIN_EXPRESSIONS))
-            grp.add_argument("--expr", metavar="TEXT",
-                             help="profile as an expression in x")
-            grp.add_argument("--profile", metavar="FILE", dest="profile_path",
-                             help="profile description JSON file")
-        sp.add_argument("--tol", type=float, default=1e-8,
-                        help="relative eigenvalue tolerance (default 1e-8)")
-        sp.add_argument("--basis-cap", type=int, default=1024,
-                        help="largest Galerkin basis size (default 1024)")
-        sp.add_argument("--cluster-tol", type=float, default=1e-6,
-                        help="relative tolerance merging eigenvalues "
-                             "across channels (default 1e-6)")
-        sp.add_argument("--out", metavar="PATH", help="output path")
-        sp.add_argument("--format", choices=("json", "csv"), default="json",
-                        dest="fmt", help="stdout format where applicable")
+    def add_source(sp):
+        grp = sp.add_mutually_exclusive_group(required=True)
+        grp.add_argument("--builtin", choices=sorted(BUILTIN_EXPRESSIONS))
+        grp.add_argument("--expr", metavar="TEXT",
+                         help="profile as an expression in x")
+        grp.add_argument("--profile", metavar="FILE", dest="profile_path",
+                         help="profile description JSON file")
 
-    sp = sub.add_parser("analyze", help="validation, bounds, and "
-                                        "embeddability report")
-    add_common(sp)
+    def add_solver(sp):
+        sp.add_argument("--tol", type=_number(float, 1e-12), default=1e-8,
+                        help="relative eigenvalue tolerance (default %(default)s)")
+        sp.add_argument("--basis-cap", type=_number(int, REFINE_START), default=1024,
+                        help="largest Galerkin basis size (default %(default)s)")
+
+    def add_cluster_tol(sp):
+        sp.add_argument("--cluster-tol", type=_number(float, 0, 1e-2, True),
+                        default=1e-6, help="relative gap merging eigenvalues "
+                                           "across channels (default %(default)s)")
+
+    sp = sub.add_parser("analyze", help="validation, bounds, embeddability report")
+    sp.set_defaults(run=cmd_analyze)
+    add_source(sp)
+    add_cluster_tol(sp)
+    sp.add_argument("--out", metavar="PATH", help="output path")
 
     sp = sub.add_parser("spectrum", help="all eigenvalues below a cutoff")
-    add_common(sp)
-    sp.add_argument("--below", type=float, required=True, metavar="LAMBDA",
+    sp.set_defaults(run=cmd_spectrum)
+    add_source(sp)
+    add_solver(sp)
+    add_cluster_tol(sp)
+    sp.add_argument("--below", type=_number(float, 0, low_open=True),
+                    required=True, metavar="LAMBDA",
                     help="enumerate the spectrum in (0, LAMBDA]")
+    sp.add_argument("--out", metavar="PATH",
+                    help="output base path: PATH.json and PATH.csv")
+    sp.add_argument("--format", choices=("json", "csv"), default="json",
+                    dest="fmt", help="stdout format (default %(default)s)")
 
     sp = sub.add_parser("mesh", help="OBJ surface of revolution")
-    add_common(sp)
-    sp.add_argument("--n-theta", type=int, default=64,
-                    help="vertices per ring (default 64)")
-    sp.add_argument("--n-samples", type=int, default=256,
-                    help="meridian samples (default 256)")
+    sp.set_defaults(run=cmd_mesh)
+    add_source(sp)
+    sp.add_argument("--out", metavar="PATH", required=True,
+                    help="OBJ path; the sidecar JSON goes next to it")
+    sp.add_argument("--n-theta", type=_number(int, 8), default=64,
+                    help="vertices per ring (default %(default)s)")
+    sp.add_argument("--n-samples", type=_number(int, 16), default=256,
+                    help="meridian samples (default %(default)s)")
 
     sp = sub.add_parser("sweep", help="scan the pinch family into a CSV")
-    add_common(sp, profile_required=False)
-    sp.add_argument("--eps", default="0,0.5,1,2,4,9", metavar="LIST",
-                    help="comma-separated pinch strengths (default "
-                         "0,0.5,1,2,4,9)")
-    sp.add_argument("--n", default="18", metavar="LIST",
+    sp.set_defaults(run=cmd_sweep)
+    add_cluster_tol(sp)
+    sp.add_argument("--out", metavar="PATH", help="output path (.csv)")
+    sp.add_argument("--eps", type=_numbers(float, 0), default="0,0.5,1,2,4,9",
+                    metavar="LIST",
+                    help="comma-separated pinch strengths (default %(default)s)")
+    sp.add_argument("--n", type=_numbers(int, 1), default="18", metavar="LIST",
                     help="comma-separated half-exponents; the profile "
-                         "exponent is 2n (default 18)")
+                         "exponent is 2n (default %(default)s)")
 
-    sp = sub.add_parser("verify", help="recompute the pinned reference "
-                                       "constants")
-    add_common(sp, profile_required=False)
-    sp.add_argument("--quad-mult", type=int, default=4,
-                    help="quadrature nodes per basis function (default 4; "
-                         "lowering demonstrates sensitivity)")
+    sp = sub.add_parser("verify", help="recompute the pinned reference constants")
+    sp.set_defaults(run=cmd_verify)
+    add_solver(sp)
+    sp.add_argument("--quad-mult", type=_number(int, 1), default=4,
+                    help="quadrature nodes per basis function (default "
+                         "%(default)s; lowering demonstrates sensitivity)")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace,
-                      parser: argparse.ArgumentParser) -> RunConfig:
-    eps_values: tuple[float, ...] = ()
-    n_values: tuple[int, ...] = ()
-    if args.command == "sweep":
-        try:
-            eps_values = tuple(float(v) for v in args.eps.split(","))
-            n_values = tuple(int(v) for v in args.n.split(","))
-        except ValueError:
-            parser.error("--eps and --n must be comma-separated numbers")
-        if any(e < 0 for e in eps_values) or any(n < 1 for n in n_values):
-            parser.error("--eps entries must be >= 0 and --n entries >= 1")
-    below = getattr(args, "below", None)
-    if below is not None and not below > 0:
-        parser.error("--below must be positive")
-    if getattr(args, "tol", 1e-8) < 1e-12:
-        parser.error("--tol below 1e-12 is not resolvable")
-    if args.command == "mesh":
-        if args.out is None:
-            parser.error("mesh requires --out PATH for the OBJ file")
-        if args.n_theta < 8:
-            parser.error("--n-theta must be at least 8")
-        if args.n_samples < 16:
-            parser.error("--n-samples must be at least 16")
-    return RunConfig(
-        command=args.command,
-        builtin=getattr(args, "builtin", None),
-        expr=getattr(args, "expr", None),
-        profile_path=getattr(args, "profile_path", None),
-        tol=getattr(args, "tol", 1e-8),
-        basis_cap=getattr(args, "basis_cap", 1024),
-        cluster_tol=getattr(args, "cluster_tol", 1e-6),
-        out=args.out,
-        fmt=getattr(args, "fmt", "json"),
-        below=below,
-        n_theta=getattr(args, "n_theta", 64),
-        n_samples=getattr(args, "n_samples", 256),
-        eps_values=eps_values,
-        n_values=n_values,
-        quad_mult=getattr(args, "quad_mult", 4),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,20 +199,20 @@ def _profile_from_file(path: str) -> Profile:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ProfileDefinitionError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ProfileDefinitionError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProfileDefinitionError(f"{path}: top level must be an object")
     kind = payload.get("kind")
-    name = payload.get("name", Path(path).stem)
+    name = str(payload.get("name", Path(path).stem))
     if kind == "expression":
         if "expr" not in payload:
             raise ProfileDefinitionError(f"{path}: missing \"expr\"")
         return profile_from_text(str(payload["expr"]), name=name)
     if kind == "samples":
-        if "x" not in payload or "f" not in payload:
+        xs, fs = payload.get("x"), payload.get("f")
+        if not (isinstance(xs, list) and isinstance(fs, list)):
             raise ProfileDefinitionError(f"{path}: need \"x\" and \"f\" arrays")
-        xs, fs = payload["x"], payload["f"]
         if len(xs) != len(fs):
             raise ProfileDefinitionError(f"{path}: x and f lengths differ")
         return make_profile(list(zip(xs, fs)), name=name)
@@ -248,25 +242,29 @@ def _profile_from_arclength(payload: dict, path: str, name: str) -> Profile:
         print(f"note: area normalized by homothety factor "
               f"{fmt17(normalized.scale_factor)}; eigenvalues refer to the "
               f"normalized metric", file=sys.stderr)
-    p = momentum_transform(normalized)
-    return Profile(f=p.f, df=p.df, d2f=p.d2f, source=p.source, expr=None,
-                   name=name, knots=p.knots)
+    return dataclasses.replace(momentum_transform(normalized), name=name)
 
 
-def load_profile(cfg: RunConfig) -> Profile:
-    """Resolve the configured profile source; raises the profile errors."""
-    if cfg.builtin is not None:
-        return profile_from_text(BUILTIN_EXPRESSIONS[cfg.builtin],
-                                 name=cfg.builtin)
-    if cfg.expr is not None:
-        return profile_from_text(cfg.expr, name="command-line")
-    if cfg.profile_path is not None:
-        return _profile_from_file(cfg.profile_path)
-    raise ProfileDefinitionError("no profile source configured")
+def load_profile(args: argparse.Namespace) -> Profile:
+    """The validated profile named by ``--builtin``, ``--expr`` or ``--profile``.
 
-
-def _load_validated(cfg: RunConfig) -> Profile:
-    p = load_profile(cfg)
+    Raises :class:`ProfileDefinitionError` when the source defines no
+    profile, whatever the cause (bad expression text, or file values that
+    numpy and scipy cannot use as numbers), and :class:`InvalidProfileError`
+    when the profile fails validation.
+    """
+    try:
+        if args.builtin is not None:
+            p = profile_from_text(BUILTIN_EXPRESSIONS[args.builtin],
+                                  name=args.builtin)
+        elif args.expr is not None:
+            p = profile_from_text(args.expr, name="command-line")
+        else:
+            p = _profile_from_file(args.profile_path)
+    except InvalidProfileError:
+        raise
+    except (ExprError, TypeError, ValueError, OverflowError) as exc:
+        raise ProfileDefinitionError(str(exc)) from exc
     require_valid(p, context=p.name or "profile")
     return p
 
@@ -275,29 +273,21 @@ def _load_validated(cfg: RunConfig) -> Profile:
 # commands
 # ---------------------------------------------------------------------------
 
-def _emit(cfg: RunConfig, text: str, suffix: str | None = None) -> None:
-    if cfg.out:
-        out = Path(cfg.out)
-        if suffix is not None:
-            out = out.with_suffix(suffix)
-        write_text(out, text)
-    else:
+def _emit(args: argparse.Namespace, text: str, suffix: str | None = None) -> None:
+    if not args.out:
         sys.stdout.write(text)
+    else:
+        write_text(Path(args.out).with_suffix(suffix) if suffix else args.out, text)
 
 
-def cmd_analyze(cfg: RunConfig) -> int:
+def cmd_analyze(args: argparse.Namespace) -> int:
     try:
-        p = _load_validated(cfg)
-    except (ProfileDefinitionError, ExprError) as exc:
-        print(f"profile error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PROFILE
+        p = load_profile(args)
     except InvalidProfileError as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        payload = {"profile": exc.report.to_json_dict() if exc.report else None,
-                   "verdict": "invalid_profile"}
-        _emit(cfg, json_text(payload))
-        return EXIT_INVALID_PROFILE
-    report = full_report(p, cluster_tol=cfg.cluster_tol)
+        _emit(args, json_text({"profile": exc.report.to_json_dict(),
+                               "verdict": "invalid_profile"}))
+        raise
+    report = full_report(p, cluster_tol=args.cluster_tol)
     payload = {
         "profile": {"name": p.name, "source": p.source},
         "validation": validate(p).to_json_dict(),
@@ -305,59 +295,41 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "bounds": bounds_report(p).to_json_dict(),
         "obstructions": report.to_json_dict(),
     }
-    _emit(cfg, json_text(payload))
+    _emit(args, json_text(payload))
     for line in report.consistency_failures:
         print(f"internal consistency failure: {line}", file=sys.stderr)
     return EXIT_OK if report.verdict == "embeddable" else EXIT_NOT_EMBEDDABLE
 
 
-def cmd_spectrum(cfg: RunConfig) -> int:
-    try:
-        p = _load_validated(cfg)
-    except (ProfileDefinitionError, ExprError) as exc:
-        print(f"profile error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PROFILE
-    except InvalidProfileError as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PROFILE
-    table = enumerate_below(p, cfg.below, cluster_tol=cfg.cluster_tol,
-                            target_rel_err=cfg.tol, basis_cap=cfg.basis_cap)
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    p = load_profile(args)
+    table = enumerate_below(p, args.below, cluster_tol=args.cluster_tol,
+                            target_rel_err=args.tol, basis_cap=args.basis_cap)
     doc = json_text({"profile": {"name": p.name},
-                     "requested_below": cfg.below,
+                     "requested_below": args.below,
                      "table": table.to_json_dict()})
     csv = table.to_csv_text()
-    if cfg.out:
-        base = Path(cfg.out)
+    if args.out:
+        base = Path(args.out)
         write_text(base.with_suffix(".json"), doc)
         write_text(base.with_suffix(".csv"), csv)
     else:
-        sys.stdout.write(csv if cfg.fmt == "csv" else doc)
+        sys.stdout.write(csv if args.fmt == "csv" else doc)
     print(f"certified complete below {fmt17(table.cutoff)} "
           f"({len(table.entries)} distinct eigenvalues)", file=sys.stderr)
     return EXIT_OK
 
 
-def cmd_mesh(cfg: RunConfig) -> int:
-    try:
-        p = _load_validated(cfg)
-    except (ProfileDefinitionError, ExprError) as exc:
-        print(f"profile error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PROFILE
-    except InvalidProfileError as exc:
-        print(f"validation failed: {exc}", file=sys.stderr)
-        return EXIT_INVALID_PROFILE
-    try:
-        curve = embed_profile_curve(p, n_samples=cfg.n_samples)
-    except NotEmbeddableError as exc:
-        print(f"cannot mesh: {exc}", file=sys.stderr)
-        return EXIT_NOT_EMBEDDABLE
-    mesh = make_mesh(curve, n_theta=cfg.n_theta)
+def cmd_mesh(args: argparse.Namespace) -> int:
+    p = load_profile(args)
+    curve = embed_profile_curve(p, n_samples=args.n_samples)
+    mesh = make_mesh(curve, n_theta=args.n_theta)
     res = induced_metric_residual(mesh, p)
-    write_bytes(Path(cfg.out), export_obj(mesh))
+    write_bytes(Path(args.out), export_obj(mesh))
     sidecar = {
         "profile": {"name": p.name, "source": p.source},
-        "n_theta": cfg.n_theta,
-        "n_samples": cfg.n_samples,
+        "n_theta": args.n_theta,
+        "n_samples": args.n_samples,
         "mesh": {"vertices": int(mesh.vertices.shape[0]),
                  "faces": int(mesh.faces.shape[0]),
                  "euler_characteristic": euler_characteristic(mesh),
@@ -365,7 +337,7 @@ def cmd_mesh(cfg: RunConfig) -> int:
         "meridian_length": curve.length,
         "induced_metric_residual": res.to_json_dict(),
     }
-    write_text(Path(cfg.out).with_suffix(".json"), json_text(sidecar))
+    write_text(Path(args.out).with_suffix(".json"), json_text(sidecar))
     print(f"induced-metric residual sup {fmt17(res.sup)}, rms {fmt17(res.rms)}")
     return EXIT_OK
 
@@ -374,67 +346,57 @@ _SWEEP_HEADER = ("eps,n,exponent,c,max_slope,lambda01,multiplicities,"
                  "verdict,spectral_verdict,error")
 
 
-def _sweep_row(eps: float, n: int, cfg: RunConfig) -> str:
+def _sweep_row(eps: float, n: int, cluster_tol: float) -> str:
     c = 1.0 + eps
     base = f"{fmt17(eps)},{n},{2 * n},{fmt17(c)}"
     try:
         p = squeeze_profile(eps, n=2 * n)
-        report = full_report(p, cluster_tol=cfg.cluster_tol)
+        report = full_report(p, cluster_tol=cluster_tol)
         mults = ";".join(str(m) for m in
                          report.even_multiplicity_test.multiplicities)
         return (f"{base},{fmt17(report.sup_test.max_slope)},"
                 f"{fmt17(report.spectral_test.lambda01)},{mults},"
                 f"{report.verdict},{report.spectral_verdict},")
-    except (InvalidProfileError, SolverError, BudgetError, QuadratureError,
-            ValueError) as exc:
-        reason = str(exc).replace("\n", " ").replace(",", ";")
+    except _FAILURE_TYPES as exc:
+        reason = " ".join(str(exc).splitlines()).replace(",", ";")
         return f"{base},,,,,,{reason}"
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    rows = [_SWEEP_HEADER]
-    for n in cfg.n_values:
-        for eps in cfg.eps_values:
-            rows.append(_sweep_row(eps, n, cfg))
-    _emit(cfg, "\n".join(rows) + "\n", suffix=".csv" if cfg.out else None)
+def cmd_sweep(args: argparse.Namespace) -> int:
+    rows = [_SWEEP_HEADER] + [_sweep_row(eps, n, args.cluster_tol)
+                              for n in args.n for eps in args.eps]
+    _emit(args, "\n".join(rows) + "\n", suffix=".csv")
     return EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     """Recompute the pinned constants of the strongly pinched example and the
     round sphere; any mismatch exits with the dedicated failure code."""
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, bool(ok), detail))
-
     squeeze = profile_from_text(BUILTIN_EXPRESSIONS["paper-example"],
                                 name="paper-example")
     rnd = profile_from_text(BUILTIN_EXPRESSIONS["round"], name="round")
-
-    target = Fraction(185, 23)
+    target = 185 / 23
     bound = channel_lower_bound(squeeze, 0, 1)
-    rel = abs(bound - float(target)) / float(target)
-    record("invariant-channel lower bound 2/int((1-x^2)/f) = 185/23",
-           rel <= 1e-9, f"computed {fmt17(bound)}, target {fmt17(float(target))}, "
-                        f"rel err {rel:.3e}")
-
-    u = parse("sqrt(1 - x^2)")
-    rq = rayleigh_quotient(squeeze, 4, u)
-    record("channel-4 quotient with sqrt(1-x^2) below 8",
-           rq < 8.0, f"computed {fmt17(rq)}")
-    bracket = float(Fraction(1477, 185))
-    record("channel-4 quotient within the 1477/185 bracketing value",
-           rq <= bracket + 1e-12, f"computed {fmt17(rq)} vs {fmt17(bracket)}")
-
-    lam01 = refine(rnd, 0, 1, target_rel_err=cfg.tol,
-                   basis_cap=cfg.basis_cap,
-                   quad_mult=cfg.quad_mult).eigenvalues[0]
+    rel = abs(bound - target) / target
+    rq = rayleigh_quotient(squeeze, 4, parse("sqrt(1 - x^2)"))
+    bracket = 1477 / 185
+    lam01 = refine(rnd, 0, 1, target_rel_err=args.tol,
+                   basis_cap=args.basis_cap,
+                   quad_mult=args.quad_mult).eigenvalues[0]
     upper = lambda01_upper_bound(rnd)
-    record("round sphere saturates the (3/2) int f bound: bound 2, "
-           "first invariant eigenvalue 2",
-           abs(lam01 - 2.0) <= 1e-7 and abs(upper - 2.0) <= 1e-10,
-           f"eigenvalue {fmt17(lam01)}, bound {fmt17(upper)}")
+    checks = [
+        ("invariant-channel lower bound 2/int((1-x^2)/f) = 185/23",
+         rel <= 1e-9, f"computed {fmt17(bound)}, target {fmt17(target)}, "
+                      f"rel err {rel:.3e}"),
+        ("channel-4 quotient with sqrt(1-x^2) below 8",
+         rq < 8.0, f"computed {fmt17(rq)}"),
+        ("channel-4 quotient within the 1477/185 bracketing value",
+         rq <= bracket + 1e-12, f"computed {fmt17(rq)} vs {fmt17(bracket)}"),
+        ("round sphere saturates the (3/2) int f bound: bound 2, "
+         "first invariant eigenvalue 2",
+         abs(lam01 - 2.0) <= 1e-7 and abs(upper - 2.0) <= 1e-10,
+         f"eigenvalue {fmt17(lam01)}, bound {fmt17(upper)}"),
+    ]
 
     failed = [c for c in checks if not c[1]]
     width = max(len(name) for name, _, _ in checks)
@@ -448,30 +410,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "analyze": cmd_analyze,
-    "spectrum": cmd_spectrum,
-    "mesh": cmd_mesh,
-    "sweep": cmd_sweep,
-    "verify": cmd_verify,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = _config_from_args(args, parser)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[cfg.command](cfg)
-    except (ConvergenceError, SolverError, BudgetError) as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except (QuadratureError, EvalDomainError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return args.run(args)
+    except _FAILURE_TYPES as exc:
+        prefix, code = next((prefix, code) for types, prefix, code in _FAILURES
+                            if isinstance(exc, types))
+        print(f"{prefix}: " + " ".join(str(exc).splitlines()), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

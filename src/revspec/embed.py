@@ -133,6 +133,9 @@ def embed_profile_curve(p: Profile, n_samples: int = 256,
     a[0] = a[-1] = 0.0
     da = 0.5 * np.asarray(p.df(x), dtype=float)
     rad = 1.0 - da * da
+    # |f'| = 2 at the poles is a validated boundary condition; a spline
+    # profile meets it only to rounding, which must not read as grazing
+    rad[0] = rad[-1] = 0.0
     worst = float(np.min(rad))
     if worst < -tol:
         i = int(np.argmin(rad))
@@ -222,10 +225,16 @@ def mesh_area(mesh: EmbeddingMesh) -> float:
 
 def euler_characteristic(mesh: EmbeddingMesh) -> int:
     f = mesh.faces
+    n = mesh.vertices.shape[0]
     edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
     edges = np.sort(edges, axis=1)
-    n_edges = np.unique(edges, axis=0).shape[0]
-    return int(mesh.vertices.shape[0] - n_edges + f.shape[0])
+    # one integer key per edge; sorting in place and counting changes spares
+    # the time and memory of np.unique's copies
+    keys = edges[:, 0] * n
+    keys += edges[:, 1]
+    keys.sort()
+    n_edges = int(np.count_nonzero(keys[1:] != keys[:-1])) + min(keys.size, 1)
+    return int(n - n_edges + f.shape[0])
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,16 @@ of profile derivatives come out exact rather than through a numeric pow.
 Design notes:
 
 * Trees are frozen dataclasses, so structural equality is ``==`` and
-  ``parse(to_string(e)) == e`` holds for every tree in normal form (negative
-  constants are represented as ``Neg(Const(...))``; ``differentiate`` only
-  builds normal-form trees).
+  ``parse(to_string(e)) == e`` holds for every tree in normal form within
+  the depth bound below (negative constants are represented as
+  ``Neg(Const(...))``; ``differentiate`` only builds normal-form trees).
 * There is no simplification pass.  Second derivatives of a quotient get
   large, but evaluation is vectorized over numpy arrays and stays cheap at
   the grid sizes used by the solver.
 * Evaluation raises :class:`EvalDomainError` naming the offending
   subexpression for division by zero and for sqrt/log outside their domain.
+* Printing, evaluation and differentiation recurse, so :func:`parse`
+  refuses trees and parentheses nested deeper than :data:`MAX_DEPTH`.
 """
 
 from __future__ import annotations
@@ -43,9 +45,15 @@ __all__ = [
     "ExprError", "ExprSyntaxError", "UnknownIdentifierError",
     "NonIntegerExponentError", "EvalDomainError",
     "parse", "to_string", "evaluate", "differentiate", "FUNCTIONS",
+    "MAX_DEPTH",
 ]
 
 FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
+
+# Each level of a quotient adds three levels to its derivative, and printing
+# takes two frames per level: 48 keeps the second derivative's ~600 frames
+# under the default limit of 1000 with room for the caller's stack.
+MAX_DEPTH = 48
 
 
 @dataclass(frozen=True)
@@ -179,6 +187,7 @@ class _Parser:
         self.var = var
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.open_groups = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -217,10 +226,14 @@ class _Parser:
         return e
 
     def unary(self) -> Expr:
-        if self.at_op("-"):
+        negations = 0
+        while self.at_op("-"):
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            negations += 1
+        e = self.power()
+        for _ in range(negations):
+            e = Neg(e)
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -255,36 +268,57 @@ class _Parser:
                     raise ExprSyntaxError(
                         f"function {tok.text!r} must be applied",
                         nxt.offset, expected="'('")
-                self.advance()
-                arg = self.expr()
-                self.expect_close()
-                return Call(tok.text, arg)
+                return Call(tok.text, self.group())
             if tok.text != self.var:
                 raise UnknownIdentifierError(
                     f"unknown identifier {tok.text!r}", tok.offset,
                     expected=f"variable {self.var!r} or one of {', '.join(FUNCTIONS)}")
             return Var(tok.text)
         if self.at_op("("):
-            self.advance()
-            e = self.expr()
-            self.expect_close()
-            return e
+            return self.group()
         raise ExprSyntaxError(
             f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
             tok.offset, expected="number, name, '-' or '('")
 
-    def expect_close(self) -> None:
+    def group(self) -> Expr:
+        """``'(' expr ')'``; the parser recurses once per open group."""
+        tok = self.advance()
+        self.open_groups += 1
+        if self.open_groups > MAX_DEPTH:
+            raise ExprSyntaxError("parentheses nested too deeply", tok.offset,
+                                  expected=f"at most {MAX_DEPTH} levels")
+        e = self.expr()
         tok = self.peek()
         if not self.at_op(")"):
             raise ExprSyntaxError(
                 f"unexpected {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
                 tok.offset, expected="')'")
         self.advance()
+        self.open_groups -= 1
+        return e
 
 
 def parse(text: str, var: str = "x") -> Expr:
-    """Parse ``text`` into an expression tree over the single variable ``var``."""
-    return _Parser(text, var).parse()
+    """Parse ``text`` into an expression tree over the single variable ``var``.
+
+    Raises :class:`ExprSyntaxError` for trees deeper than :data:`MAX_DEPTH`.
+    """
+    e = _Parser(text, var).parse()
+    if _depth(e) > MAX_DEPTH:
+        raise ExprSyntaxError("expression nested too deeply", 0,
+                              expected=f"at most {MAX_DEPTH} levels")
+    return e
+
+
+def _depth(e: Expr) -> int:
+    """Levels of the tree, counted level by level without recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [getattr(node, child) for node in level
+                 for child in ("arg", "base", "left", "right")
+                 if hasattr(node, child)]
+    return depth
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,8 @@ import numpy as np
 
 from .profile import Profile, curvature, require_valid
 from .solver import REFINE_CAP, refine
-from .spectrum import SpectrumTable, enumerate_below, trace0_integral, trace_partial_sum
+from .spectrum import (SpectrumInvariantError, SpectrumTable, enumerate_below,
+                       trace0_integral, trace_partial_sum)
 
 __all__ = [
     "XI1", "ABREU_FREITAS_THRESHOLD", "TRACE_FLAG_THRESHOLD",
@@ -246,7 +247,7 @@ def even_multiplicity_test(p: Profile, m_max: int = 4,
     lambda_m = head[-1].value
     reduction = bool(lambda_m < lambda01)
     if reduction != all_even:
-        raise AssertionError(
+        raise SpectrumInvariantError(
             f"even-multiplicity formulations disagree: direct parity "
             f"{mults} -> {all_even}, but lambda_{m_max}={lambda_m!r} vs "
             f"lambda_0^1={lambda01!r} -> {reduction}; table or solver is "

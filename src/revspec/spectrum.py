@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .profile import Profile, require_valid
 from .quadrature import QuadratureError, integrate_adaptive
-from .solver import REFINE_CAP, ChannelSpectrum, refine
+from .solver import REFINE_CAP, REFINE_START, ChannelSpectrum, refine
 
 __all__ = [
     "SpectrumEntry", "SpectrumTable", "BoundsReport",
@@ -224,6 +224,13 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
         raise ValueError("cutoff must be positive and finite")
     if cluster_tol <= 0 or cluster_tol >= 1e-2:
         raise ValueError("cluster_tol must lie in (0, 1e-2)")
+    if basis_cap < REFINE_START:
+        raise ValueError(f"basis_cap must be at least {REFINE_START}")
+    # refine doubles its basis from REFINE_START, so the largest basis it
+    # reaches within basis_cap holds at most half as many eigenvalues
+    n_cap = REFINE_START // 2
+    while 4 * n_cap <= basis_cap:
+        n_cap *= 2
     t0 = trace0_integral(p)
     k_max = math.ceil(below) - 1
     # budgets only shrink with k, so the worst ones are k = 0 and k = 1;
@@ -231,11 +238,10 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
     worst_budget = _channel_budget(below, 0, t0)
     if k_max >= 1:
         worst_budget = max(worst_budget, _channel_budget(below, 1, t0))
-    if worst_budget > REFINE_CAP // 2:
+    if worst_budget > n_cap:
         raise BudgetError(
             f"cutoff {below:g} needs {worst_budget} eigenvalues in one "
-            f"channel; the basis cap {REFINE_CAP} supports at most "
-            f"{REFINE_CAP // 2}")
+            f"channel; the basis cap {basis_cap} supports at most {n_cap}")
     budgets = {k: _channel_budget(below, k, t0) for k in range(0, k_max + 1)}
 
     found: list[tuple[float, int, int]] = []  # (value, k, j)
@@ -246,7 +252,7 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
                         basis_cap=basis_cap)
             if cs.eigenvalues[-1] > below:
                 break
-            n = min(2 * n, REFINE_CAP // 2)
+            n = min(2 * n, n_cap)
         else:
             raise BudgetError(
                 f"channel {k} refused to clear {below:g} within budget "

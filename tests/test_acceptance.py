@@ -21,12 +21,13 @@ from revspec import (
 
 
 @contextmanager
-def _criterion(number, label, budget_s=None):
+def _criterion(number, label, budget_s=None, spent_s=0.0):
+    """``spent_s``: seconds of the criterion's work already done in fixtures."""
     start = time.perf_counter()
     try:
         yield
         if budget_s is not None:
-            elapsed = time.perf_counter() - start
+            elapsed = spent_s + time.perf_counter() - start
             assert elapsed < budget_s, (
                 f"runtime {elapsed:.1f}s exceeded the {budget_s:g}s budget")
     except BaseException:
@@ -89,13 +90,14 @@ def test_acceptance_4_trace_partial_sums(round_profile):
             assert s < target, k
 
 
-def test_acceptance_5_family_properties(acceptance_family):
+def test_acceptance_5_family_properties(family_reports):
     """Structural invariants hold across a 50-member randomized family."""
-    with _criterion(5, "randomized-family property suite", 600.0):
-        assert len(acceptance_family) >= 50
-        for p in acceptance_family:
+    reports, report_seconds = family_reports
+    with _criterion(5, "randomized-family property suite", 600.0,
+                    spent_s=report_seconds):
+        assert len(reports) >= 50
+        for p, report in reports:
             assert gauss_bonnet_residual(p) <= 1e-6, p.name
-            report = full_report(p)
             table = report.even_multiplicity_test.table
             certified = [e for e in table.entries if e.value <= table.cutoff]
             assert certified, p.name
@@ -148,7 +150,8 @@ def test_acceptance_7_external_frequency_threshold(family_reports):
     be investigated, not auto-rejected)."""
     with _criterion(7, "external threshold on embeddable members", None):
         checked = 0
-        for p, report in family_reports:
+        reports, _ = family_reports
+        for p, report in reports:
             if report.sup_test.embeddable:
                 checked += 1
                 assert report.abreu_freitas_test.lambda01 < 2.8916, p.name

@@ -1,14 +1,27 @@
+import io
 import json
+import re
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import revspec.cli as cli
 from revspec.cli import (
     EXIT_FAILURE, EXIT_INVALID_PROFILE, EXIT_NOT_EMBEDDABLE, EXIT_OK,
-    EXIT_USAGE, main,
+    EXIT_USAGE, EXIT_VERIFY_FAILED, main,
 )
-from revspec.solver import SolverError
+from revspec.exprs import EvalDomainError
+from revspec.quadrature import QuadratureError
+from revspec.solver import ConvergenceError, SolverError
+from revspec.spectrum import BudgetError, SpectrumInvariantError
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+DOCUMENTED_CODES = {EXIT_OK, EXIT_FAILURE, EXIT_NOT_EMBEDDABLE,
+                    EXIT_INVALID_PROFILE, EXIT_VERIFY_FAILED, EXIT_USAGE}
 
 
 def run(capsys, *argv):
@@ -33,6 +46,14 @@ def test_verify_recomputes_the_pinned_constants(capsys):
     assert "4/4 checks passed" in out
     assert "FAIL" not in out
     assert "185/23" in out
+
+
+def test_verify_failed_check_exits_4(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "channel_lower_bound", lambda p, k, m: 8.0)
+    code, out, err = run(capsys, "verify")
+    assert code == EXIT_VERIFY_FAILED
+    assert "3/4 checks passed" in out
+    assert err.startswith("verify failed on: invariant-channel lower bound")
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +92,18 @@ def test_analyze_unparseable_expression(capsys):
     code, _, err = run(capsys, "analyze", "--expr", "1 +")
     assert code == EXIT_INVALID_PROFILE
     assert "profile error" in err
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "1 - x^2" + ")" * 2000,
+    "1 - x^2" + " + 0*x" * 1500,
+    "-" * 1200 + "x",
+], ids=["parentheses", "sum-terms", "unary-minus"])
+def test_deeply_nested_expressions_exit_3(capsys, text):
+    code, _, err = run(capsys, "analyze", f"--expr={text}")
+    assert code == EXIT_INVALID_PROFILE
+    assert err.startswith("profile error: ")
+    assert "nested too deeply" in err
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +150,23 @@ def test_spectrum_usage_errors():
     usage_error("spectrum", "--builtin", "round", "--below", "-3")
     usage_error("spectrum", "--builtin", "round", "--below", "7",
                 "--tol", "1e-15")
+
+
+def test_spectrum_budget_names_the_given_basis_cap(capsys):
+    code, out, err = run(capsys, "spectrum", "--builtin", "round",
+                         "--below", "200", "--basis-cap", "256")
+    assert code == EXIT_FAILURE
+    assert out == ""
+    assert err == ("solver failure: cutoff 200 needs 200 eigenvalues in one "
+                   "channel; the basis cap 256 supports at most 128\n")
+
+
+def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
+    code, _, err = run(capsys, "spectrum", "--builtin", "round", "--below",
+                       "3", "--out", str(tmp_path / "missing" / "t"))
+    assert code == EXIT_FAILURE
+    assert err.startswith("i/o failure: ")
+    assert err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +303,10 @@ def test_profile_file_arclength_kind(tmp_path, capsys):
     ({"kind": "samples", "x": [0.0], "f": [1.0, 2.0]}, "lengths differ"),
     ({"kind": "mystery"}, "unknown kind"),
     ([1, 2, 3], "object"),
+    # an expression error while loading is a profile error, not a run failure
+    ({"kind": "arclength-expression", "a": "sqrt(s - 0.5)", "length": 1},
+     "sqrt of negative argument"),
+    ({"kind": "samples", "x": [0.0, "a"], "f": [1.0, 2.0]}, "could not convert"),
 ])
 def test_profile_file_rejections(tmp_path, capsys, payload, snippet):
     path = tmp_path / "bad.json"
@@ -260,6 +314,14 @@ def test_profile_file_rejections(tmp_path, capsys, payload, snippet):
     code, _, err = run(capsys, "analyze", "--profile", str(path))
     assert code == EXIT_INVALID_PROFILE
     assert snippet in err
+
+
+def test_profile_file_nested_too_deeply_for_the_json_decoder(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _, err = run(capsys, "analyze", "--profile", str(path))
+    assert code == EXIT_INVALID_PROFILE
+    assert "is not valid JSON" in err
 
 
 def test_profile_file_missing(capsys):
@@ -277,3 +339,157 @@ def test_profile_source_usage_errors():
     usage_error("analyze", "--builtin", "banana")
     usage_error("analyze", "--builtin", "round", "--expr", "1 - x^2")
     usage_error("nonsense")
+
+
+# ---------------------------------------------------------------------------
+# flags and exit codes
+# ---------------------------------------------------------------------------
+
+def test_each_command_lists_only_the_flags_it_reads(capsys):
+    listed = {}
+    for command in ("analyze", "spectrum", "mesh", "sweep", "verify"):
+        with pytest.raises(SystemExit) as exc_info:
+            main([command, "--help"])
+        assert exc_info.value.code == 0
+        listed[command] = set(re.findall(r"--[a-z][a-z-]*",
+                                         capsys.readouterr().out)) - {"--help"}
+    source = {"--builtin", "--expr", "--profile"}
+    assert listed == {
+        "analyze": source | {"--cluster-tol", "--out"},
+        "spectrum": source | {"--tol", "--basis-cap", "--cluster-tol",
+                              "--out", "--format", "--below"},
+        "mesh": source | {"--out", "--n-theta", "--n-samples"},
+        "sweep": {"--cluster-tol", "--out", "--eps", "--n"},
+        "verify": {"--tol", "--basis-cap", "--quad-mult"},
+    }
+    assert sum(len(flags) for flags in listed.values()) == 27
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--builtin", "round", "--tol", "1e-8"),
+    ("analyze", "--builtin", "round", "--basis-cap", "1024"),
+    ("analyze", "--builtin", "round", "--format", "json"),
+    ("mesh", "--builtin", "round", "--out", "x.obj", "--tol", "1e-8"),
+    ("mesh", "--builtin", "round", "--out", "x.obj", "--basis-cap", "1024"),
+    ("mesh", "--builtin", "round", "--out", "x.obj", "--cluster-tol", "1e-6"),
+    ("mesh", "--builtin", "round", "--out", "x.obj", "--format", "json"),
+    ("sweep", "--tol", "1e-8"),
+    ("sweep", "--basis-cap", "1024"),
+    ("sweep", "--format", "csv"),
+    ("verify", "--cluster-tol", "1e-6"),
+    ("verify", "--format", "json"),
+    ("verify", "--out", "x"),
+])
+def test_flags_a_command_does_not_read_are_usage_errors(argv):
+    usage_error(*argv)
+
+
+@pytest.mark.parametrize("argv", [
+    ("analyze", "--builtin", "round", "--cluster-tol", "0.5"),
+    ("spectrum", "--builtin", "round", "--below", "inf"),
+    ("spectrum", "--builtin", "round", "--below", "3", "--basis-cap", "16"),
+    ("sweep", "--eps", "inf"),
+    ("verify", "--tol", "nan"),
+    ("verify", "--quad-mult", "0"),
+])
+def test_values_the_library_would_refuse_are_usage_errors(argv):
+    usage_error(*argv)
+
+
+def _exit_code_table(text):
+    start = text.index("Exit codes\n")
+    return text[start:text.index("\n\n", start)]
+
+
+def test_docstring_and_readme_state_one_exit_code_table():
+    table = _exit_code_table(cli.__doc__)
+    assert table in README.read_text(encoding="utf-8")
+    codes = {int(row.split()[0]) for row in table.splitlines()[1:]}
+    assert codes == DOCUMENTED_CODES
+
+
+@pytest.mark.parametrize("exc,prefix", [
+    (SolverError("eigensolve broke"), "solver failure"),
+    (ConvergenceError("estimates stalled", None), "solver failure"),
+    (BudgetError("cutoff too high"), "solver failure"),
+    (QuadratureError("integral stalled"), "numerical failure"),
+    (EvalDomainError("division by zero", "1/x"), "numerical failure"),
+    (SpectrumInvariantError("parity law broken\nand more"), "invariant failure"),
+    (OSError("disk full"), "i/o failure"),
+])
+def test_run_failures_exit_1_with_one_line(capsys, monkeypatch, exc, prefix):
+    def explode(p, cluster_tol):
+        raise exc
+    monkeypatch.setattr(cli, "full_report", explode)
+    code, out, err = run(capsys, "analyze", "--builtin", "round")
+    assert code == EXIT_FAILURE
+    assert out == ""
+    assert err.startswith(prefix + ": ")
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: any text or profile file ends in a documented exit code
+# ---------------------------------------------------------------------------
+
+_FRAGMENTS = ["x", "s", "1", "2", "0.5", "1e308", "-", "+", "*", "/", "^",
+              "(", ")", "sqrt(", "log(", "exp(", "sin(", "cos(", " ", ".",
+              "e", "x^2", "1 - x^2", "(1 - x^2)", "sin(s)", ","]
+_TEXT = st.lists(st.sampled_from(_FRAGMENTS), max_size=10).map("".join) \
+    | st.text(max_size=10)
+_NUMBER = st.floats() | st.integers()
+_VALUE = _NUMBER | _TEXT | st.none() | st.booleans() \
+    | st.lists(_NUMBER, max_size=3)
+_NAME = st.fixed_dictionaries({}, optional={"name": _VALUE})
+
+
+@st.composite
+def _samples(draw):
+    n = draw(st.integers(min_value=12, max_value=40))
+    xs = np.linspace(-1.0, 1.0, n)
+    c = draw(st.floats(min_value=-1.0, max_value=1.0))
+    fs = list((1 - xs ** 2) * (1 + c * (1 - xs ** 2)))
+    xs = list(xs)
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        target = draw(st.sampled_from([xs, fs]))
+        target[draw(st.integers(0, n - 1))] = draw(_VALUE)
+    return {"kind": "samples", "x": xs, "f": fs}
+
+
+_PROFILE_JSON = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("expression"), "expr": _TEXT}),
+    _samples(),
+    st.fixed_dictionaries({"kind": st.just("arclength-expression"),
+                           "a": _TEXT.map(lambda t: t.replace("x", "s")),
+                           "length": _NUMBER | st.just(np.pi)}),
+    st.dictionaries(st.sampled_from(["kind", "expr", "x", "f", "a", "length"]),
+                    _VALUE, max_size=3),
+    _VALUE,
+)
+
+
+def _documented_exit(argv):
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in DOCUMENTED_CODES, (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+
+
+@settings(max_examples=60)
+@given(text=_TEXT)
+def test_fuzz_expression_text(text):
+    _documented_exit(["spectrum", "--below", "3", f"--expr={text}"])
+
+
+@settings(max_examples=60)
+@given(payload=_PROFILE_JSON, extra=_NAME)
+def test_fuzz_profile_files(tmp_path_factory, payload, extra):
+    if isinstance(payload, dict):
+        payload = {**payload, **extra}
+    path = tmp_path_factory.getbasetemp() / "fuzz-profile.json"
+    path.write_text(json.dumps(payload))
+    _documented_exit(["spectrum", "--below", "3", "--profile", str(path)])

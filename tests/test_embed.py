@@ -1,3 +1,4 @@
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,7 @@ from revspec.embed import (
     ProfileCurve, curve_csv_text, embed_profile_curve, euler_characteristic,
     export_obj, induced_metric_residual, make_mesh, mesh_area,
 )
-from revspec.profile import InvalidProfileError, profile_from_text
+from revspec.profile import InvalidProfileError, make_profile, profile_from_text
 from revspec.serialize import fmt17
 
 GOLDEN = Path(__file__).parent / "data" / "two_ring.obj"
@@ -69,6 +70,16 @@ def test_grazing_slope_clamps_with_warning(borderline_profile):
     assert np.all(np.isfinite(c.z))
 
 
+def test_sampled_round_profile_meshes_without_grazing():
+    # the spline meets f'(+1) = -2 only to rounding; the pole is not grazing
+    xs = np.linspace(-1.0, 1.0, 41)
+    p = make_profile(list(zip(xs, 1 - xs ** 2)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", GrazingClampWarning)
+        curve = embed_profile_curve(p, n_samples=64)
+    assert curve.dz[0] == curve.dz[-1] == 0.0
+
+
 def test_invalid_profile_rejected():
     with pytest.raises(InvalidProfileError):
         embed_profile_curve(profile_from_text("2*(1 - x^2)"))
@@ -84,6 +95,19 @@ def test_mesh_counts(round_profile):
     assert mesh.vertices.shape == (16 * 62 + 2, 3)
     assert mesh.faces.shape == (2 * 16 * 62, 3)
     assert euler_characteristic(mesh) == 2
+
+
+@pytest.mark.parametrize("vertices,faces,chi", [
+    # closed tetrahedron: V - E + F = 4 - 6 + 4
+    (4, [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)], 2),
+    # two triangles forming an open square: 4 - 5 + 2
+    (4, [(0, 1, 2), (0, 2, 3)], 1),
+], ids=["tetrahedron", "square"])
+def test_euler_characteristic_of_hand_built_meshes(vertices, faces, chi):
+    mesh = EmbeddingMesh(vertices=np.zeros((vertices, 3)),
+                         faces=np.asarray(faces, dtype=np.int64),
+                         curve=None, n_theta=0)
+    assert euler_characteristic(mesh) == chi
 
 
 def test_mesh_is_outward_oriented(round_curve):

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from revspec.exprs import (Add, Call, Const, Div, EvalDomainError, Mul, Neg,
-                           NonIntegerExponentError, Pow, Sub,
+from revspec.exprs import (MAX_DEPTH, Add, Call, Const, Div, EvalDomainError,
+                           Mul, Neg, NonIntegerExponentError, Pow, Sub,
                            UnknownIdentifierError, Var, ExprSyntaxError,
                            differentiate, evaluate, parse, to_string)
+from revspec.profile import profile_from_text, require_valid
 
 
 def test_parse_simple_polynomial():
@@ -71,6 +72,39 @@ def test_non_integer_exponent_rejected():
         parse("x^2.5")
     with pytest.raises(NonIntegerExponentError):
         parse("x^2.0")
+
+
+@pytest.mark.parametrize("text", [
+    "(" * 2000 + "1 - x^2" + ")" * 2000,
+    "1 - x^2" + " + 0*x" * 1500,
+    "-" * 1200 + "x",
+], ids=["parentheses", "sum-terms", "unary-minus"])
+def test_deep_nesting_is_a_syntax_error(text):
+    with pytest.raises(ExprSyntaxError, match="nested too deeply"):
+        parse(text)
+
+
+def test_nesting_just_under_the_bound_validates():
+    # "1 - x^2" is three levels deep and each "+ 0*x" adds one
+    text = "1 - x^2" + " + 0*x" * (MAX_DEPTH - 3)
+    require_valid(profile_from_text(text))
+    with pytest.raises(ExprSyntaxError):
+        parse(text + " + 0*x")
+    assert parse("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH) == Var("x")
+    with pytest.raises(ExprSyntaxError):
+        parse("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1))
+
+
+def test_deepest_accepted_quotient_stays_within_the_recursion_limit():
+    # nested quotients grow fastest under differentiation: three levels per
+    # level and derivative, and printing recurses twice per level
+    text = "x"
+    for _ in range(MAX_DEPTH - 1):
+        text = f"x/({text})"
+    e = parse(text)
+    d2 = differentiate(differentiate(e))
+    assert np.all(np.isfinite(evaluate(d2, np.linspace(0.5, 0.9, 5))))
+    assert to_string(d2).startswith("(")
 
 
 def test_negative_exponent_allowed():

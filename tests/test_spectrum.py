@@ -109,11 +109,24 @@ def test_enumerate_argument_checks(round_profile):
         enumerate_below(round_profile, 0.0)
     with pytest.raises(ValueError, match="cluster_tol"):
         enumerate_below(round_profile, 5.0, cluster_tol=0.5)
+    with pytest.raises(ValueError, match="basis_cap"):
+        enumerate_below(round_profile, 5.0, basis_cap=16)
 
 
 def test_budget_error_fires_before_any_solve(round_profile):
     with pytest.raises(BudgetError, match="cap"):
         enumerate_below(round_profile, 1e5)
+
+
+def test_budget_error_names_the_given_basis_cap(round_profile):
+    with pytest.raises(BudgetError,
+                       match="basis cap 256 supports at most 128$"):
+        enumerate_below(round_profile, 200.0, basis_cap=256)
+    # a cap between powers of two supports what its largest reachable basis
+    # (64 here) holds
+    with pytest.raises(BudgetError,
+                       match="basis cap 100 supports at most 32$"):
+        enumerate_below(round_profile, 40.0, basis_cap=100)
 
 
 def test_budget_error_is_immediate_even_for_absurd_cutoffs(round_profile):
