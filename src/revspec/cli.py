@@ -165,10 +165,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(sp)
     sp.add_argument("--out", metavar="PATH", required=True,
                     help="OBJ path; the sidecar JSON goes next to it")
-    sp.add_argument("--n-theta", type=_number(int, 8), default=64,
-                    help="vertices per ring (default %(default)s)")
-    sp.add_argument("--n-samples", type=_number(int, 16), default=256,
-                    help="meridian samples (default %(default)s)")
+    # the upper bounds cap a mesh at 1024 * 8192 vertices, so an oversized
+    # request is a usage error rather than a failed allocation
+    sp.add_argument("--n-theta", type=_number(int, 8, 1024 + 1), default=64,
+                    help="vertices per ring, 8 to 1024 (default %(default)s)")
+    sp.add_argument("--n-samples", type=_number(int, 16, 8192 + 1), default=256,
+                    help="meridian samples, 16 to 8192 (default %(default)s)")
 
     sp = sub.add_parser("sweep", help="scan the pinch family into a CSV")
     sp.set_defaults(run=cmd_sweep)

@@ -138,7 +138,12 @@ def embed_profile_curve(p: Profile, n_samples: int = 256,
     rad[0] = rad[-1] = 0.0
     worst = float(np.min(rad))
     if worst < -tol:
-        i = int(np.argmin(rad))
+        # a mirror-symmetric profile ties its two worst samples up to the
+        # rounding of 1 - a'^2; name the one nearest x = 0, then x < 0
+        tied = np.flatnonzero(rad <= worst + 16 * np.finfo(float).eps * (1.0 - worst))
+        ax = np.abs(x[tied])
+        tied = tied[ax <= ax.min() + 1e-12]
+        i = int(tied[np.argmin(x[tied])])
         raise NotEmbeddableError(max_slope=2.0 * abs(float(da[i])),
                                  argmax_x=float(x[i]))
     if worst < 0.0:

@@ -423,9 +423,12 @@ def evaluate(e: Expr, x):
     """Evaluate ``e`` at ``x`` (scalar or ndarray; vectorized, pure).
 
     Returns a float for scalar input and an array matching ``x`` otherwise.
+    Overflow and invalid operations give inf/nan quietly, not a numpy
+    warning: the callers' finiteness checks report them as one failure.
     """
     arr = np.asarray(x, dtype=float)
-    res = _ev(e, arr)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        res = _ev(e, arr)
     if arr.ndim == 0:
         return float(res)
     out = np.asarray(res, dtype=float)

@@ -41,7 +41,6 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PchipInterpolator
 
 from .exprs import Expr, EvalDomainError, differentiate, evaluate, to_string
 from .quadrature import CumulativeIntegral, QuadratureError, integrate_adaptive, integrate_gl
@@ -225,6 +224,9 @@ def _profile_from_samples(defn, name: str) -> Profile:
         raise ProfileDefinitionError("sample abscissae must be strictly increasing")
     if abs(x[0] + 1.0) > 1e-9 or abs(x[-1] - 1.0) > 1e-9:
         raise ProfileDefinitionError("samples must cover [-1, 1] endpoint to endpoint")
+    # scipy.interpolate takes most of the import time; expression profiles
+    # never need it, so it loads here and in the two meridian maps only
+    from scipy.interpolate import CubicSpline
     spline = CubicSpline(x, y, bc_type=((1, BC_SLOPE), (1, -BC_SLOPE)))
     d1 = spline.derivative(1)
     d2 = spline.derivative(2)
@@ -333,6 +335,7 @@ class _MeridianMap:
     """
 
     def __init__(self, p: Profile, n_seg: int = 1024, order: int = 8):
+        from scipy.interpolate import PchipInterpolator
         t_grid = np.linspace(0.0, 1.0, n_seg + 1)
 
         def make_g(sign, side):
@@ -495,6 +498,7 @@ def momentum_transform(ap: ArclengthProfile, n_seg: int = 2048,
     pole-regular variable ``t = sqrt(1 -/+ x)`` where the map ``t -> s`` has
     a bounded, nonvanishing derivative.
     """
+    from scipy.interpolate import PchipInterpolator
     report = validate_arclength(ap)
     if not report.passed:
         raise InvalidProfileError(report, context="momentum_transform")

@@ -29,11 +29,58 @@ class QuadratureError(RuntimeError):
     """Adaptive quadrature failed to reach the requested tolerance."""
 
 
+def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``P_n(x)`` and ``P_{n-1}(x)``, accurate to a few ulps up to ``x = 1``.
+
+    The three-term recurrence in Reinsch's form, carrying the difference
+    ``D_j = P_j - P_{j-1}`` and the exactly representable ``x - 1``; the
+    plain recurrence loses about ``n^2`` ulps near ``x = 1``.
+    """
+    u = x - 1.0
+    prev, p, d = np.ones_like(x), x.copy(), u.copy()
+    for j in range(1, n):
+        # D_{j+1} = ((2j + 1)(x - 1) P_j + j D_j) / (j + 1)
+        d *= j / (j + 1.0)
+        d += ((2 * j + 1.0) / (j + 1.0)) * u * p
+        prev, p = p, p + d
+    return p, prev
+
+
 @lru_cache(maxsize=128)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights on [-1, 1], cached."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
-    return nodes, weights
+    """Nodes (ascending) and weights of the ``n``-point rule on [-1, 1], cached.
+
+    Newton's method on ``P_n`` from Tricomi's asymptotic initial guesses
+    (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013), run on the
+    nonnegative half and mirrored, so the rule is exactly symmetric.  Each
+    step evaluates the three-term recurrence on all ``n/2`` nodes at once:
+    O(n^2) vectorized work against the O(n^3) eigenvalue route.  Weights are
+    ``2 / ((1 - x^2) P_n'(x)^2)``, corrected to first order for the last
+    Newton step, which is below the nodes' rounding but not below the
+    weights' sensitivity ``2x / (1 - x^2)`` near the endpoints.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("a Gauss rule needs at least one node")
+    half = (n + 1) // 2
+    theta = np.pi * (4.0 * np.arange(1, half + 1) - 1.0) / (4.0 * n + 2.0)
+    x = (1.0 - (n - 1.0) / (8.0 * n ** 3)
+         - (39.0 - 28.0 / np.sin(theta) ** 2) / (384.0 * n ** 4)) * np.cos(theta)
+    for _ in range(100):
+        pn, pm = _legendre_pair(n, x)
+        om = (1.0 - x) * (1.0 + x)
+        dp = n * (pm - x * pn) / om
+        step = pn / dp
+        x = x - step
+        if np.max(np.abs(step)) <= 2e-16:
+            break
+    else:
+        raise QuadratureError(f"Gauss-Legendre nodes did not converge at n={n}")
+    w = 2.0 / (om * dp * dp) * (1.0 + 2.0 * x * step / om)
+    if n % 2:
+        x[-1] = 0.0  # the middle root of the odd P_n, exactly
+    return (np.concatenate((-x[:n // 2], x[::-1])),
+            np.concatenate((w[:n // 2], w[::-1])))
 
 
 def integrate_gl(fn, a: float, b: float, n: int) -> float:

@@ -1,15 +1,19 @@
 """Deterministic output formatting shared by the CLI and tests.
 
 Every file the toolkit writes is byte-identical across runs for the same
-inputs on the same machine and installation: floats go through ``%.17g``
-(shortest-exact round-trip is repr-dependent; 17 significant digits is
-fixed), JSON is sorted-key with two-space indent and a ``schema`` version,
-and all text is written with LF endings regardless of platform.
+inputs on the same machine, installation and BLAS thread count: floats go
+through ``%.17g`` (shortest-exact round-trip is repr-dependent; 17
+significant digits is fixed), JSON is sorted-key with two-space indent and
+a ``schema`` version, and all text is written with LF endings regardless
+of platform.
 
-Across CPUs, BLAS builds and numpy/scipy versions, float fields may differ
-in their last digits: a few ULPs for mesh vertices, somewhat more for
-eigenvalues, which come from LAPACK.  Layout, face lines, key order and
-number format are exact everywhere.
+Across CPUs, BLAS builds, BLAS thread counts and numpy/scipy versions,
+float fields may differ in their last digits: a few ULPs for mesh vertices,
+somewhat more for eigenvalues, which come from BLAS and LAPACK.  The thread
+count alone moves ``paper-example`` eigenvalues by up to about 6e-14
+relative (the default pool against ``OPENBLAS_NUM_THREADS=1`` on a 2-core
+x86-64 host).  Layout, face lines, key order and number format are exact
+everywhere.
 """
 
 from __future__ import annotations

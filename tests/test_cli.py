@@ -1,6 +1,10 @@
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -19,7 +23,8 @@ from revspec.quadrature import QuadratureError
 from revspec.solver import ConvergenceError, SolverError
 from revspec.spectrum import BudgetError, SpectrumInvariantError
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 DOCUMENTED_CODES = {EXIT_OK, EXIT_FAILURE, EXIT_NOT_EMBEDDABLE,
                     EXIT_INVALID_PROFILE, EXIT_VERIFY_FAILED, EXIT_USAGE}
 
@@ -145,6 +150,24 @@ def test_spectrum_output_is_deterministic(tmp_path, capsys):
     assert pair[0] == pair[1]
 
 
+def test_spectrum_of_a_builtin_leaves_scipy_interpolate_unloaded():
+    # a fresh interpreter: this test process has loaded everything already
+    script = ("import sys\n"
+              "from revspec.cli import main\n"
+              "code = main(['spectrum', '--builtin', 'paper-example', "
+              "'--below', '21'])\n"
+              "loaded = [m for m in ('scipy.interpolate', 'scipy.special') "
+              "if m in sys.modules]\n"
+              "sys.stderr.write(repr((code, loaded)))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert json.loads(proc.stdout)["table"]["entries"]
+    assert proc.stderr.splitlines()[-1] == "(0, [])"
+
+
 def test_spectrum_usage_errors():
     usage_error("spectrum", "--builtin", "round")           # --below missing
     usage_error("spectrum", "--builtin", "round", "--below", "-3")
@@ -217,6 +240,20 @@ def test_mesh_usage_errors():
                 "--n-samples", "8")
 
 
+@pytest.mark.parametrize("flag, smallest, largest", [("--n-theta", 8, 1024),
+                                                     ("--n-samples", 16, 8192)])
+def test_mesh_sizes_are_bounded(flag, smallest, largest, capsys):
+    # parsed only: an out-of-range size is refused before any mesh is built
+    argv = ["mesh", "--builtin", "round", "--out", "x.obj", flag]
+    args = cli.build_parser().parse_args(argv + [str(largest)])
+    assert getattr(args, flag[2:].replace("-", "_")) == largest
+    for value in (str(largest + 1), "100000000000000"):
+        usage_error(*argv, value)
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"revspec mesh: error: argument {flag}: {value} is outside "
+            f"[{smallest}, {largest + 1})")
+
+
 # ---------------------------------------------------------------------------
 # sweep
 # ---------------------------------------------------------------------------
@@ -250,6 +287,20 @@ def test_sweep_captures_per_row_failures(capsys, monkeypatch):
     row = out.splitlines()[1]
     assert row.endswith("synthetic failure; for the error column")
     assert row.count(",") == 9  # column count preserved
+
+
+def test_sweep_overflow_is_an_error_column_not_a_warning(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "sweep", "--eps", "1e300", "--n", "2")
+    assert code == EXIT_OK
+    assert out == (
+        "eps,n,exponent,c,max_slope,lambda01,multiplicities,verdict,"
+        "spectral_verdict,error\n"
+        "1.0000000000000001e+300,2,4,1.0000000000000001e+300,,,,,,"
+        "squeeze_profile: profile validation failed (f'(-1); f'(+1))\n")
+    assert err == ""
+    assert [str(w.message) for w in caught] == []
 
 
 def test_sweep_usage_errors():

@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 from pathlib import Path
 
@@ -60,6 +61,22 @@ def test_steep_profile_raises(borderline_profile):
         embed_profile_curve(borderline_profile)
     assert exc_info.value.max_slope == pytest.approx(2.0113, abs=1e-3)
     assert abs(exc_info.value.argmax_x) == pytest.approx(0.944, abs=1e-2)
+
+
+@pytest.mark.parametrize("lower_side", [-1.0, 1.0])
+def test_not_embeddable_names_the_same_x_on_a_symmetric_tie(borderline_profile,
+                                                            lower_side):
+    # scale f' up by a few ulps on one side: that side's radicand
+    # 1 - f'^2/4 ends lower in its last bits, the other side's stays put
+    def df(t):
+        v = np.asarray(borderline_profile.df(t), dtype=float)
+        return np.where(np.sign(t) == lower_side,
+                        v * (1.0 + 4 * np.finfo(float).eps), v)
+
+    nudged = dataclasses.replace(borderline_profile, df=df)
+    with pytest.raises(NotEmbeddableError) as exc_info:
+        embed_profile_curve(nudged)
+    assert exc_info.value.argmax_x == pytest.approx(-0.9440593727832146, abs=1e-12)
 
 
 def test_grazing_slope_clamps_with_warning(borderline_profile):

@@ -1,18 +1,71 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
+import revspec.solver as solver
 from revspec.exprs import parse
 from revspec.profile import InvalidProfileError, profile_from_text
+from revspec.quadrature import gauss_legendre
 from revspec.solver import (
     AdmissibilityError, ConvergenceError, assemble, rayleigh_quotient,
     refine, solve_channel,
 )
+
+# Gauss-Legendre weights of the nonnegative nodes, ascending, computed with
+# mpmath at 50 digits (Newton on mpmath.legendre) and rounded to 17 digits
+MPMATH_WEIGHTS = {
+    8: [0.36268378337836198, 0.31370664587788729, 0.22238103445337447,
+        0.10122853629037626],
+    64: [0.04869095700913972, 0.048575467441503427, 0.048344762234802957,
+         0.047999388596458308, 0.047540165714830309, 0.046968182816210017,
+         0.046284796581314417, 0.045491627927418144, 0.044590558163756563,
+         0.043583724529323453, 0.042473515123653589, 0.041262563242623529,
+         0.039953741132720341, 0.038550153178615629, 0.037055128540240046,
+         0.035472213256882384, 0.033805161837141609, 0.032057928354851554,
+         0.030234657072402479, 0.028339672614259483, 0.026377469715054659,
+         0.024352702568710873, 0.022270173808383254, 0.020134823153530209,
+         0.017951715775697343, 0.015726030476024719, 0.013463047896718643,
+         0.011168139460131129, 0.0088467598263639477, 0.0065044579689783629,
+         0.0041470332605624676, 0.0017832807216964329],
+}
 
 
 def round_eigenvalue(k, j):
     """Closed form for the round sphere: j(j+1) in the invariant channel,
     (k+j-1)(k+j) in channel k >= 1."""
     return j * (j + 1) if k == 0 else (k + j - 1) * (k + j)
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Legendre rules
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 64, 200, 2048])
+def test_gauss_rule_is_symmetric_and_exact_on_even_monomials(n):
+    x, w = gauss_legendre.__wrapped__(n)
+    assert x.shape == w.shape == (n,)
+    assert np.all(np.diff(x) > 0)
+    assert np.array_equal(x, -x[::-1])
+    assert np.array_equal(w, w[::-1])
+    for p in range(0, 2 * n, 2):
+        exact = 2.0 / (p + 1)
+        # rounding the nodes to doubles alone moves x^p by up to p/2 ulps
+        tol = 1e-14 + p * 2.0 ** -53
+        assert abs(math.fsum(w * x ** p) - exact) <= tol * exact, p
+
+
+@pytest.mark.parametrize("n", sorted(MPMATH_WEIGHTS))
+def test_gauss_weights_match_mpmath(n):
+    _, w = gauss_legendre(n)
+    want = np.array(MPMATH_WEIGHTS[n])
+    assert np.max(np.abs(w[n // 2:] - want) / want) <= 2e-13
+
+
+def test_gauss_rule_rejects_empty_rules():
+    with pytest.raises(ValueError, match="at least one node"):
+        gauss_legendre.__wrapped__(0)
 
 
 # ---------------------------------------------------------------------------
@@ -107,6 +160,50 @@ def test_refine_cap_carries_the_best_spectrum(pinched_profile):
     best = exc_info.value.best
     assert best.basis_size == 32
     assert len(best.eigenvalues) == 4
+
+
+def test_refine_solves_each_basis_size_once(pinched_profile, monkeypatch):
+    sizes = []
+
+    def counting(p, k, basis_size, quad_mult=4):
+        sizes.append(basis_size)
+        return assemble(p, k, basis_size, quad_mult=quad_mult)
+
+    monkeypatch.setattr(solver, "assemble", counting)
+    cs = refine(pinched_profile, 2, 12)
+    assert cs.basis_size == 256
+    # 32 to 256 takes four sizes; only the first one solves its half
+    assert sizes == [32, 16, 64, 128, 256]
+    monkeypatch.undo()
+    two_solves = solve_channel(pinched_profile, 2, 12, 256)
+    assert np.allclose(cs.eigenvalues, two_solves.eigenvalues, rtol=1e-12, atol=0)
+    assert np.allclose(cs.convergence_estimates, two_solves.convergence_estimates,
+                       rtol=1e-12, atol=1e-15)
+
+
+def test_identity_mass_takes_the_standard_eigenproblem(pinched_profile, monkeypatch):
+    calls, eigh = [], solver.eigh
+
+    def spy(*args, **kwargs):
+        calls.append(len(args))  # 1: standard, 2: generalized
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "eigh", spy)
+    plain = solve_channel(pinched_profile, 3, 4, 32)
+    assert calls == [1, 1]
+
+    # scaling the pencil (A, B) to (2A, 2B) keeps its eigenvalues but moves
+    # B off the identity: the generalized solve must take over
+    def scaled(p, k, basis_size, quad_mult=4):
+        sys = assemble(p, k, basis_size, quad_mult=quad_mult)
+        return dataclasses.replace(sys, stiffness=2.0 * sys.stiffness,
+                                   mass=2.0 * sys.mass)
+
+    calls.clear()
+    monkeypatch.setattr(solver, "assemble", scaled)
+    general = solve_channel(pinched_profile, 3, 4, 32)
+    assert calls == [2, 2]
+    assert np.allclose(general.eigenvalues, plain.eigenvalues, rtol=1e-12, atol=0)
 
 
 def test_refine_rejects_unresolvable_targets(round_profile):
