@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import Profile, curvature, require_valid
-from .solver import REFINE_CAP, refine
+from .solver import refine
 from .spectrum import (SpectrumInvariantError, SpectrumTable, enumerate_below,
                        trace0_integral, trace_partial_sum)
 

@@ -37,7 +37,7 @@ them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -116,7 +116,7 @@ class Profile:
 
     ``f``, ``df``, ``d2f`` are vectorized callables on [-1, 1].  ``source``
     is one of ``"expression"``, ``"samples"``, ``"transformed"``.  Profiles
-    are immutable; derived quantities live in the functions of this module.
+    are immutable, so each keeps its validation report once computed.
     """
 
     f: Callable
@@ -126,6 +126,10 @@ class Profile:
     expr: Optional[Expr] = None
     name: str = ""
     knots: Optional[tuple[float, ...]] = None
+
+    @cached_property
+    def _report(self) -> ValidationReport:
+        return _profile_report(self, 1e-10 if self.source == "expression" else 1e-6)
 
 
 @dataclass(frozen=True)
@@ -248,8 +252,29 @@ def _profile_from_samples(defn, name: str) -> Profile:
 # validation
 # ---------------------------------------------------------------------------
 
-def _default_tol(source: str) -> float:
-    return 1e-10 if source == "expression" else 1e-6
+def _append_checks(checks: list, tol: float, endpoints, fn, grid,
+                   interior: str) -> None:
+    """Append to ``checks`` one check per ``(name, function, point, target)``
+    row of ``endpoints``, then the minimum of ``fn`` on ``grid``."""
+    for name, g, at, target in endpoints:
+        val = float(g(at))
+        ok = np.isfinite(val) and abs(val - target) <= tol
+        checks.append(Check(name, val, target, tol, bool(ok)))
+    vals = np.asarray(fn(grid), dtype=float)
+    mn = float(np.min(vals)) if np.all(np.isfinite(vals)) else float("nan")
+    checks.append(Check(interior, mn, 0.0, 0.0, bool(np.isfinite(mn) and mn > 0.0)))
+
+
+def _profile_report(p: Profile, tol: float) -> ValidationReport:
+    checks: list[Check] = []
+    try:
+        ends = (("f(-1)", p.f, -1.0, 0.0), ("f(+1)", p.f, 1.0, 0.0),
+                ("f'(-1)", p.df, -1.0, BC_SLOPE), ("f'(+1)", p.df, 1.0, -BC_SLOPE))
+        _append_checks(checks, tol, ends, p.f, validation_grid(), "min interior f")
+    except EvalDomainError as err:
+        checks.append(Check(f"evaluable ({err.subexpression})",
+                            float("nan"), 0.0, 0.0, False))
+    return ValidationReport(checks=tuple(checks))
 
 
 def validate(p: Profile, tol_bc: float | None = None) -> ValidationReport:
@@ -258,30 +283,13 @@ def validate(p: Profile, tol_bc: float | None = None) -> ValidationReport:
     Expression-backed profiles are held to 1e-10 on the endpoint values and
     slopes; sample-backed and transformed ones to 1e-6.  Positivity is
     checked on the Chebyshev validation grid (1024 points, clustered at the
-    endpoints where profiles degenerate).
+    endpoints where profiles degenerate).  The report at the default
+    tolerance is computed once per profile and kept on it; an explicit
+    ``tol_bc`` is checked afresh.
     """
-    tol = _default_tol(p.source) if tol_bc is None else float(tol_bc)
-    checks = []
-
-    def endpoint(nm, val, target):
-        val = float(val)
-        ok = np.isfinite(val) and abs(val - target) <= tol
-        checks.append(Check(nm, val, target, tol, bool(ok)))
-
-    try:
-        endpoint("f(-1)", p.f(-1.0), 0.0)
-        endpoint("f(+1)", p.f(1.0), 0.0)
-        endpoint("f'(-1)", p.df(-1.0), BC_SLOPE)
-        endpoint("f'(+1)", p.df(1.0), -BC_SLOPE)
-        grid = validation_grid()
-        vals = np.asarray(p.f(grid), dtype=float)
-        mn = float(np.min(vals)) if np.all(np.isfinite(vals)) else float("nan")
-        ok = np.isfinite(mn) and mn > 0.0
-        checks.append(Check("min interior f", mn, 0.0, 0.0, bool(ok)))
-    except EvalDomainError as err:
-        checks.append(Check(f"evaluable ({err.subexpression})",
-                            float("nan"), 0.0, 0.0, False))
-    return ValidationReport(checks=tuple(checks))
+    if tol_bc is None:
+        return p._report
+    return _profile_report(p, float(tol_bc))
 
 
 def require_valid(p: Profile, tol_bc: float | None = None,
@@ -295,26 +303,14 @@ def validate_arclength(ap: ArclengthProfile,
                        tol_bc: float = 1e-8) -> ValidationReport:
     """Arclength-side analog of :func:`validate`."""
     L = ap.length
-    checks = []
-
-    def endpoint(nm, val, target):
-        val = float(val)
-        ok = np.isfinite(val) and abs(val - target) <= tol_bc
-        checks.append(Check(nm, val, target, tol_bc, bool(ok)))
-
     ok_len = np.isfinite(L) and L > 0
-    checks.append(Check("length", float(L), float(L) if ok_len else float("nan"),
-                        0.0, bool(ok_len)))
+    checks = [Check("length", float(L), float(L) if ok_len else float("nan"),
+                    0.0, bool(ok_len))]
     if ok_len:
-        endpoint("a(0)", ap.a(0.0), 0.0)
-        endpoint("a(L)", ap.a(L), 0.0)
-        endpoint("a'(0)", ap.da(0.0), 1.0)
-        endpoint("a'(L)", ap.da(L), -1.0)
-        grid = 0.5 * L * (validation_grid() + 1.0)
-        vals = np.asarray(ap.a(grid), dtype=float)
-        mn = float(np.min(vals)) if np.all(np.isfinite(vals)) else float("nan")
-        checks.append(Check("min interior a", mn, 0.0, 0.0,
-                            bool(np.isfinite(mn) and mn > 0.0)))
+        ends = (("a(0)", ap.a, 0.0, 0.0), ("a(L)", ap.a, L, 0.0),
+                ("a'(0)", ap.da, 0.0, 1.0), ("a'(L)", ap.da, L, -1.0))
+        _append_checks(checks, tol_bc, ends, ap.a,
+                       0.5 * L * (validation_grid() + 1.0), "min interior a")
     return ValidationReport(checks=tuple(checks))
 
 

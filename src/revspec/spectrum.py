@@ -167,6 +167,19 @@ def lambda01_upper_bound(p: Profile) -> float:
     return 1.5 * val
 
 
+def _lower_bound(k: int, m: int, trace0: float | None) -> float:
+    """``m / trace0`` for ``k = 0`` (only then is ``trace0`` read), else ``m |k|``."""
+    return m / trace0 if k == 0 else float(m * abs(k))
+
+
+def _channel_budget(below: float, k: int, trace0: float) -> int:
+    """Eigenvalue count after which channel ``k`` provably exceeds ``below``;
+    the inverse of :func:`_lower_bound`."""
+    if k == 0:
+        return max(1, math.ceil(below * trace0))
+    return max(1, math.ceil(below / k))
+
+
 def channel_lower_bound(p: Profile, k: int, m: int) -> float:
     """Lower bound for the ``m``-th eigenvalue of channel ``k``.
 
@@ -176,18 +189,14 @@ def channel_lower_bound(p: Profile, k: int, m: int) -> float:
     """
     if m < 1:
         raise ValueError("eigenvalue index m must be >= 1")
-    if k != 0:
-        return float(m * abs(k))
-    return m / trace0_integral(p)
+    return _lower_bound(k, m, trace0_integral(p) if k == 0 else None)
 
 
 def bounds_report(p: Profile, k_max: int = 4, m_max: int = 4) -> BoundsReport:
     """Bundle the closed-form bounds for channels ``0..k_max``, orders ``1..m_max``."""
     t0 = trace0_integral(p)
-    bounds = {}
-    for k in range(0, k_max + 1):
-        for m in range(1, m_max + 1):
-            bounds[(k, m)] = m / t0 if k == 0 else float(m * k)
+    bounds = {(k, m): _lower_bound(k, m, t0)
+              for k in range(0, k_max + 1) for m in range(1, m_max + 1)}
     return BoundsReport(lambda01_upper=lambda01_upper_bound(p),
                         trace0_integral=t0, channel_lower_bounds=bounds)
 
@@ -195,13 +204,6 @@ def bounds_report(p: Profile, k_max: int = 4, m_max: int = 4) -> BoundsReport:
 # ---------------------------------------------------------------------------
 # enumeration with a completeness certificate
 # ---------------------------------------------------------------------------
-
-def _channel_budget(below: float, k: int, trace0: float) -> int:
-    """Eigenvalue count after which channel ``k`` provably exceeds ``below``."""
-    if k == 0:
-        return max(1, math.ceil(below * trace0))
-    return max(1, math.ceil(below / k))
-
 
 def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
                     target_rel_err: float = 1e-8,
@@ -322,7 +324,7 @@ def check_invariants(table: SpectrumTable, p: Profile | None = None,
             trace0 = trace0_integral(p)
         for i, e in enumerate(table.entries):
             for k, j in e.channels:
-                bound = j / trace0 if k == 0 else float(j * k)
+                bound = _lower_bound(k, j, trace0)
                 if not e.value > bound:
                     problems.append(
                         f"entry {i + 1}: value {e.value!r} does not exceed the "

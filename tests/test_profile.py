@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import revspec
 from revspec.profile import (
     ArclengthProfile, AreaMismatchError, InvalidProfileError,
     ProfileDefinitionError, area_of, arclength_recover, curvature,
@@ -122,6 +125,81 @@ def test_validation_report_is_json_ready():
     text = json.dumps(doc)
     assert '"passed": true' in text
     assert len(doc["checks"]) == 5
+
+
+def test_full_report_validates_a_profile_once():
+    """Every guarded entry inside ``full_report`` reads the one report the
+    profile keeps: ``f`` is evaluated on the validation grid once."""
+    base = profile_from_text(revspec.BUILTIN_EXPRESSIONS["paper-example"])
+    grid = validation_grid()
+    on_grid = []
+
+    def f(x):
+        if np.shape(x) == grid.shape and np.array_equal(x, grid):
+            on_grid.append(x)
+        return base.f(x)
+
+    revspec.full_report(dataclasses.replace(base, f=f))
+    assert len(on_grid) == 1
+
+
+def test_replaced_profile_is_validated_afresh():
+    good = profile_from_text("1 - x^2")
+    assert validate(good).passed
+    wide = profile_from_text("2*(1 - x^2)")
+    bad = dataclasses.replace(good, f=wide.f, df=wide.df)
+    assert not validate(bad).passed
+    with pytest.raises(InvalidProfileError):
+        require_valid(bad)
+    assert validate(good).passed
+
+
+def test_explicit_tolerance_is_checked_afresh():
+    # pole slopes off by 2e-12: inside the default 1e-10, outside 1e-13
+    p = profile_from_text("(1 - x^2) * (1 + 1e-12*x)")
+    assert validate(p).passed
+    failing = {c.name for c in validate(p, tol_bc=1e-13).checks if not c.passed}
+    assert failing == {"f'(-1)", "f'(+1)"}
+    with pytest.raises(InvalidProfileError):
+        require_valid(p, tol_bc=1e-13)
+    assert validate(p).passed
+    assert validate(p, tol_bc=1e-10) == validate(p)
+
+
+@pytest.fixture(scope="module")
+def round_sphere_curve():
+    return revspec.embed_profile_curve(profile_from_text("1 - x^2"), n_samples=64)
+
+
+GUARDED_ENTRIES = {
+    "sup_test": lambda p, curve: revspec.sup_test(p),
+    "spectral_test": lambda p, curve: revspec.spectral_test(p),
+    "even_multiplicity_test": lambda p, curve: revspec.even_multiplicity_test(p),
+    "negative_curvature_witness":
+        lambda p, curve: revspec.negative_curvature_witness(p),
+    "full_report": lambda p, curve: revspec.full_report(p),
+    "trace0_integral": lambda p, curve: revspec.trace0_integral(p),
+    "lambda01_upper_bound": lambda p, curve: revspec.lambda01_upper_bound(p),
+    "enumerate_below": lambda p, curve: revspec.enumerate_below(p, 5.0),
+    "channel_lower_bound": lambda p, curve: revspec.channel_lower_bound(p, 0, 1),
+    "bounds_report": lambda p, curve: revspec.bounds_report(p),
+    "assemble": lambda p, curve: revspec.assemble(p, 0, 32),
+    "refine": lambda p, curve: revspec.refine(p, 0, 1),
+    "rayleigh_quotient": lambda p, curve: revspec.rayleigh_quotient(
+        p, 4, revspec.parse("sqrt(1 - x^2)")),
+    "arclength_recover": lambda p, curve: revspec.arclength_recover(p),
+    "gauss_bonnet_residual": lambda p, curve: revspec.gauss_bonnet_residual(p),
+    "embed_profile_curve": lambda p, curve: revspec.embed_profile_curve(p),
+    "induced_metric_residual":
+        lambda p, curve: revspec.induced_metric_residual(curve, p),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(GUARDED_ENTRIES))
+def test_guarded_entries_reject_an_invalid_profile(entry, round_sphere_curve):
+    with pytest.raises(InvalidProfileError):
+        GUARDED_ENTRIES[entry](profile_from_text("2*(1 - x^2)"),
+                               round_sphere_curve)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+import revspec.spectrum as spectrum
 from revspec.solver import refine
 from revspec.spectrum import (
     BudgetError, SpectrumEntry, SpectrumInvariantError, SpectrumTable,
@@ -45,6 +47,40 @@ def test_channel_lower_bounds(round_profile, pinched_profile):
         pytest.approx(float(Fraction(185, 23)), rel=1e-9)
     with pytest.raises(ValueError):
         channel_lower_bound(round_profile, 0, 0)
+
+
+@pytest.mark.parametrize("which", ["round", "pinched"])
+def test_bounds_report_uses_the_channel_lower_bound(which, round_profile,
+                                                    pinched_profile):
+    p = round_profile if which == "round" else pinched_profile
+    bounds = bounds_report(p).channel_lower_bounds
+    assert bounds
+    for (k, m), b in bounds.items():
+        assert b == channel_lower_bound(p, k, m)
+
+
+@pytest.mark.parametrize("below", [3.0, 21.0])
+@pytest.mark.parametrize("which", ["round", "pinched"])
+def test_channel_budgets_push_the_next_bound_past_the_cutoff(
+        which, below, round_profile, pinched_profile, monkeypatch):
+    """The first solve budget ``n`` of each channel leaves the lower bound
+    of index ``n + 1`` above the cutoff; a channel left unsolved has its
+    first bound at or above it."""
+    p = round_profile if which == "round" else pinched_profile
+    budgets = {}
+
+    def recording_refine(p, k, n_eigs, **kwargs):
+        budgets.setdefault(k, n_eigs)
+        return refine(p, k, n_eigs, **kwargs)
+
+    monkeypatch.setattr(spectrum, "refine", recording_refine)
+    enumerate_below(p, below)
+    assert sorted(budgets) == list(range(math.ceil(below)))
+    for k in range(6):
+        if k in budgets:
+            assert channel_lower_bound(p, k, budgets[k] + 1) > below
+        else:
+            assert channel_lower_bound(p, k, 1) >= below
 
 
 def test_bounds_report_layout(round_profile):
