@@ -198,8 +198,12 @@ def spectral_test(p: Profile, threshold: float = 3.0,
     embedding (use ``ABREU_FREITAS_THRESHOLD`` for the external variant)."""
     require_valid(p, context="spectral_test")
     lam = refine(p, 0, 1, target_rel_err=target_rel_err).eigenvalues[0]
-    return SpectralTest(lambda01=lam, threshold=float(threshold),
-                        triggered=bool(lam > threshold))
+    return _threshold_test(lam, threshold)
+
+
+def _threshold_test(lambda01: float, threshold: float) -> SpectralTest:
+    return SpectralTest(lambda01=lambda01, threshold=float(threshold),
+                        triggered=bool(lambda01 > threshold))
 
 
 def even_multiplicity_test(p: Profile, m_max: int = 4,
@@ -309,10 +313,8 @@ def full_report(p: Profile, cluster_tol: float = 1e-6) -> ObstructionReport:
     require_valid(p, context="full_report")
     sup = sup_test(p)
     lam01 = refine(p, 0, 1).eigenvalues[0]
-    spec = SpectralTest(lambda01=lam01, threshold=3.0,
-                        triggered=bool(lam01 > 3.0))
-    af = SpectralTest(lambda01=lam01, threshold=ABREU_FREITAS_THRESHOLD,
-                      triggered=bool(lam01 > ABREU_FREITAS_THRESHOLD))
+    spec = _threshold_test(lam01, 3.0)
+    af = _threshold_test(lam01, ABREU_FREITAS_THRESHOLD)
     even = even_multiplicity_test(p, cluster_tol=cluster_tol, lambda01=lam01)
     witness = negative_curvature_witness(p)
     flag = trace_flag(p)

@@ -6,12 +6,14 @@ import pytest
 
 import revspec.solver as solver
 from revspec.exprs import parse
-from revspec.profile import InvalidProfileError, profile_from_text
+from revspec.families import builtin_profile
+from revspec.profile import InvalidProfileError, make_profile, profile_from_text
 from revspec.quadrature import gauss_legendre
 from revspec.solver import (
     AdmissibilityError, ConvergenceError, assemble, rayleigh_quotient,
     refine, solve_channel,
 )
+from revspec.spectrum import enumerate_below
 
 # Gauss-Legendre weights of the nonnegative nodes, ascending, computed with
 # mpmath at 50 digits (Newton on mpmath.legendre) and rounded to 17 digits
@@ -30,6 +32,11 @@ MPMATH_WEIGHTS = {
          0.011168139460131129, 0.0088467598263639477, 0.0065044579689783629,
          0.0041470332605624676, 0.0017832807216964329],
 }
+
+
+# the round sphere times a multiplier with an odd term, equal to 1 to
+# second order at the poles
+ASYMMETRIC_BUMP = profile_from_text("(1 - x^2) * (1 + (1 - x^2)*(0.3*x + 0.2*x^2))")
 
 
 def round_eigenvalue(k, j):
@@ -102,6 +109,7 @@ def test_assemble_argument_checks(round_profile):
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 5])
 def test_round_channels_reproduce_the_closed_form(round_profile, k):
+    assert assemble(round_profile, k, 64).parity_split
     cs = solve_channel(round_profile, k, 6, 64)
     expected = [round_eigenvalue(k, j) for j in range(1, 7)]
     assert np.allclose(cs.eigenvalues, expected, rtol=1e-12)
@@ -182,15 +190,19 @@ def test_refine_solves_each_basis_size_once(pinched_profile, monkeypatch):
 
 
 def test_identity_mass_takes_the_standard_eigenproblem(pinched_profile, monkeypatch):
-    calls, eigh = [], solver.eigh
+    calls, orders, eigh = [], [], solver.eigh
 
     def spy(*args, **kwargs):
         calls.append(len(args))  # 1: standard, 2: generalized
+        orders.append(args[0].shape[0])
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(solver, "eigh", spy)
+    # paper-example is even in x: sizes 32 and 16 each solve an even-n and
+    # an odd-n block of half the order
     plain = solve_channel(pinched_profile, 3, 4, 32)
-    assert calls == [1, 1]
+    assert calls == [1, 1, 1, 1]
+    assert orders == [16, 16, 8, 8]
 
     # scaling the pencil (A, B) to (2A, 2B) keeps its eigenvalues but moves
     # B off the identity: the generalized solve must take over
@@ -202,13 +214,107 @@ def test_identity_mass_takes_the_standard_eigenproblem(pinched_profile, monkeypa
     calls.clear()
     monkeypatch.setattr(solver, "assemble", scaled)
     general = solve_channel(pinched_profile, 3, 4, 32)
-    assert calls == [2, 2]
+    assert calls == [2, 2, 2, 2]
     assert np.allclose(general.eigenvalues, plain.eigenvalues, rtol=1e-12, atol=0)
+
+    # an asymmetric profile is solved whole: one standard solve per size
+    calls.clear()
+    orders.clear()
+    monkeypatch.setattr(solver, "assemble", assemble)
+    solve_channel(ASYMMETRIC_BUMP, 3, 4, 32)
+    assert calls == [1, 1]
+    assert orders == [32, 16]
 
 
 def test_refine_rejects_unresolvable_targets(round_profile):
     with pytest.raises(ValueError, match="floor"):
         refine(round_profile, 0, 1, target_rel_err=1e-13)
+
+
+# ---------------------------------------------------------------------------
+# parity split of mirror-symmetric profiles
+# ---------------------------------------------------------------------------
+
+def with_odd_term(p, size):
+    """``p`` times ``1 + size * x``: the same endpoint values, and a mirror
+    asymmetry of relative size about ``size``."""
+    f = p.f
+    return dataclasses.replace(p, f=lambda x: f(x) * (1.0 + size * x))
+
+
+def assert_same_table(a, b, rtol):
+    assert [(e.multiplicity, e.channels) for e in a.entries] == \
+        [(e.multiplicity, e.channels) for e in b.entries]
+    assert np.allclose(a.values(), b.values(), rtol=rtol, atol=0)
+    assert a.cutoff == pytest.approx(b.cutoff, rel=rtol)
+
+
+def split_decisions(monkeypatch, p, below):
+    """``enumerate_below(p, below)`` and the ``parity_split`` of every
+    system it assembled."""
+    seen = []
+
+    def recording(*args, **kwargs):
+        sys = assemble(*args, **kwargs)
+        seen.append(sys.parity_split)
+        return sys
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "assemble", recording)
+        table = enumerate_below(p, below)
+    assert seen
+    return table, seen
+
+
+@pytest.mark.parametrize("name", ["round", "paper-example"])
+def test_split_matches_the_full_assembly(name, monkeypatch):
+    # an odd term of 1e-13 relative is far above the mirror check's
+    # roundoff level and moves no eigenvalue by more than about 1e-13
+    p = builtin_profile(name)
+    split, decisions = split_decisions(monkeypatch, p, 21)
+    full, full_decisions = split_decisions(monkeypatch, with_odd_term(p, 1e-13), 21)
+    assert all(decisions) and not any(full_decisions)
+    assert_same_table(split, full, 1e-12)
+
+
+def test_a_small_odd_term_is_never_split(round_profile, monkeypatch):
+    p = profile_from_text("(1 - x^2) * (1 + 1e-9*x*(1 - x^2))")
+    table, decisions = split_decisions(monkeypatch, p, 13)
+    assert not any(decisions)
+    for k in (0, 1, 4):
+        for n in (8, 32, 256):
+            assert not assemble(p, k, n).parity_split
+    assert_same_table(table, enumerate_below(round_profile, 13), 1e-8)
+
+
+def test_spline_through_symmetric_samples(monkeypatch):
+    # samples on a mirrored grid; the spline may or may not evaluate to an
+    # exactly mirrored f on the Gauss nodes, and either path must agree
+    h = np.linspace(0.0, 1.0, 65)
+    x = np.concatenate((-h[:0:-1], h))
+    expr = profile_from_text("2*(1 - x^2) / (1 + x^8)")
+    p = make_profile(list(zip(x, expr.f(x))))
+    table, _ = split_decisions(monkeypatch, p, 13)
+    full, full_decisions = split_decisions(monkeypatch, with_odd_term(p, 1e-13), 13)
+    assert not any(full_decisions)
+    assert_same_table(table, full, 1e-12)
+
+
+@pytest.mark.parametrize("k,n", [(0, 32), (1, 33), (4, 64)])
+def test_split_system_layout(pinched_profile, k, n):
+    sys = assemble(pinched_profile, k, n)
+    q = 4 * n * (2 if k == 1 else 1)
+    assert sys.parity_split and sys.quad_points == q
+    assert sys.stiffness.shape == sys.mass.shape == (n, n)
+    cross = (np.arange(n)[:, None] + np.arange(n)) % 2 == 1
+    assert np.all(sys.stiffness[cross] == 0.0) and np.all(sys.mass[cross] == 0.0)
+    assert np.max(np.abs(sys.mass - np.eye(n))) < 1e-11
+
+
+def test_an_odd_node_count_is_assembled_whole(pinched_profile):
+    # nine nodes put one at x = 0, which has no mirror partner
+    sys = assemble(pinched_profile, 0, 9, quad_mult=1)
+    assert sys.quad_points == 9 and not sys.parity_split
 
 
 # ---------------------------------------------------------------------------
