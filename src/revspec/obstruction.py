@@ -29,9 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import Profile, curvature, require_valid
-from .solver import refine
-from .spectrum import (SpectrumInvariantError, SpectrumTable, enumerate_below,
-                       trace0_integral, trace_partial_sum)
+from .spectrum import (SpectrumInvariantError, SpectrumTable, _Channels,
+                       _enumerate_below, trace0_integral, trace_partial_sum)
 
 __all__ = [
     "XI1", "ABREU_FREITAS_THRESHOLD", "TRACE_FLAG_THRESHOLD",
@@ -197,7 +196,7 @@ def spectral_test(p: Profile, threshold: float = 3.0,
     """First invariant eigenvalue against a threshold; exceeding 3 obstructs
     embedding (use ``ABREU_FREITAS_THRESHOLD`` for the external variant)."""
     require_valid(p, context="spectral_test")
-    lam = refine(p, 0, 1, target_rel_err=target_rel_err).eigenvalues[0]
+    lam = _Channels(p, target_rel_err)(0, 1).eigenvalues[0]
     return _threshold_test(lam, threshold)
 
 
@@ -221,22 +220,28 @@ def even_multiplicity_test(p: Profile, m_max: int = 4,
     ``lambda_m < lambda_0^1`` reduction is evaluated on the same table and
     must agree with the direct parity reading — disagreement raises, since
     the equivalence is a theorem.  Pass a precomputed ``lambda01`` to reuse
-    an earlier channel-0 solve.
+    an earlier channel-0 solve.  Both windows read one solve per channel.
     """
     require_valid(p, context="even_multiplicity_test")
+    return _even_multiplicity_test(_Channels(p), m_max, cluster_tol, margin,
+                                   lambda01)
+
+
+def _even_multiplicity_test(channels: _Channels, m_max: int = 4,
+                            cluster_tol: float = 1e-6, margin: float = 1e-3,
+                            lambda01: float | None = None) -> EvenMultiplicityTest:
     if m_max < 1:
         raise ValueError("m_max must be >= 1")
     if lambda01 is None:
-        lambda01 = refine(p, 0, 1).eigenvalues[0]
+        lambda01 = channels(0, 1).eigenvalues[0]
     below = lambda01 * (1.0 + margin)
-    table = enumerate_below(p, below, cluster_tol=cluster_tol)
-    certified = [e for e in table.entries if e.value <= table.cutoff]
-    if len(certified) < m_max:
-        lam1m = refine(p, 1, m_max).eigenvalues[-1]
-        below = max(below, lam1m * (1.0 + margin))
-        table = enumerate_below(p, below, cluster_tol=cluster_tol)
+    for _ in range(2):
+        table = _enumerate_below(channels, below, cluster_tol)
         certified = [e for e in table.entries if e.value <= table.cutoff]
-    if len(certified) < m_max:
+        if len(certified) >= m_max:
+            break
+        below = max(below, channels(1, m_max).eigenvalues[-1] * (1.0 + margin))
+    else:
         return EvenMultiplicityTest(
             multiplicities=tuple(e.multiplicity for e in certified),
             all_even=False, reduction_holds=False, lambda01=lambda01,
@@ -288,10 +293,14 @@ def trace_flag(p: Profile, j_terms: int = 24) -> TraceFlag:
     The trace is taken from its exact integral form; a reciprocal partial
     sum over ``j_terms`` computed eigenvalues (a strict lower bound of the
     same trace) is reported alongside as corroboration.  Never a verdict
-    source.
+    source.  Its eigenvalues are refined to the one target of all solves, 1e-8.
     """
-    t0 = trace0_integral(p)
-    cs = refine(p, 0, j_terms, target_rel_err=1e-6)
+    return _trace_flag(_Channels(p), j_terms)
+
+
+def _trace_flag(channels: _Channels, j_terms: int = 24) -> TraceFlag:
+    t0 = trace0_integral(channels.p)
+    cs = channels(0, j_terms)
     return TraceFlag(trace0=t0, threshold=TRACE_FLAG_THRESHOLD,
                      partial_sum=trace_partial_sum(cs, j_terms),
                      suggestive=bool(t0 <= TRACE_FLAG_THRESHOLD))
@@ -308,16 +317,20 @@ def full_report(p: Profile, cluster_tol: float = 1e-6) -> ObstructionReport:
     happy, or a trigger without a negative-curvature point — land in
     ``consistency_failures``; a non-empty list indicates a bug, not a
     geometric discovery.  The external Abreu–Freitas comparison is reported
-    but takes part in no verdict and no consistency check.
+    but takes part in no verdict and no consistency check.  Every test reads
+    its channels from one store made for this call, each refined to one
+    target (1e-8).  The trace flag's 24 values are the deepest channel-0
+    request, so they come first and later requests up to 24 read that solve.
     """
     require_valid(p, context="full_report")
     sup = sup_test(p)
-    lam01 = refine(p, 0, 1).eigenvalues[0]
+    channels = _Channels(p)
+    flag = _trace_flag(channels)
+    lam01 = channels(0, 1).eigenvalues[0]
     spec = _threshold_test(lam01, 3.0)
     af = _threshold_test(lam01, ABREU_FREITAS_THRESHOLD)
-    even = even_multiplicity_test(p, cluster_tol=cluster_tol, lambda01=lam01)
+    even = _even_multiplicity_test(channels, cluster_tol=cluster_tol)
     witness = negative_curvature_witness(p)
-    flag = trace_flag(p)
 
     failures = []
     if spec.triggered and sup.embeddable:

@@ -15,6 +15,7 @@ All integrand callables must accept numpy arrays.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -87,7 +88,8 @@ def integrate_gl(fn, a: float, b: float, n: int) -> float:
     xi, wi = gauss_legendre(n)
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * xi
-    return float(half * np.dot(wi, fn(x)))
+    # fsum rounds the exact sum once: no BLAS kernel's summation order shows
+    return float(half * math.fsum((wi * fn(x)).tolist()))
 
 
 def integrate_adaptive(fn, a: float, b: float, rtol: float = 1e-11,

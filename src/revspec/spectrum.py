@@ -22,7 +22,7 @@ bounded above by ``(3/2) int f``, with equality only for the round sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .profile import Profile, require_valid
 from .quadrature import QuadratureError, integrate_adaptive
@@ -205,6 +205,28 @@ def bounds_report(p: Profile, k_max: int = 4, m_max: int = 4) -> BoundsReport:
 # enumeration with a completeness certificate
 # ---------------------------------------------------------------------------
 
+class _Channels:
+    """One profile's channel spectra, at most one per ``k``, refined to one
+    target within one basis cap.  ``channels(k, n)`` serves the first ``n``
+    values of channel ``k`` from the held spectrum when it has that many (a
+    deeper solve meets the target on them too), and otherwise refines the
+    channel to ``n`` values and holds that spectrum instead."""
+
+    def __init__(self, p: Profile, target_rel_err: float = 1e-8,
+                 basis_cap: int = REFINE_CAP):
+        self.p, self.target_rel_err, self.basis_cap = p, target_rel_err, basis_cap
+        self._held: dict[int, ChannelSpectrum] = {}
+
+    def __call__(self, k: int, n: int) -> ChannelSpectrum:
+        cs = self._held.get(k)
+        if cs is None or len(cs.eigenvalues) < n:
+            cs = self._held[k] = refine(self.p, k, n,
+                                        target_rel_err=self.target_rel_err,
+                                        basis_cap=self.basis_cap)
+        return replace(cs, eigenvalues=cs.eigenvalues[:n],
+                       convergence_estimates=cs.convergence_estimates[:n])
+
+
 def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
                     target_rel_err: float = 1e-8,
                     basis_cap: int = REFINE_CAP) -> SpectrumTable:
@@ -222,18 +244,24 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
     being returned.
     """
     require_valid(p, context="enumerate_below")
+    return _enumerate_below(_Channels(p, target_rel_err, basis_cap), below,
+                            cluster_tol)
+
+
+def _enumerate_below(channels: _Channels, below: float,
+                     cluster_tol: float) -> SpectrumTable:
     if not (below > 0 and math.isfinite(below)):
         raise ValueError("cutoff must be positive and finite")
     if cluster_tol <= 0 or cluster_tol >= 1e-2:
         raise ValueError("cluster_tol must lie in (0, 1e-2)")
-    if basis_cap < REFINE_START:
+    if channels.basis_cap < REFINE_START:
         raise ValueError(f"basis_cap must be at least {REFINE_START}")
     # refine doubles its basis from REFINE_START, so the largest basis it
     # reaches within basis_cap holds at most half as many eigenvalues
     n_cap = REFINE_START // 2
-    while 4 * n_cap <= basis_cap:
+    while 4 * n_cap <= channels.basis_cap:
         n_cap *= 2
-    t0 = trace0_integral(p)
+    t0 = trace0_integral(channels.p)
     k_max = math.ceil(below) - 1
     # budgets only shrink with k, so the worst ones are k = 0 and k = 1;
     # check them before materializing anything sized by k_max
@@ -242,16 +270,15 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
         worst_budget = max(worst_budget, _channel_budget(below, 1, t0))
     if worst_budget > n_cap:
         raise BudgetError(
-            f"cutoff {below:g} needs {worst_budget} eigenvalues in one "
-            f"channel; the basis cap {basis_cap} supports at most {n_cap}")
+            f"cutoff {below:g} needs {worst_budget} eigenvalues in one channel; "
+            f"the basis cap {channels.basis_cap} supports at most {n_cap}")
     budgets = {k: _channel_budget(below, k, t0) for k in range(0, k_max + 1)}
 
     found: list[tuple[float, int, int]] = []  # (value, k, j)
     worst_est = 0.0
     for k, n in sorted(budgets.items()):
         for _ in range(4):
-            cs = refine(p, k, n, target_rel_err=target_rel_err,
-                        basis_cap=basis_cap)
+            cs = channels(k, n)
             if cs.eigenvalues[-1] > below:
                 break
             n = min(2 * n, n_cap)
@@ -282,7 +309,7 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
     table = SpectrumTable(entries=tuple(entries),
                           cutoff=below * (1.0 - worst_est),
                           cluster_tol=cluster_tol)
-    check_invariants(table, p=p, trace0=t0)
+    check_invariants(table, trace0=t0)
     return table
 
 

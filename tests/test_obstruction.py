@@ -1,7 +1,10 @@
+import dataclasses
 import math
+import sys
 
 import pytest
 
+import revspec.solver as solver
 from revspec.obstruction import (
     ABREU_FREITAS_THRESHOLD, TRACE_FLAG_THRESHOLD, XI1,
     even_multiplicity_test, full_report, negative_curvature_witness,
@@ -160,3 +163,61 @@ def test_report_json_labels(pinched_profile):
     assert doc["trace_flag"]["label"] == "informational only"
     assert doc["verdict"] == "not_embeddable"
     assert doc["even_multiplicity_test"]["multiplicities"] == [2, 2, 2, 2]
+
+
+def _count_refines(monkeypatch) -> list[int]:
+    """Channels of every ``refine`` call, under each name that holds it."""
+    channels, original = [], solver.refine
+
+    def counting(p, k, *args, **kwargs):
+        channels.append(k)
+        return original(p, k, *args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and name.split(".")[0] == "revspec":
+            for key, value in list(vars(mod).items()):
+                if value is original:
+                    monkeypatch.setattr(mod, key, counting)
+    return channels
+
+
+@pytest.mark.parametrize("which", ["round", "pinched"])
+def test_full_report_refines_channel_0_once(which, round_profile,
+                                            pinched_profile, monkeypatch):
+    p = round_profile if which == "round" else pinched_profile
+    channels = _count_refines(monkeypatch)
+    full_report(p)
+    assert channels.count(0) == 1
+
+
+def _assert_same(a, b, path="report"):
+    """Equal but for floats, which agree to 1e-10 relative."""
+    if isinstance(a, float) and isinstance(b, float):
+        assert a == pytest.approx(b, rel=1e-10), path
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), path
+        for key in a:
+            _assert_same(a[key], b[key], f"{path}.{key}")
+    elif isinstance(a, (list, tuple)):
+        assert len(a) == len(b), path
+        for i, (u, v) in enumerate(zip(a, b)):
+            _assert_same(u, v, f"{path}[{i}]")
+    else:
+        assert a == b, path
+
+
+def test_full_report_agrees_with_the_standalone_tests(round_profile,
+                                                      pinched_profile,
+                                                      small_family):
+    """One store per report gives the tests what each computes alone."""
+    for p in [round_profile, pinched_profile, *small_family]:
+        r = full_report(p)
+        _assert_same(dataclasses.asdict(r.spectral_test),
+                     dataclasses.asdict(spectral_test(p)))
+        _assert_same(dataclasses.asdict(r.abreu_freitas_test),
+                     dataclasses.asdict(
+                         spectral_test(p, threshold=ABREU_FREITAS_THRESHOLD)))
+        _assert_same(dataclasses.asdict(r.even_multiplicity_test),
+                     dataclasses.asdict(even_multiplicity_test(p)))
+        _assert_same(dataclasses.asdict(r.trace_flag),
+                     dataclasses.asdict(trace_flag(p)))

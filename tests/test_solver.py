@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import revspec.solver as solver
 from revspec.exprs import parse
 from revspec.families import builtin_profile
 from revspec.profile import InvalidProfileError, make_profile, profile_from_text
-from revspec.quadrature import gauss_legendre
+from revspec.quadrature import gauss_legendre, integrate_gl
 from revspec.solver import (
     AdmissibilityError, ConvergenceError, assemble, rayleigh_quotient,
     refine, solve_channel,
@@ -68,6 +69,22 @@ def test_gauss_weights_match_mpmath(n):
     _, w = gauss_legendre(n)
     want = np.array(MPMATH_WEIGHTS[n])
     assert np.max(np.abs(w[n // 2:] - want) / want) <= 2e-13
+
+
+@pytest.mark.parametrize("n", [64, 200, 1024, 2048, 8192])
+def test_fixed_order_integral_rounds_the_exact_gauss_sum(n):
+    """``integrate_gl`` is the correctly rounded sum of the weighted node
+    values, bit for bit, so no CPU-dependent BLAS summation order reaches
+    ``trace0_integral``, ``lambda01_upper_bound`` or ``gauss_bonnet_residual``."""
+    def fn(x):
+        return (1.0 - x * x) / (1.0 + 9.0 * x ** 36) + np.sin(7.0 * x)
+
+    a, b = -1.0, 0.75
+    xi, wi = gauss_legendre(n)
+    half = 0.5 * (b - a)
+    terms = wi * fn(0.5 * (a + b) + half * xi)
+    exact = float(sum(Fraction(float(t)) for t in terms))
+    assert integrate_gl(fn, a, b, n) == half * exact
 
 
 def test_gauss_rule_rejects_empty_rules():

@@ -1,9 +1,12 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import revspec.obstruction as obstruction
 import revspec.spectrum as spectrum
 from revspec.solver import refine
 from revspec.spectrum import (
@@ -108,6 +111,57 @@ def test_partial_sums_increase_toward_the_trace(round_profile):
 # ---------------------------------------------------------------------------
 # enumeration
 # ---------------------------------------------------------------------------
+
+def test_channel_store_serves_smaller_requests_and_replaces_on_larger(
+        pinched_profile, monkeypatch):
+    calls = []
+
+    def counting_refine(p, k, n_eigs, **kwargs):
+        calls.append((k, n_eigs, kwargs))
+        return refine(p, k, n_eigs, **kwargs)
+
+    monkeypatch.setattr(spectrum, "refine", counting_refine)
+    channels = spectrum._Channels(pinched_profile, 1e-7, 512)
+    five = channels(0, 5)
+    three = channels(0, 3)
+    assert calls == [(0, 5, {"target_rel_err": 1e-7, "basis_cap": 512})]
+    assert three.eigenvalues == five.eigenvalues[:3]
+    assert three.convergence_estimates == five.convergence_estimates[:3]
+    assert (three.k, three.basis_size) == (0, five.basis_size)
+    # a larger request re-solves, and the deeper spectrum serves from then on
+    eight = channels(0, 8)
+    assert [c[:2] for c in calls] == [(0, 5), (0, 8)]
+    assert len(eight.eigenvalues) == 8
+    assert channels(0, 6).eigenvalues == eight.eigenvalues[:6]
+    assert channels(0, 8) == eight
+    assert len(calls) == 2
+    # each channel is held apart
+    assert channels(1, 2).k == 1
+    assert [c[:2] for c in calls] == [(0, 5), (0, 8), (1, 2)]
+
+
+def _refine_calls(tree: ast.AST) -> list[ast.Call]:
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and getattr(node.func, "id", getattr(node.func, "attr", None))
+            == "refine"]
+
+
+def test_refine_is_called_only_inside_the_channel_store():
+    """How deep each channel is solved is decided in one place: the one
+    ``refine`` call of ``spectrum.py`` is inside ``_Channels``, and
+    ``obstruction.py`` neither calls nor imports ``refine``."""
+    tree = ast.parse(Path(spectrum.__file__).read_text())
+    store = next(node for node in tree.body
+                 if isinstance(node, ast.ClassDef) and node.name == "_Channels")
+    assert len(_refine_calls(tree)) == 1
+    assert len(_refine_calls(store)) == 1
+    tree = ast.parse(Path(obstruction.__file__).read_text())
+    assert _refine_calls(tree) == []
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names}
+    assert "refine" not in imported
+
 
 def test_round_table_below_13(round_profile):
     table = enumerate_below(round_profile, 13.0)
