@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .exprs import Expr, EvalDomainError, differentiate, evaluate, to_string
+from .exprs import Expr, EvalDomainError, differentiate, evaluate, parse, to_string
 from .quadrature import CumulativeIntegral, QuadratureError, integrate_adaptive, integrate_gl
 
 __all__ = [
@@ -177,16 +177,13 @@ def make_profile(defn, name: str = "") -> Profile:
     """
     if defn is None:
         raise ProfileDefinitionError("empty profile definition")
-    from . import exprs as _e
-    if isinstance(defn, (_e.Const, _e.Var, _e.Neg, _e.Add, _e.Sub, _e.Mul,
-                         _e.Div, _e.Pow, _e.Call)):
+    if isinstance(defn, Expr):
         return _profile_from_expr(defn, name)
     return _profile_from_samples(defn, name)
 
 
 def profile_from_text(text: str, name: str = "") -> Profile:
     """Parse expression text (variable ``x``) and build a profile from it."""
-    from .exprs import parse
     return _profile_from_expr(parse(text, var="x"), name)
 
 

@@ -19,13 +19,16 @@ weight ``(1 - x^2)^k``.  The prefactor carries exactly the indicial endpoint
 behavior that the boundary slopes ``|f'| = 2`` force on eigenfunctions, so
 every product appearing in the stiffness and mass integrands contains only
 integer powers of ``(1 - x^2)`` and is smooth.  For ``k = 0`` the basis is
-the orthonormal Legendre family.  All integrals use Gauss-Legendre with
-``4 N`` nodes (``8 N`` for ``k = 1``, whose integrand is kept on a shorter
-leash near the endpoints).  The rules come from
-:func:`~revspec.quadrature.gauss_legendre`: Newton's method on the Legendre
-recurrence from Tricomi's initial guesses, O(n^2) vectorized work with
-weights accurate to about 1e-14 relative, where an eigenvalue-based
-generator costs O(n^3) and loses digits at thousands of nodes.
+the orthonormal Legendre family.  All integrals use one Gauss-Legendre rule
+of ``Q = 4 N`` nodes (``8 N`` for ``k = 1``, whose integrand is kept on a
+shorter leash near the endpoints), doubled until ``Q >= N + k``: the rule
+is exact to degree ``2Q - 1`` and the mass entries ``(1 - x^2)^k P_m P_n``
+have degree ``2k + 2N - 2``, so the mass matrix is the identity by
+construction and each channel is the standard problem ``A v = lambda v``
+(``numpy.linalg.eigvalsh``).  Doubling stays on the sizes whose rules
+:func:`~revspec.quadrature.gauss_legendre` already holds: Newton's method
+on the Legendre recurrence, O(n^2) work with weights accurate to about
+1e-14 relative.
 
 Mirror-symmetric profiles split by parity.  The symmetric Jacobi
 polynomials satisfy ``P_n(-x) = (-1)^n P_n(x)``, so for an even ``f`` every
@@ -39,15 +42,6 @@ roundoff (Weyl's inequality).  A split assembles on the ``Q/2``
 nonnegative nodes with doubled weights, fills the two diagonal blocks
 through the same block builder as the unsplit case, records
 ``parity_split``, and leaves exact zeros between the parities.
-
-The basis is orthonormal, so the quadrature reproduces the mass matrix
-``B`` as the identity to roundoff (below 1.3e-14 over the 2 951 solves of
-the 50-member reference family and the two builtins).  When
-``max |B - I| <= MASS_IDENTITY_TOL`` each diagonal block solves the standard
-problem ``A v = lambda v`` with ``numpy.linalg.eigvalsh``; any other ``B``
-keeps the generalized pencil ``(A, B)``, the only solve that imports
-``scipy.linalg``, on first use (:func:`eigh`).  The expression path thus
-loads no scipy module at all.
 
 Because trial spaces are nested in ``N``, eigenvalues decrease monotonically
 with ``N`` and sit above the true values; the convergence estimate attached
@@ -85,7 +79,7 @@ __all__ = [
 
 REFINE_START = 32
 REFINE_CAP = 1024
-# largest |B - I| for which the mass matrix is treated as the identity
+# largest |B - I| an assembly may leave; a larger one raises SolverError
 MASS_IDENTITY_TOL = 1e-12
 
 
@@ -197,9 +191,11 @@ def assemble(p: Profile, k: int, basis_size: int,
     """Stiffness and mass matrices of channel ``k`` in the weighted basis.
 
     Requires a validated profile, ``k >= 0`` and ``basis_size >= 8``.  Node
-    count is ``quad_mult * basis_size``, doubled for ``k = 1``.  A
-    mirror-symmetric profile is assembled by parity (``parity_split``):
-    the entries between even and odd ``n`` are exact zeros.
+    count is ``quad_mult * basis_size``, doubled for ``k = 1``, then doubled
+    until it is at least ``basis_size + k`` so that every mass entry is
+    integrated exactly.  A mirror-symmetric profile is assembled by parity
+    (``parity_split``): the entries between even and odd ``n`` are exact
+    zeros.
     """
     require_valid(p, context="assemble")
     if k < 0:
@@ -210,6 +206,8 @@ def assemble(p: Profile, k: int, basis_size: int,
     if quad_mult < 1:
         raise ValueError("quad_mult must be at least 1")
     Q = quad_mult * N * (2 if k == 1 else 1)
+    while Q < N + k:
+        Q *= 2
     xq, wq = gauss_legendre(Q)
     fq = np.asarray(p.f(xq), dtype=float)
     if np.any(~np.isfinite(fq)) or np.any(fq <= 0.0):
@@ -255,22 +253,20 @@ def _block(k: int, phi: np.ndarray, dphi: np.ndarray, wq: np.ndarray,
     return 0.5 * (A + A.T), 0.5 * (B + B.T)
 
 
-def eigh(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Eigenvalues, ascending, of the symmetric ``a`` (``a v = lambda v``),
-    or of the definite pencil ``(a, b)`` when a mass matrix is given."""
-    if b is None:
-        return np.linalg.eigvalsh(a)
-    # the generalized problem is rare; scipy.linalg costs most of a cold import
-    from scipy.linalg import eigh as eigh_pencil
-    return eigh_pencil(a, b, eigvals_only=True)
+def eigh(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues, ascending, of the symmetric ``a`` (``a v = lambda v``);
+    one named function so that ``bench/tracer.py`` can count the solves."""
+    return np.linalg.eigvalsh(a)
 
 
 def _raw_eigenvalues(p: Profile, k: int, N: int, quad_mult: int) -> np.ndarray:
     sys = assemble(p, k, N, quad_mult=quad_mult)
-    A, B = sys.stiffness, sys.mass
-    standard = np.max(np.abs(B - np.eye(N))) <= MASS_IDENTITY_TOL
-    vals = [eigh(A[s, s]) if standard else eigh(A[s, s], B[s, s])
-            for s in _parity_blocks(sys.parity_split, N)]
+    off = np.max(np.abs(sys.mass - np.eye(N)))
+    if off > MASS_IDENTITY_TOL:
+        raise SolverError(
+            f"{p.source} profile {p.name!r}, channel {k}, basis {N}, "
+            f"{sys.quad_points} nodes: mass matrix is {off:.3e} off the identity")
+    vals = [eigh(sys.stiffness[s, s]) for s in _parity_blocks(sys.parity_split, N)]
     return np.sort(np.concatenate(vals))
 
 

@@ -234,9 +234,9 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
 
     Channels ``1 <= k < below`` are the only ones whose first eigenvalue can
     undercut ``below`` (it exceeds ``k``); each is solved just deep enough
-    that its lower bound pushes the next eigenvalue past ``below``, and the
-    solve is re-deepened if the computed values have not actually cleared
-    the bar (belt and suspenders — the bounds already guarantee it).
+    that its lower bound puts its last requested eigenvalue past ``below``,
+    and a channel whose computed values do not clear the bar raises
+    :class:`BudgetError`, since the bound has then been broken.
     Contributions within relative ``cluster_tol`` of a cluster's first
     member merge into one entry whose value is the cluster mean; an entry
     drawing on several channels is the degeneracy signal, visible in its
@@ -277,15 +277,11 @@ def _enumerate_below(channels: _Channels, below: float,
     found: list[tuple[float, int, int]] = []  # (value, k, j)
     worst_est = 0.0
     for k, n in sorted(budgets.items()):
-        for _ in range(4):
-            cs = channels(k, n)
-            if cs.eigenvalues[-1] > below:
-                break
-            n = min(2 * n, n_cap)
-        else:
+        cs = channels(k, n)
+        if cs.eigenvalues[-1] <= below:
             raise BudgetError(
-                f"channel {k} refused to clear {below:g} within budget "
-                f"growth — lower-bound logic violated, solve untrustworthy")
+                f"channel {k} did not clear {below:g} within its budget of {n} "
+                f"eigenvalues — lower-bound logic violated, solve untrustworthy")
         for j, (lam, est) in enumerate(zip(cs.eigenvalues,
                                            cs.convergence_estimates), start=1):
             if lam <= below:

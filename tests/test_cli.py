@@ -151,21 +151,38 @@ def test_spectrum_output_is_deterministic(tmp_path, capsys):
 
 
 def test_spectrum_of_a_builtin_leaves_scipy_interpolate_unloaded():
-    # a fresh interpreter: this test process has loaded everything already
-    script = ("import sys\n"
-              "from revspec.cli import main\n"
-              "code = main(['spectrum', '--builtin', 'paper-example', "
-              "'--below', '21'])\n"
-              "loaded = [m for m in ('scipy', 'scipy.interpolate', "
-              "'scipy.linalg', 'scipy.special') if m in sys.modules]\n"
-              "sys.stderr.write(repr((code, loaded)))\n")
+    # a fresh interpreter per run: this test process has loaded everything
+    # already; round below 120 solves channels past k = 3N = 96, where a
+    # fixed 4N-node rule would leave the mass matrix off the identity
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert json.loads(proc.stdout)["table"]["entries"]
-    assert proc.stderr.splitlines()[-1] == "(0, [])"
+    for builtin, below in (("paper-example", "21"), ("round", "120")):
+        script = ("import sys\n"
+                  "from revspec.cli import main\n"
+                  f"code = main(['spectrum', '--builtin', {builtin!r}, "
+                  f"'--below', {below!r}])\n"
+                  "loaded = [m for m in ('scipy', 'scipy.interpolate', "
+                  "'scipy.linalg', 'scipy.special') if m in sys.modules]\n"
+                  "sys.stderr.write(repr((code, loaded)))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert json.loads(proc.stdout)["table"]["entries"]
+        assert proc.stderr.splitlines()[-1] == "(0, [])", (builtin, below)
+
+
+def test_round_spectrum_through_channel_436(capsys):
+    # channels up to k = 436 need more Gauss nodes than 4N; every mass
+    # matrix must still be the identity and every table row the closed form
+    code, out, err = run(capsys, "spectrum", "--builtin", "round",
+                         "--below", "437", "--format", "csv")
+    assert code == EXIT_OK
+    assert len(err.splitlines()) == 1
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == list(range(1, 21))
+    for l, (_, value, multiplicity, _) in enumerate(rows, start=1):
+        assert float(value) == pytest.approx(l * (l + 1), rel=1e-10)
+        assert int(multiplicity) == 2 * l + 1
 
 
 def test_spectrum_usage_errors():

@@ -1,6 +1,8 @@
+import ast
 import dataclasses
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,8 @@ from revspec.families import builtin_profile
 from revspec.profile import InvalidProfileError, make_profile, profile_from_text
 from revspec.quadrature import gauss_legendre, integrate_gl
 from revspec.solver import (
-    AdmissibilityError, ConvergenceError, assemble, rayleigh_quotient,
-    refine, solve_channel,
+    AdmissibilityError, ConvergenceError, SolverError, assemble,
+    rayleigh_quotient, refine, solve_channel,
 )
 from revspec.spectrum import enumerate_below
 
@@ -34,6 +36,8 @@ MPMATH_WEIGHTS = {
          0.0041470332605624676, 0.0017832807216964329],
 }
 
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 # the round sphere times a multiplier with an odd term, equal to 1 to
 # second order at the poles
@@ -104,10 +108,12 @@ def test_assembled_matrices_are_symmetric(pinched_profile, k):
     assert sys.quad_points == (2 if k == 1 else 1) * 4 * 24
 
 
-@pytest.mark.parametrize("k", [0, 2, 5])
+@pytest.mark.parametrize("k", [0, 2, 5, 97, 150, 436, 511])
 def test_mass_matrix_is_identity(round_profile, k):
-    # the weighted basis is orthonormal and the quadrature is exact for it
+    # the weighted basis is orthonormal and the quadrature is exact for it:
+    # the mass entries have degree 2k + 2N - 2, within 2Q - 1 once Q >= N + k
     sys = assemble(round_profile, k, 32)
+    assert sys.quad_points >= 32 + k
     assert np.max(np.abs(sys.mass - np.eye(32))) < 1e-11
 
 
@@ -210,19 +216,20 @@ def test_identity_mass_takes_the_standard_eigenproblem(pinched_profile, monkeypa
     calls, orders, eigh = [], [], solver.eigh
 
     def spy(*args, **kwargs):
-        calls.append(len(args))  # 1: standard, 2: generalized
+        calls.append(len(args))  # the matrix alone: the standard problem
         orders.append(args[0].shape[0])
         return eigh(*args, **kwargs)
 
     monkeypatch.setattr(solver, "eigh", spy)
     # paper-example is even in x: sizes 32 and 16 each solve an even-n and
     # an odd-n block of half the order
-    plain = solve_channel(pinched_profile, 3, 4, 32)
+    solve_channel(pinched_profile, 3, 4, 32)
     assert calls == [1, 1, 1, 1]
     assert orders == [16, 16, 8, 8]
 
     # scaling the pencil (A, B) to (2A, 2B) keeps its eigenvalues but moves
-    # B off the identity: the generalized solve must take over
+    # B off the identity, which the node rule rules out: a broken assembly,
+    # reported with its channel and basis size before any eigensolve
     def scaled(p, k, basis_size, quad_mult=4):
         sys = assemble(p, k, basis_size, quad_mult=quad_mult)
         return dataclasses.replace(sys, stiffness=2.0 * sys.stiffness,
@@ -230,9 +237,9 @@ def test_identity_mass_takes_the_standard_eigenproblem(pinched_profile, monkeypa
 
     calls.clear()
     monkeypatch.setattr(solver, "assemble", scaled)
-    general = solve_channel(pinched_profile, 3, 4, 32)
-    assert calls == [2, 2, 2, 2]
-    assert np.allclose(general.eigenvalues, plain.eigenvalues, rtol=1e-12, atol=0)
+    with pytest.raises(SolverError, match=r"channel 3, basis 32, 128 nodes"):
+        solve_channel(pinched_profile, 3, 4, 32)
+    assert calls == []
 
     # an asymmetric profile is solved whole: one standard solve per size
     calls.clear()
@@ -241,6 +248,22 @@ def test_identity_mass_takes_the_standard_eigenproblem(pinched_profile, monkeypa
     solve_channel(ASYMMETRIC_BUMP, 3, 4, 32)
     assert calls == [1, 1]
     assert orders == [32, 16]
+
+
+def test_no_module_imports_scipy_linalg():
+    """Every channel solves the standard problem with numpy: no module
+    under ``src/`` imports ``scipy.linalg``, at its top or in a function."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [
+                    f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
+                           for n in names), f"{path.name}:{node.lineno}"
 
 
 def test_refine_rejects_unresolvable_targets(round_profile):

@@ -1,5 +1,6 @@
 import ast
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -217,6 +218,26 @@ def test_budget_error_names_the_given_basis_cap(round_profile):
     with pytest.raises(BudgetError,
                        match="basis cap 100 supports at most 32$"):
         enumerate_below(round_profile, 40.0, basis_cap=100)
+
+
+def test_a_channel_that_does_not_clear_its_budget_is_asked_once(round_profile):
+    """The budget already puts the last requested eigenvalue past the
+    cutoff, so a channel that stops short has broken the lower bound: it is
+    reported at once, not re-requested deeper."""
+    requests = []
+
+    class Store(spectrum._Channels):
+        def __call__(self, k, n):
+            requests.append((k, n))
+            cs = super().__call__(k, n)
+            if k != 2:
+                return cs
+            return replace(cs, eigenvalues=tuple(v / 100 for v in cs.eigenvalues))
+
+    with pytest.raises(BudgetError, match="channel 2 did not clear 13 "
+                                          "within its budget of 7 eigenvalues"):
+        spectrum._enumerate_below(Store(round_profile), 13.0, 1e-6)
+    assert requests == [(0, 13), (1, 13), (2, 7)]
 
 
 def test_budget_error_is_immediate_even_for_absurd_cutoffs(round_profile):
