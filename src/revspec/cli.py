@@ -186,9 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="recompute the pinned reference constants")
     sp.set_defaults(run=cmd_verify)
     add_solver(sp)
-    sp.add_argument("--quad-mult", type=_number(int, 1), default=4,
-                    help="quadrature nodes per basis function (default "
-                         "%(default)s; lowering demonstrates sensitivity)")
     return parser
 
 
@@ -383,8 +380,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     rq = rayleigh_quotient(squeeze, 4, parse("sqrt(1 - x^2)"))
     bracket = 1477 / 185
     lam01 = refine(rnd, 0, 1, target_rel_err=args.tol,
-                   basis_cap=args.basis_cap,
-                   quad_mult=args.quad_mult).eigenvalues[0]
+                   basis_cap=args.basis_cap).eigenvalues[0]
     upper = lambda01_upper_bound(rnd)
     checks = [
         ("invariant-channel lower bound 2/int((1-x^2)/f) = 185/23",

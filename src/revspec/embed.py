@@ -128,8 +128,9 @@ def embed_profile_curve(p: Profile, n_samples: int = 256,
     L = ap.length
     s = np.linspace(0.0, L, n_samples)
     x = np.asarray(ap.x_of_s(s), dtype=float)
+    # a = sqrt(f) on the meridian, as ap.a(s) computes it, without inverting it again
+    a = np.sqrt(np.clip(np.asarray(p.f(x), dtype=float), 0.0, None))
     x[0], x[-1] = -1.0, 1.0
-    a = np.asarray(ap.a(s), dtype=float)
     a[0] = a[-1] = 0.0
     da = 0.5 * np.asarray(p.df(x), dtype=float)
     rad = 1.0 - da * da

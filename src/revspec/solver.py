@@ -23,25 +23,27 @@ the orthonormal Legendre family.  All integrals use one Gauss-Legendre rule
 of ``Q = 4 N`` nodes (``8 N`` for ``k = 1``, whose integrand is kept on a
 shorter leash near the endpoints), doubled until ``Q >= N + k``: the rule
 is exact to degree ``2Q - 1`` and the mass entries ``(1 - x^2)^k P_m P_n``
-have degree ``2k + 2N - 2``, so the mass matrix is the identity by
+have degree at most ``2k + 2N - 2``, so the mass matrix is the identity by
 construction and each channel is the standard problem ``A v = lambda v``
-(``numpy.linalg.eigvalsh``).  Doubling stays on the sizes whose rules
-:func:`~revspec.quadrature.gauss_legendre` already holds: Newton's method
-on the Legendre recurrence, O(n^2) work with weights accurate to about
-1e-14 relative.
+(``numpy.linalg.eigvalsh``) on the stiffness matrix alone.  The identity
+is checked on its diagonal, where the ``(N-1, N-1)`` entry has the top
+degree and is the first a short rule misses.  Doubling stays on the sizes
+whose rules :func:`~revspec.quadrature.gauss_legendre` already holds:
+Newton's method on the Legendre recurrence, O(n^2) work with weights
+accurate to about 1e-14 relative.
 
 Mirror-symmetric profiles split by parity.  The symmetric Jacobi
 polynomials satisfy ``P_n(-x) = (-1)^n P_n(x)``, so for an even ``f`` every
-stiffness and mass entry between an even and an odd ``n`` integrates an
-odd function and vanishes: each channel is two problems of about half the
-size, one per parity.  :func:`assemble` splits when the node count ``Q`` is
-even and ``max |f(x_i) - f(-x_i)| <= 8 eps max f`` over its ``Q`` nodes;
-the Gauss rule is mirrored exactly, so this compares ``f`` at exact mirror
-pairs and dropping the cross terms moves no eigenvalue by more than that
-roundoff (Weyl's inequality).  A split assembles on the ``Q/2``
-nonnegative nodes with doubled weights, fills the two diagonal blocks
-through the same block builder as the unsplit case, records
-``parity_split``, and leaves exact zeros between the parities.
+stiffness entry between an even and an odd ``n`` integrates an odd function
+and vanishes: each channel is two problems of about half the size, one per
+parity.  :func:`assemble` splits when ``max |f(x_i) - f(-x_i)| <= 8 eps
+max f`` over its ``Q`` nodes; ``Q`` is even and the Gauss rule is mirrored
+exactly, so this compares ``f`` at exact mirror pairs and dropping the
+cross terms moves no eigenvalue by more than that roundoff (Weyl's
+inequality).  A split assembles on the ``Q/2`` nonnegative nodes with
+doubled weights, fills the two diagonal blocks through the same block
+builder as the unsplit case, records ``parity_split``, and leaves exact
+zeros between the parities.
 
 Because trial spaces are nested in ``N``, eigenvalues decrease monotonically
 with ``N`` and sit above the true values; the convergence estimate attached
@@ -79,7 +81,7 @@ __all__ = [
 
 REFINE_START = 32
 REFINE_CAP = 1024
-# largest |B - I| an assembly may leave; a larger one raises SolverError
+# largest |diag(B) - 1| an assembly may leave; a larger one raises SolverError
 MASS_IDENTITY_TOL = 1e-12
 
 
@@ -105,11 +107,13 @@ class NearDegenerateWarning(UserWarning):
 
 @dataclass(frozen=True)
 class GalerkinSystem:
+    """Stiffness of channel ``k`` in ``basis_size`` functions on ``quad_points``
+    Gauss nodes (the mass matrix is the identity); on a ``parity_split``,
+    the entries between even and odd indices are exact zeros."""
+
     k: int
     basis_size: int
     stiffness: np.ndarray
-    mass: np.ndarray
-    quad_rule: str
     quad_points: int
     parity_split: bool = False
 
@@ -186,16 +190,18 @@ def _basis_values(k: int, x: np.ndarray, n_max: int):
 # assembly and eigensolve
 # ---------------------------------------------------------------------------
 
-def assemble(p: Profile, k: int, basis_size: int,
-             quad_mult: int = 4) -> GalerkinSystem:
-    """Stiffness and mass matrices of channel ``k`` in the weighted basis.
+def assemble(p: Profile, k: int, basis_size: int) -> GalerkinSystem:
+    """Stiffness matrix of channel ``k`` in the weighted basis.
 
     Requires a validated profile, ``k >= 0`` and ``basis_size >= 8``.  Node
-    count is ``quad_mult * basis_size``, doubled for ``k = 1``, then doubled
-    until it is at least ``basis_size + k`` so that every mass entry is
-    integrated exactly.  A mirror-symmetric profile is assembled by parity
-    (``parity_split``): the entries between even and odd ``n`` are exact
-    zeros.
+    count ``Q`` is ``4 * basis_size``, doubled for ``k = 1``, then doubled
+    until ``Q >= basis_size + k``: exact to degree ``2Q - 1``, the rule then
+    integrates every mass entry (degree ``2 basis_size + 2k - 2`` at most),
+    so the mass matrix is the identity.  Its diagonal, which holds the
+    top-degree entry, is checked: further than ``MASS_IDENTITY_TOL`` from 1,
+    it raises :class:`SolverError`.  A mirror-symmetric profile is assembled
+    by parity (``parity_split``): the entries between even and odd ``n`` are
+    exact zeros.
     """
     require_valid(p, context="assemble")
     if k < 0:
@@ -203,9 +209,7 @@ def assemble(p: Profile, k: int, basis_size: int,
     N = int(basis_size)
     if N < 8:
         raise ValueError("basis_size must be at least 8")
-    if quad_mult < 1:
-        raise ValueError("quad_mult must be at least 1")
-    Q = quad_mult * N * (2 if k == 1 else 1)
+    Q = 4 * N * (2 if k == 1 else 1)
     while Q < N + k:
         Q *= 2
     xq, wq = gauss_legendre(Q)
@@ -213,21 +217,25 @@ def assemble(p: Profile, k: int, basis_size: int,
     if np.any(~np.isfinite(fq)) or np.any(fq <= 0.0):
         raise SolverError("profile not positive and finite on quadrature nodes")
     # the rule is exactly mirrored, so fq[::-1] is f at the mirrored nodes
-    split = bool(Q % 2 == 0 and np.max(np.abs(fq - fq[::-1]))
+    split = bool(np.max(np.abs(fq - fq[::-1]))
                  <= 8.0 * np.finfo(float).eps * np.max(fq))
     if split:
         # every integrand within one parity is even: twice its half-interval
         # integral over the nonnegative nodes
         xq, wq, fq = xq[Q // 2:], 2.0 * wq[Q // 2:], fq[Q // 2:]
     phi, dphi = _basis_values(k, xq, N)
+    # the (N-1, N-1) mass entry has the top degree: an inexact rule misses it first
+    off = np.max(np.abs((phi * phi) @ wq - 1.0))
+    if not off <= MASS_IDENTITY_TOL:
+        raise SolverError(
+            f"{p.source} profile {p.name!r}, channel {k}, basis {N}, "
+            f"{Q} nodes: mass matrix diagonal is {off:.3e} off the identity")
     A = np.zeros((N, N))
-    B = np.zeros((N, N))
     for rows in _parity_blocks(split, N):
-        A[rows, rows], B[rows, rows] = _block(k, phi[rows], dphi[rows], wq, fq)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(B))):
-        raise SolverError("assembled matrices contain non-finite entries")
-    return GalerkinSystem(k=k, basis_size=N, stiffness=A, mass=B,
-                          quad_rule="gauss-legendre", quad_points=Q,
+        A[rows, rows] = _stiffness(k, phi[rows], dphi[rows], wq, fq)
+    if not np.all(np.isfinite(A)):
+        raise SolverError("assembled stiffness matrix contains non-finite entries")
+    return GalerkinSystem(k=k, basis_size=N, stiffness=A, quad_points=Q,
                           parity_split=split)
 
 
@@ -237,10 +245,10 @@ def _parity_blocks(split: bool, N: int) -> tuple[slice, ...]:
     return (slice(0, N, 2), slice(1, N, 2)) if split else (slice(0, N),)
 
 
-def _block(k: int, phi: np.ndarray, dphi: np.ndarray, wq: np.ndarray,
-           fq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stiffness and mass among the basis rows of ``phi`` and ``dphi``,
-    integrated with weights ``wq`` against ``f`` values ``fq``."""
+def _stiffness(k: int, phi: np.ndarray, dphi: np.ndarray, wq: np.ndarray,
+               fq: np.ndarray) -> np.ndarray:
+    """Stiffness among the basis rows of ``phi`` and ``dphi``, integrated
+    with weights ``wq`` against ``f`` values ``fq``."""
     # G @ G.T of one scaled table runs as a symmetric rank-Q update (BLAS
     # syrk), about 30 % faster than a product of two different tables
     G = dphi * np.sqrt(wq * fq)
@@ -248,9 +256,7 @@ def _block(k: int, phi: np.ndarray, dphi: np.ndarray, wq: np.ndarray,
     if k:
         G = phi * np.sqrt(wq / fq)
         A += (k * k) * (G @ G.T)
-    G = phi * np.sqrt(wq)
-    B = G @ G.T
-    return 0.5 * (A + A.T), 0.5 * (B + B.T)
+    return 0.5 * (A + A.T)
 
 
 def eigh(a: np.ndarray) -> np.ndarray:
@@ -259,13 +265,8 @@ def eigh(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def _raw_eigenvalues(p: Profile, k: int, N: int, quad_mult: int) -> np.ndarray:
-    sys = assemble(p, k, N, quad_mult=quad_mult)
-    off = np.max(np.abs(sys.mass - np.eye(N)))
-    if off > MASS_IDENTITY_TOL:
-        raise SolverError(
-            f"{p.source} profile {p.name!r}, channel {k}, basis {N}, "
-            f"{sys.quad_points} nodes: mass matrix is {off:.3e} off the identity")
+def _raw_eigenvalues(p: Profile, k: int, N: int) -> np.ndarray:
+    sys = assemble(p, k, N)
     vals = [eigh(sys.stiffness[s, s]) for s in _parity_blocks(sys.parity_split, N)]
     return np.sort(np.concatenate(vals))
 
@@ -280,8 +281,7 @@ def _strip_zero_mode(vals: np.ndarray, k: int) -> np.ndarray:
     return vals[1:]
 
 
-def solve_channel(p: Profile, k: int, n_eigs: int, basis_size: int,
-                  quad_mult: int = 4, *,
+def solve_channel(p: Profile, k: int, n_eigs: int, basis_size: int, *,
                   reference: Sequence[float] | None = None) -> ChannelSpectrum:
     """First ``n_eigs`` eigenvalues of channel ``k`` at a fixed basis size.
 
@@ -300,9 +300,9 @@ def solve_channel(p: Profile, k: int, n_eigs: int, basis_size: int,
         raise ValueError("basis_size must be at least 16 (half-size solve needs 8)")
     if n_eigs > N // 2:
         raise ValueError(f"n_eigs={n_eigs} exceeds basis_size/2={N // 2}")
-    vals = _strip_zero_mode(_raw_eigenvalues(p, k, N, quad_mult), k)
+    vals = _strip_zero_mode(_raw_eigenvalues(p, k, N), k)
     if reference is None:
-        ref = _strip_zero_mode(_raw_eigenvalues(p, k, N // 2, quad_mult), k)
+        ref = _strip_zero_mode(_raw_eigenvalues(p, k, N // 2), k)
     else:
         ref = np.asarray(reference, dtype=float)
     lam = vals[:n_eigs]
@@ -329,7 +329,7 @@ def solve_channel(p: Profile, k: int, n_eigs: int, basis_size: int,
 
 
 def refine(p: Profile, k: int, n_eigs: int, target_rel_err: float = 1e-8,
-           basis_cap: int = REFINE_CAP, quad_mult: int = 4) -> ChannelSpectrum:
+           basis_cap: int = REFINE_CAP) -> ChannelSpectrum:
     """Double the basis from 32 until every requested eigenvalue's estimate
     meets ``target_rel_err`` (floor 1e-12), or raise :class:`ConvergenceError`
     carrying the best spectrum when the cap is reached.
@@ -342,15 +342,16 @@ def refine(p: Profile, k: int, n_eigs: int, target_rel_err: float = 1e-8,
     N = REFINE_START
     while N < 2 * n_eigs:
         N *= 2
+    if N > basis_cap:
+        raise ValueError(f"n_eigs={n_eigs} needs a basis of {N}, "
+                         f"above basis_cap={basis_cap}")
     best = None
     while N <= basis_cap:
-        best = solve_channel(p, k, n_eigs, N, quad_mult=quad_mult,
+        best = solve_channel(p, k, n_eigs, N,
                              reference=None if best is None else best.eigenvalues)
         if max(best.convergence_estimates) <= target_rel_err:
             return best
         N *= 2
-    if best is None:
-        raise ValueError(f"basis_cap={basis_cap} below the smallest usable basis")
     raise ConvergenceError(
         f"channel {k}: estimates {max(best.convergence_estimates):.3e} did not "
         f"reach {target_rel_err:g} within basis cap {basis_cap}", best)

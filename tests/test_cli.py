@@ -428,9 +428,9 @@ def test_each_command_lists_only_the_flags_it_reads(capsys):
                               "--out", "--format", "--below"},
         "mesh": source | {"--out", "--n-theta", "--n-samples"},
         "sweep": {"--cluster-tol", "--out", "--eps", "--n"},
-        "verify": {"--tol", "--basis-cap", "--quad-mult"},
+        "verify": {"--tol", "--basis-cap"},
     }
-    assert sum(len(flags) for flags in listed.values()) == 27
+    assert sum(len(flags) for flags in listed.values()) == 26
 
 
 @pytest.mark.parametrize("argv", [
@@ -447,6 +447,7 @@ def test_each_command_lists_only_the_flags_it_reads(capsys):
     ("verify", "--cluster-tol", "1e-6"),
     ("verify", "--format", "json"),
     ("verify", "--out", "x"),
+    ("verify", "--quad-mult", "4"),
 ])
 def test_flags_a_command_does_not_read_are_usage_errors(argv):
     usage_error(*argv)
@@ -458,7 +459,6 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
     ("spectrum", "--builtin", "round", "--below", "3", "--basis-cap", "16"),
     ("sweep", "--eps", "inf"),
     ("verify", "--tol", "nan"),
-    ("verify", "--quad-mult", "0"),
 ])
 def test_values_the_library_would_refuse_are_usage_errors(argv):
     usage_error(*argv)

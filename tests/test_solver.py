@@ -44,6 +44,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 ASYMMETRIC_BUMP = profile_from_text("(1 - x^2) * (1 + (1 - x^2)*(0.3*x + 0.2*x^2))")
 
 
+def mass_matrix(sys):
+    """The mass matrix of an assembled system, built from the basis on its
+    own node rule: on a parity split, each parity block on the nonnegative
+    nodes with doubled weights, exact zeros between the blocks."""
+    x, w = gauss_legendre(sys.quad_points)
+    if sys.parity_split:
+        half = sys.quad_points // 2
+        x, w = x[half:], 2.0 * w[half:]
+    phi, _ = solver._basis_values(sys.k, x, sys.basis_size)
+    B = np.zeros((sys.basis_size, sys.basis_size))
+    for rows in solver._parity_blocks(sys.parity_split, sys.basis_size):
+        B[rows, rows] = (phi[rows] * w) @ phi[rows].T
+    return B
+
+
 def round_eigenvalue(k, j):
     """Closed form for the round sphere: j(j+1) in the invariant channel,
     (k+j-1)(k+j) in channel k >= 1."""
@@ -104,7 +119,6 @@ def test_gauss_rule_rejects_empty_rules():
 def test_assembled_matrices_are_symmetric(pinched_profile, k):
     sys = assemble(pinched_profile, k, 24)
     assert np.array_equal(sys.stiffness, sys.stiffness.T)
-    assert np.array_equal(sys.mass, sys.mass.T)
     assert sys.quad_points == (2 if k == 1 else 1) * 4 * 24
 
 
@@ -114,7 +128,24 @@ def test_mass_matrix_is_identity(round_profile, k):
     # the mass entries have degree 2k + 2N - 2, within 2Q - 1 once Q >= N + k
     sys = assemble(round_profile, k, 32)
     assert sys.quad_points >= 32 + k
-    assert np.max(np.abs(sys.mass - np.eye(32))) < 1e-11
+    assert np.max(np.abs(mass_matrix(sys) - np.eye(32))) < 1e-11
+
+
+@pytest.mark.parametrize("k,n", [(0, 32), (2, 32), (5, 64), (3, 256)])
+def test_one_node_short_misses_only_the_diagonal(k, n, monkeypatch):
+    """With ``N + k - 1`` nodes only the top-degree entry ``(N-1, N-1)`` is
+    out of the rule's reach, so the diagonal check that ``assemble`` makes
+    sees a rule one node short."""
+    x, w = gauss_legendre(n + k - 1)
+    phi, _ = solver._basis_values(k, x, n)
+    B = (phi * w) @ phi.T
+    assert np.max(np.abs(np.diag(B) - 1.0)) > 0.5
+    assert np.max(np.abs(B - np.diag(np.diag(B)))) < 1e-13
+    # the mirror-asymmetric profile keeps the whole short rule
+    monkeypatch.setattr(solver, "gauss_legendre", lambda q: (x, w))
+    with pytest.raises(SolverError, match=rf"channel {k}, basis {n}, \d+ nodes: "
+                                          r"mass matrix diagonal"):
+        assemble(ASYMMETRIC_BUMP, k, n)
 
 
 def test_assemble_argument_checks(round_profile):
@@ -196,9 +227,9 @@ def test_refine_cap_carries_the_best_spectrum(pinched_profile):
 def test_refine_solves_each_basis_size_once(pinched_profile, monkeypatch):
     sizes = []
 
-    def counting(p, k, basis_size, quad_mult=4):
+    def counting(p, k, basis_size):
         sizes.append(basis_size)
-        return assemble(p, k, basis_size, quad_mult=quad_mult)
+        return assemble(p, k, basis_size)
 
     monkeypatch.setattr(solver, "assemble", counting)
     cs = refine(pinched_profile, 2, 12)
@@ -227,16 +258,15 @@ def test_identity_mass_takes_the_standard_eigenproblem(pinched_profile, monkeypa
     assert calls == [1, 1, 1, 1]
     assert orders == [16, 16, 8, 8]
 
-    # scaling the pencil (A, B) to (2A, 2B) keeps its eigenvalues but moves
-    # B off the identity, which the node rule rules out: a broken assembly,
-    # reported with its channel and basis size before any eigensolve
-    def scaled(p, k, basis_size, quad_mult=4):
-        sys = assemble(p, k, basis_size, quad_mult=quad_mult)
-        return dataclasses.replace(sys, stiffness=2.0 * sys.stiffness,
-                                   mass=2.0 * sys.mass)
+    # Gauss weights scaled by 1 + 1e-9 move the mass matrix off the
+    # identity, which the node rule rules out: a broken assembly, reported
+    # with its channel, basis size and node count before any eigensolve
+    def scaled(n):
+        x, w = gauss_legendre(n)
+        return x, w * (1.0 + 1e-9)
 
     calls.clear()
-    monkeypatch.setattr(solver, "assemble", scaled)
+    monkeypatch.setattr(solver, "gauss_legendre", scaled)
     with pytest.raises(SolverError, match=r"channel 3, basis 32, 128 nodes"):
         solve_channel(pinched_profile, 3, 4, 32)
     assert calls == []
@@ -244,7 +274,7 @@ def test_identity_mass_takes_the_standard_eigenproblem(pinched_profile, monkeypa
     # an asymmetric profile is solved whole: one standard solve per size
     calls.clear()
     orders.clear()
-    monkeypatch.setattr(solver, "assemble", assemble)
+    monkeypatch.setattr(solver, "gauss_legendre", gauss_legendre)
     solve_channel(ASYMMETRIC_BUMP, 3, 4, 32)
     assert calls == [1, 1]
     assert orders == [32, 16]
@@ -269,6 +299,14 @@ def test_no_module_imports_scipy_linalg():
 def test_refine_rejects_unresolvable_targets(round_profile):
     with pytest.raises(ValueError, match="floor"):
         refine(round_profile, 0, 1, target_rel_err=1e-13)
+
+
+def test_refine_names_the_basis_an_oversized_request_needs():
+    # 600 eigenvalues need 1200 basis functions: the first doubling of 32
+    # at or above that is 2048, past the default cap
+    with pytest.raises(ValueError,
+                       match=r"n_eigs=600 needs a basis of 2048, above basis_cap=1024"):
+        refine(builtin_profile("round"), 0, 600)
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +383,10 @@ def test_split_system_layout(pinched_profile, k, n):
     sys = assemble(pinched_profile, k, n)
     q = 4 * n * (2 if k == 1 else 1)
     assert sys.parity_split and sys.quad_points == q
-    assert sys.stiffness.shape == sys.mass.shape == (n, n)
+    assert sys.stiffness.shape == (n, n)
     cross = (np.arange(n)[:, None] + np.arange(n)) % 2 == 1
-    assert np.all(sys.stiffness[cross] == 0.0) and np.all(sys.mass[cross] == 0.0)
-    assert np.max(np.abs(sys.mass - np.eye(n))) < 1e-11
-
-
-def test_an_odd_node_count_is_assembled_whole(pinched_profile):
-    # nine nodes put one at x = 0, which has no mirror partner
-    sys = assemble(pinched_profile, 0, 9, quad_mult=1)
-    assert sys.quad_points == 9 and not sys.parity_split
+    assert np.all(sys.stiffness[cross] == 0.0)
+    assert np.max(np.abs(mass_matrix(sys) - np.eye(n))) < 1e-11
 
 
 # ---------------------------------------------------------------------------
