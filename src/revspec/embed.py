@@ -157,8 +157,7 @@ def embed_profile_curve(p: Profile, n_samples: int = 256,
         v = 1.0 - (0.5 * np.asarray(p.df(xt), dtype=float)) ** 2
         return np.sqrt(np.clip(v, 0.0, None))
 
-    cum = CumulativeIntegral(dz_of_s, s, order=8)
-    z = cum.cum.copy()
+    z = CumulativeIntegral(dz_of_s, s, order=8).cum
     dz = np.sqrt(np.clip(rad, 0.0, None))
     return ProfileCurve(s=s, x=x, a=a, z=z, da=da, dz=dz, length=float(L))
 
@@ -181,43 +180,34 @@ def make_mesh(curve: ProfileCurve, n_theta: int = 64) -> EmbeddingMesh:
         raise MeshError("curve needs at least 3 samples to mesh")
     if np.any(np.diff(curve.s) <= 0.0):
         raise MeshError("curve samples repeat or run backwards in s")
+    if not (np.all(np.isfinite(curve.a)) and np.all(np.isfinite(curve.z))):
+        raise MeshError("curve radius or height is not finite")
     if np.any(curve.a[1:-1] <= 0.0):
         raise MeshError("curve radius collapses between the poles")
 
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
     ct, st = np.cos(theta), np.sin(theta)
     rings = n - 2
-    verts = np.empty((n_theta * rings + 2, 3))
-    for r in range(rings):
-        av, zv = curve.a[r + 1], curve.z[r + 1]
-        block = slice(r * n_theta, (r + 1) * n_theta)
-        verts[block, 0] = av * ct
-        verts[block, 1] = av * st
-        verts[block, 2] = zv
-    south = n_theta * rings
-    north = south + 1
-    verts[south] = (0.0, 0.0, curve.z[0])
-    verts[north] = (0.0, 0.0, curve.z[-1])
+    ring_a, ring_z = curve.a[1:-1, None], curve.z[1:-1, None]
+    ring = np.stack(np.broadcast_arrays(ring_a * ct, ring_a * st, ring_z), axis=-1)
+    poles = [(0.0, 0.0, curve.z[0]), (0.0, 0.0, curve.z[-1])]
+    verts = np.concatenate([ring.reshape(-1, 3), poles])
+    south, north = n_theta * rings, n_theta * rings + 1
 
-    faces = []
-    for j in range(n_theta):
-        jn = (j + 1) % n_theta
-        faces.append((south, jn, j))
-    for r in range(rings - 1):
-        lo, hi = r * n_theta, (r + 1) * n_theta
-        for j in range(n_theta):
-            jn = (j + 1) % n_theta
-            faces.append((lo + j, lo + jn, hi + j))
-            faces.append((lo + jn, hi + jn, hi + j))
+    j = np.arange(n_theta, dtype=np.int64)
+    jn = (j + 1) % n_theta
+    lo = n_theta * np.arange(rings - 1, dtype=np.int64)[:, None]
+    hi = lo + n_theta
     top = (rings - 1) * n_theta
-    for j in range(n_theta):
-        jn = (j + 1) % n_theta
-        faces.append((north, top + j, top + jn))
-    f = np.asarray(faces, dtype=np.int64)
+    # per ring, per j: the split quad (lo+j, lo+jn, hi+j), (lo+jn, hi+jn, hi+j)
+    strips = np.stack([lo + j, lo + jn, hi + j, lo + jn, hi + jn, hi + j], axis=-1)
+    f = np.concatenate([
+        np.column_stack([np.full(n_theta, south), jn, j]),
+        strips.reshape(-1, 3),
+        np.column_stack([np.full(n_theta, north), top + j, top + jn])])
 
-    v0, v1, v2 = verts[f[:, 0]], verts[f[:, 1]], verts[f[:, 2]]
-    volume6 = float(np.sum(np.einsum("ij,ij->i", v0, np.cross(v1, v2))))
-    if volume6 < 0.0:
+    v0, v1, v2 = verts[f.T]
+    if np.sum(np.einsum("ij,ij->i", v0, np.cross(v1, v2))) < 0.0:
         f = f[:, ::-1]
     return EmbeddingMesh(vertices=verts, faces=np.ascontiguousarray(f),
                          curve=curve, n_theta=n_theta)
@@ -270,8 +260,7 @@ def induced_metric_residual(obj: ProfileCurve | EmbeddingMesh,
     def d4(y):
         return (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
 
-    da = d4(curve.a)
-    dz = d4(curve.z)
+    da, dz = d4(curve.a), d4(curve.z)
     res_ds = np.abs(da * da + dz * dz - 1.0)
     mid = slice(2, n - 2)
     fx = np.asarray(p.f(curve.x[mid]), dtype=float)
@@ -290,9 +279,16 @@ def induced_metric_residual(obj: ProfileCurve | EmbeddingMesh,
 # export
 # ---------------------------------------------------------------------------
 
+# Rows per formatting call: bounds the transient lists at the 8192 x 1024
+# CLI maximum (8.4 M vertices, 16.8 M faces) to a few MB each.
+_OBJ_BLOCK_ROWS = 1024
+
+
 def export_obj(mesh: EmbeddingMesh) -> bytes:
     """Mesh as OBJ text: ``v`` lines then 1-indexed ``f`` lines, LF endings,
-    17 significant digits.
+    17 significant digits.  Rows are formatted in blocks of
+    ``_OBJ_BLOCK_ROWS``, one repeated ``%`` template per block, to the same
+    bytes as line by line.
 
     Byte-identical across runs on the same machine and installation.  Across
     CPUs, BLAS builds and numpy/scipy versions the vertex coordinates may
@@ -301,14 +297,17 @@ def export_obj(mesh: EmbeddingMesh) -> bytes:
     """
     if mesh.vertices.size == 0 or mesh.faces.size == 0:
         raise ValueError("refusing to export an empty mesh")
-    lines = [f"v {vx:.17g} {vy:.17g} {vz:.17g}" for vx, vy, vz in mesh.vertices]
-    lines.extend(f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces)
-    return ("\n".join(lines) + "\n").encode("ascii")
+    chunks = []
+    for start in range(0, mesh.vertices.shape[0], _OBJ_BLOCK_ROWS):
+        blk = mesh.vertices[start:start + _OBJ_BLOCK_ROWS]
+        chunks.append(b"v %.17g %.17g %.17g\n" * blk.shape[0] % tuple(blk.ravel().tolist()))
+    for start in range(0, mesh.faces.shape[0], _OBJ_BLOCK_ROWS):
+        blk = mesh.faces[start:start + _OBJ_BLOCK_ROWS] + 1
+        chunks.append(b"f %d %d %d\n" * blk.shape[0] % tuple(blk.ravel().tolist()))
+    return b"".join(chunks)
 
 
 def curve_csv_text(curve: ProfileCurve) -> str:
     """Curve samples as CSV (columns s, a, z) for plotting."""
-    lines = ["s,a,z"]
-    lines.extend(f"{s:.17g},{a:.17g},{z:.17g}"
-                 for s, a, z in zip(curve.s, curve.a, curve.z))
-    return "\n".join(lines) + "\n"
+    rows = np.column_stack([curve.s, curve.a, curve.z])
+    return "s,a,z\n" + "%.17g,%.17g,%.17g\n" * rows.shape[0] % tuple(rows.ravel().tolist())

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from revspec.embed import (
-    EmbeddingMesh, GrazingClampWarning, MeshError, NotEmbeddableError,
+    _OBJ_BLOCK_ROWS, EmbeddingMesh, GrazingClampWarning, MeshError, NotEmbeddableError,
     ProfileCurve, curve_csv_text, embed_profile_curve, euler_characteristic,
     export_obj, induced_metric_residual, make_mesh, mesh_area,
 )
@@ -18,6 +18,73 @@ GOLDEN = Path(__file__).parent / "data" / "two_ring.obj"
 # builds and numpy/scipy versions; a real numerical change of the meridian
 # map moves them by orders of magnitude more.
 GOLDEN_ATOL = 1e-14
+
+
+# ---------------------------------------------------------------------------
+# loop references: the element-by-element code the numpy versions replace;
+# the arithmetic is the same, so results must be equal, not close
+# ---------------------------------------------------------------------------
+
+def loop_make_mesh(curve, n_theta):
+    n = curve.s.size
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    ct, st = np.cos(theta), np.sin(theta)
+    rings = n - 2
+    verts = np.empty((n_theta * rings + 2, 3))
+    for r in range(rings):
+        av, zv = curve.a[r + 1], curve.z[r + 1]
+        block = slice(r * n_theta, (r + 1) * n_theta)
+        verts[block, 0] = av * ct
+        verts[block, 1] = av * st
+        verts[block, 2] = zv
+    south = n_theta * rings
+    north = south + 1
+    verts[south] = (0.0, 0.0, curve.z[0])
+    verts[north] = (0.0, 0.0, curve.z[-1])
+    faces = []
+    for j in range(n_theta):
+        jn = (j + 1) % n_theta
+        faces.append((south, jn, j))
+    for r in range(rings - 1):
+        lo, hi = r * n_theta, (r + 1) * n_theta
+        for j in range(n_theta):
+            jn = (j + 1) % n_theta
+            faces.append((lo + j, lo + jn, hi + j))
+            faces.append((lo + jn, hi + jn, hi + j))
+    top = (rings - 1) * n_theta
+    for j in range(n_theta):
+        jn = (j + 1) % n_theta
+        faces.append((north, top + j, top + jn))
+    f = np.asarray(faces, dtype=np.int64)
+    v0, v1, v2 = verts[f[:, 0]], verts[f[:, 1]], verts[f[:, 2]]
+    if float(np.sum(np.einsum("ij,ij->i", v0, np.cross(v1, v2)))) < 0.0:
+        f = f[:, ::-1]
+    return verts, np.ascontiguousarray(f)
+
+
+def loop_export_obj(mesh):
+    lines = [f"v {vx:.17g} {vy:.17g} {vz:.17g}" for vx, vy, vz in mesh.vertices]
+    lines.extend(f"f {i + 1} {j + 1} {k + 1}" for i, j, k in mesh.faces)
+    return ("\n".join(lines) + "\n").encode("ascii")
+
+
+def loop_curve_csv_text(curve):
+    lines = ["s,a,z"]
+    lines.extend(f"{s:.17g},{a:.17g},{z:.17g}"
+                 for s, a, z in zip(curve.s, curve.a, curve.z))
+    return "\n".join(lines) + "\n"
+
+
+def subsample(c, step):
+    return ProfileCurve(s=c.s[::step], x=c.x[::step], a=c.a[::step],
+                        z=c.z[::step], da=c.da[::step], dz=c.dz[::step],
+                        length=c.length)
+
+
+def enclosed_volume6(mesh):
+    v, f = mesh.vertices, mesh.faces
+    return float(np.sum(np.einsum("ij,ij->i", v[f[:, 0]],
+                                  np.cross(v[f[:, 1]], v[f[:, 2]]))))
 
 
 @pytest.fixture(scope="module")
@@ -129,11 +196,8 @@ def test_euler_characteristic_of_hand_built_meshes(vertices, faces, chi):
 
 def test_mesh_is_outward_oriented(round_curve):
     mesh = make_mesh(round_curve, n_theta=32)
-    v, f = mesh.vertices, mesh.faces
-    volume6 = np.sum(np.einsum("ij,ij->i", v[f[:, 0]],
-                               np.cross(v[f[:, 1]], v[f[:, 2]])))
-    assert volume6 > 0
-    assert f.min() == 0 and f.max() == v.shape[0] - 1
+    assert enclosed_volume6(mesh) > 0
+    assert mesh.faces.min() == 0 and mesh.faces.max() == mesh.vertices.shape[0] - 1
 
 
 def test_mesh_argument_checks(round_curve):
@@ -156,6 +220,48 @@ def test_mesh_argument_checks(round_curve):
                                dz=round_curve.dz, length=round_curve.length)
     with pytest.raises(MeshError, match="collapses"):
         make_mesh(pinched_mid)
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("a", np.nan), ("a", np.inf), ("z", np.nan), ("z", -np.inf),
+], ids=["a-nan", "a-inf", "z-nan", "z-neg-inf"])
+def test_mesh_refuses_a_non_finite_curve(round_curve, field, bad):
+    values = getattr(round_curve, field).copy()
+    values[5] = bad
+    broken = dataclasses.replace(round_curve, **{field: values})
+    with pytest.raises(MeshError, match="not finite"):
+        make_mesh(broken, n_theta=16)
+
+
+@pytest.mark.parametrize("n_samples,step,n_theta", [
+    (17, 8, 8),      # 3 samples: one ring, pole fans only, no strips
+    (17, 8, 9),
+    (64, 1, 8),
+    (64, 1, 9),
+    (384, 1, 96),
+], ids=["one-ring-8", "one-ring-9", "64x8", "64x9", "384x96"])
+def test_mesh_equals_the_loop_reference(round_profile, n_samples, step, n_theta):
+    curve = subsample(embed_profile_curve(round_profile, n_samples=n_samples), step)
+    mesh = make_mesh(curve, n_theta=n_theta)
+    want_v, want_f = loop_make_mesh(curve, n_theta)
+    assert np.array_equal(mesh.vertices, want_v)
+    assert np.array_equal(mesh.faces, want_f)
+    assert mesh.faces.dtype == np.int64 and mesh.faces.flags.c_contiguous
+    assert mesh.vertices.dtype == np.float64 and mesh.vertices.flags.c_contiguous
+    assert euler_characteristic(mesh) == 2
+
+
+def test_a_downward_curve_gets_its_faces_flipped(round_curve):
+    up = make_mesh(round_curve, n_theta=9)
+    down_curve = dataclasses.replace(round_curve, z=round_curve.z[::-1].copy())
+    down = make_mesh(down_curve, n_theta=9)
+    want_v, want_f = loop_make_mesh(down_curve, 9)
+    assert np.array_equal(down.vertices, want_v)
+    assert np.array_equal(down.faces, want_f)
+    assert down.faces.dtype == np.int64 and down.faces.flags.c_contiguous
+    # same connectivity as the upward curve, every triangle wound the other way
+    assert np.array_equal(down.faces, up.faces[:, ::-1])
+    assert enclosed_volume6(up) > 0 and enclosed_volume6(down) > 0
 
 
 def test_mesh_area_approaches_the_fixed_total(round_profile, round_curve):
@@ -211,9 +317,7 @@ def test_obj_export_matches_the_golden_bytes(round_profile):
     order, face lines and the 17-digit number format are exact; vertex
     coordinates agree to within a few ULPs."""
     c = embed_profile_curve(round_profile, n_samples=16)
-    sub = ProfileCurve(s=c.s[::5], x=c.x[::5], a=c.a[::5], z=c.z[::5],
-                       da=c.da[::5], dz=c.dz[::5], length=c.length)
-    got = export_obj(make_mesh(sub, n_theta=8)).decode("ascii").split("\n")
+    got = export_obj(make_mesh(subsample(c, 5), n_theta=8)).decode("ascii").split("\n")
     want = GOLDEN.read_bytes().decode("ascii").split("\n")
     assert len(got) == len(want)
     for g, w in zip(got, want):
@@ -244,6 +348,32 @@ def test_obj_layout(round_curve):
     assert smallest == 1
 
 
+def test_obj_equals_the_loop_reference(round_profile):
+    curve = embed_profile_curve(round_profile, n_samples=64)
+    mesh = make_mesh(curve, n_theta=40)
+    assert mesh.vertices.shape[0] > 2 * _OBJ_BLOCK_ROWS
+    assert mesh.faces.shape[0] > 4 * _OBJ_BLOCK_ROWS
+    verts = mesh.vertices.copy()
+    verts[0] = (-0.0, 5e-324, 1e300)
+    verts[_OBJ_BLOCK_ROWS] = (-1e-300, -0.0, -5e-324)
+    hand_set = dataclasses.replace(mesh, vertices=verts)
+    got = export_obj(hand_set)
+    assert got == loop_export_obj(hand_set)
+    lines = got.split(b"\n")
+    assert lines[0] == b"v -0 4.9406564584124654e-324 1.0000000000000001e+300"
+    assert lines[_OBJ_BLOCK_ROWS] == b"v -1e-300 -0 -4.9406564584124654e-324"
+
+
+@pytest.mark.parametrize("rows", [1, _OBJ_BLOCK_ROWS - 1, _OBJ_BLOCK_ROWS,
+                                  _OBJ_BLOCK_ROWS + 1, 2 * _OBJ_BLOCK_ROWS])
+def test_obj_blocks_end_at_any_row_count(rows):
+    rng = np.random.default_rng(rows)
+    mesh = EmbeddingMesh(vertices=rng.standard_normal((rows, 3)),
+                         faces=rng.integers(0, rows, size=(rows, 3)),
+                         curve=None, n_theta=0)
+    assert export_obj(mesh) == loop_export_obj(mesh)
+
+
 def test_obj_refuses_empty_mesh(round_curve):
     empty = EmbeddingMesh(vertices=np.empty((0, 3)),
                           faces=np.empty((0, 3), dtype=np.int64),
@@ -260,3 +390,10 @@ def test_curve_csv(round_curve):
     assert s == pytest.approx(np.pi, abs=1e-10)
     assert a == 0.0
     assert z == pytest.approx(2.0, abs=1e-9)
+
+
+def test_curve_csv_equals_the_loop_reference(round_curve):
+    odd = round_curve.a.copy()
+    odd[1:5] = (-0.0, 5e-324, 1e300, -1e-300)
+    curve = dataclasses.replace(round_curve, a=odd)
+    assert curve_csv_text(curve) == loop_curve_csv_text(curve)
