@@ -166,6 +166,11 @@ def embed_profile_curve(p: Profile, n_samples: int = 256,
 # meshing
 # ---------------------------------------------------------------------------
 
+# Faces per block of mesh_area: bounds its transient arrays to a few MB at
+# any mesh size.
+_AREA_BLOCK_FACES = 1 << 16
+
+
 def make_mesh(curve: ProfileCurve, n_theta: int = 64) -> EmbeddingMesh:
     """Revolve the curve: one vertex ring per interior sample, pole fans.
 
@@ -206,17 +211,26 @@ def make_mesh(curve: ProfileCurve, n_theta: int = 64) -> EmbeddingMesh:
         strips.reshape(-1, 3),
         np.column_stack([np.full(n_theta, north), top + j, top + jn])])
 
-    v0, v1, v2 = verts[f.T]
-    if np.sum(np.einsum("ij,ij->i", v0, np.cross(v1, v2))) < 0.0:
+    # each strip is a frustum of planar trapezoids, so the enclosed volume
+    # is n_theta sin(2 pi/n_theta)/6 sum (a_i^2 + a_i a_i+1 + a_i+1^2) dz_i,
+    # pole radii 0; these faces point outward exactly when it is positive
+    a = np.concatenate(([0.0], curve.a[1:-1], [0.0]))
+    lo_a, hi_a = a[:-1], a[1:]
+    if np.sum((lo_a * lo_a + lo_a * hi_a + hi_a * hi_a) * np.diff(curve.z)) < 0.0:
         f = f[:, ::-1]
     return EmbeddingMesh(vertices=verts, faces=np.ascontiguousarray(f),
                          curve=curve, n_theta=n_theta)
 
 
 def mesh_area(mesh: EmbeddingMesh) -> float:
-    v, f = mesh.vertices, mesh.faces
-    cr = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
-    return float(0.5 * np.sum(np.linalg.norm(cr, axis=1)))
+    """Sum of the face areas, over blocks of ``_AREA_BLOCK_FACES`` faces."""
+    v, total = mesh.vertices, 0.0
+    for start in range(0, mesh.faces.shape[0], _AREA_BLOCK_FACES):
+        f = mesh.faces[start:start + _AREA_BLOCK_FACES]
+        v0 = v[f[:, 0]]
+        cr = np.cross(v[f[:, 1]] - v0, v[f[:, 2]] - v0)
+        total += float(np.sum(np.linalg.norm(cr, axis=1)))
+    return 0.5 * total
 
 
 def euler_characteristic(mesh: EmbeddingMesh) -> int:

@@ -17,8 +17,9 @@ Either internal obstruction forces a point of negative curvature, so
 :func:`full_report` cross-checks every proved implication (trigger => slope
 test fails, trigger => :func:`negative_curvature_witness` finds a point) and
 records any violation as an internal-consistency failure — those would be
-bugs, not geometry.  A further informational flag compares the invariant
-channel's trace against ``pi^2/16``; it never feeds a verdict.
+bugs, not geometry.  :func:`trace_flag`, an informational comparison of the
+invariant channel's trace with ``pi^2/16``, stands apart: it feeds no
+verdict and is not part of the report.
 """
 
 from __future__ import annotations
@@ -46,6 +47,15 @@ ABREU_FREITAS_THRESHOLD = XI1 * XI1 / 2.0
 TRACE_FLAG_THRESHOLD = math.pi * math.pi / 16.0
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GOLDEN_STEPS = 64
+# uniform sampling intervals on [-1, 1] of the slope and curvature searches
+_GRID = 4096
+# the slope test's allowance above 2
+_SLOPE_TOL = 1e-9
+# the corollary reads the first four distinct eigenvalues; the window that
+# holds them sits this far (relative) above the value that sizes it
+_DISTINCT = 4
+_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -66,11 +76,11 @@ class SpectralTest:
 class EvenMultiplicityTest:
     """Parity of the first distinct multiplicities, both ways.
 
-    ``multiplicities`` lists the first (up to) ``m_max`` distinct
+    ``multiplicities`` lists the first (up to) four distinct
     multiplicities inside the certified part of the table; ``all_even`` is
     the direct parity answer, ``reduction_holds`` the equivalent
     ``lambda_4 < lambda_0^1`` comparison.  ``explanation`` is non-empty only
-    when the table could not certify enough distinct eigenvalues, in which
+    when the table could not certify four distinct eigenvalues, in which
     case ``all_even`` is conservatively false.
     """
 
@@ -100,7 +110,6 @@ class ObstructionReport:
     abreu_freitas_test: SpectralTest
     even_multiplicity_test: EvenMultiplicityTest
     negative_curvature_witness: float | None
-    trace_flag: TraceFlag
     verdict: str
     spectral_verdict: str
     consistency_failures: tuple[str, ...]
@@ -127,12 +136,6 @@ class ObstructionReport:
                 "lambda_m": em.lambda_m,
                 "explanation": em.explanation},
             "negative_curvature_witness": self.negative_curvature_witness,
-            "trace_flag": {
-                "trace0": self.trace_flag.trace0,
-                "threshold": self.trace_flag.threshold,
-                "partial_sum": self.trace_flag.partial_sum,
-                "suggestive": self.trace_flag.suggestive,
-                "label": "informational only"},
             "verdict": self.verdict,
             "spectral_verdict": self.spectral_verdict,
             "consistency_failures": list(self.consistency_failures),
@@ -143,14 +146,14 @@ class ObstructionReport:
 # individual tests
 # ---------------------------------------------------------------------------
 
-def _golden_extremum(fn, a: float, b: float, n_iter: int = 64,
+def _golden_extremum(fn, a: float, b: float,
                      find_max: bool = True) -> tuple[float, float]:
     """Golden-section search on [a, b]; returns (arg, value)."""
     sign = 1.0 if find_max else -1.0
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     fc, fd = sign * fn(c), sign * fn(d)
-    for _ in range(n_iter):
+    for _ in range(_GOLDEN_STEPS):
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
@@ -163,17 +166,16 @@ def _golden_extremum(fn, a: float, b: float, n_iter: int = 64,
     return x, sign * max(fc, fd)
 
 
-def sup_test(p: Profile, tol_sup: float = 1e-9,
-             n_grid: int = 4096) -> SupTest:
+def sup_test(p: Profile) -> SupTest:
     """Global maximum of ``|f'|`` and the decisive embeddability verdict.
 
     Dense uniform grid (endpoints included — the poles attain ``|f'| = 2``
     exactly), then golden-section refinement inside every bracket around an
     interior grid local maximum.  Embeddable iff the max is at most
-    ``2 + tol_sup``.
+    ``2 + 1e-9``.
     """
     require_valid(p, context="sup_test")
-    xs = np.linspace(-1.0, 1.0, n_grid + 1)
+    xs = np.linspace(-1.0, 1.0, _GRID + 1)
     slopes = np.abs(np.asarray(p.df(xs), dtype=float))
     best_i = int(np.argmax(slopes))
     best_x, best_v = float(xs[best_i]), float(slopes[best_i])
@@ -188,16 +190,14 @@ def sup_test(p: Profile, tol_sup: float = 1e-9,
         if v > best_v:
             best_x, best_v = x, v
     return SupTest(max_slope=best_v, argmax_x=best_x,
-                   embeddable=bool(best_v <= 2.0 + tol_sup))
+                   embeddable=bool(best_v <= 2.0 + _SLOPE_TOL))
 
 
-def spectral_test(p: Profile, threshold: float = 3.0,
-                  target_rel_err: float = 1e-8) -> SpectralTest:
+def spectral_test(p: Profile, threshold: float = 3.0) -> SpectralTest:
     """First invariant eigenvalue against a threshold; exceeding 3 obstructs
     embedding (use ``ABREU_FREITAS_THRESHOLD`` for the external variant)."""
     require_valid(p, context="spectral_test")
-    lam = _Channels(p, target_rel_err)(0, 1).eigenvalues[0]
-    return _threshold_test(lam, threshold)
+    return _threshold_test(_Channels(p)(0, 1).eigenvalues[0], threshold)
 
 
 def _threshold_test(lambda01: float, threshold: float) -> SpectralTest:
@@ -205,52 +205,39 @@ def _threshold_test(lambda01: float, threshold: float) -> SpectralTest:
                         triggered=bool(lambda01 > threshold))
 
 
-def even_multiplicity_test(p: Profile, m_max: int = 4,
-                           cluster_tol: float = 1e-6,
-                           margin: float = 1e-3,
-                           lambda01: float | None = None) -> EvenMultiplicityTest:
-    """Parity of the first ``m_max`` distinct multiplicities, cross-checked.
+def even_multiplicity_test(p: Profile,
+                           cluster_tol: float = 1e-6) -> EvenMultiplicityTest:
+    """Parity of the first four distinct multiplicities, cross-checked.
 
-    Enumerates just past ``lambda_0^1`` (so the invariant eigenvalue and any
-    cluster it joins are in view); when that window holds fewer than
-    ``m_max`` distinct eigenvalues — the round sphere's situation, where the
-    first distinct eigenvalue *is* the invariant one — it widens once, past
-    the ``m_max``-th eigenvalue of channel 1, which dominates the
-    ``m_max``-th distinct eigenvalue of the full spectrum.  The
-    ``lambda_m < lambda_0^1`` reduction is evaluated on the same table and
-    must agree with the direct parity reading — disagreement raises, since
-    the equivalence is a theorem.  Pass a precomputed ``lambda01`` to reuse
-    an earlier channel-0 solve.  Both windows read one solve per channel.
+    Enumerates below ``W = min(lambda_1^4, lambda_4^1) (1 + 1e-3)``, a
+    window that holds four distinct eigenvalues for two proved reasons:
+    channel 1 is a Sturm-Liouville problem, so its spectrum is simple, and
+    ``lambda_1^1 < ... < lambda_4^1``, because the form of ``L_k`` grows
+    with ``k^2``.  So the first four distinct eigenvalues lie below ``W``,
+    where the table is complete, and ``lambda_0^1`` is read afterwards from
+    the same store of channel solves.  The ``lambda_4 < lambda_0^1``
+    reduction is evaluated on the same table and must agree with the direct
+    parity reading — disagreement raises, since the equivalence is a
+    theorem.  A ``cluster_tol`` large enough to merge some of the four
+    leaves parity undecidable, reported as not-all-even.
     """
     require_valid(p, context="even_multiplicity_test")
-    return _even_multiplicity_test(_Channels(p), m_max, cluster_tol, margin,
-                                   lambda01)
-
-
-def _even_multiplicity_test(channels: _Channels, m_max: int = 4,
-                            cluster_tol: float = 1e-6, margin: float = 1e-3,
-                            lambda01: float | None = None) -> EvenMultiplicityTest:
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
-    if lambda01 is None:
-        lambda01 = channels(0, 1).eigenvalues[0]
-    below = lambda01 * (1.0 + margin)
-    for _ in range(2):
-        table = _enumerate_below(channels, below, cluster_tol)
-        certified = [e for e in table.entries if e.value <= table.cutoff]
-        if len(certified) >= m_max:
-            break
-        below = max(below, channels(1, m_max).eigenvalues[-1] * (1.0 + margin))
-    else:
+    channels = _Channels(p)
+    below = min(channels(1, _DISTINCT).eigenvalues[-1],
+                channels(_DISTINCT, 1).eigenvalues[0]) * (1.0 + _MARGIN)
+    table = _enumerate_below(channels, below, cluster_tol)
+    lambda01 = channels(0, 1).eigenvalues[0]
+    certified = [e for e in table.entries if e.value <= table.cutoff]
+    if len(certified) < _DISTINCT:
         return EvenMultiplicityTest(
             multiplicities=tuple(e.multiplicity for e in certified),
             all_even=False, reduction_holds=False, lambda01=lambda01,
             lambda_m=None, table=table,
             explanation=(
                 f"only {len(certified)} distinct eigenvalues certified below "
-                f"{table.cutoff:.6g}; need {m_max} — parity undecidable, "
+                f"{table.cutoff:.6g}; need {_DISTINCT} — parity undecidable, "
                 f"reported as not-all-even"))
-    head = certified[:m_max]
+    head = certified[:_DISTINCT]
     mults = tuple(e.multiplicity for e in head)
     all_even = all(m % 2 == 0 for m in mults)
     lambda_m = head[-1].value
@@ -258,7 +245,7 @@ def _even_multiplicity_test(channels: _Channels, m_max: int = 4,
     if reduction != all_even:
         raise SpectrumInvariantError(
             f"even-multiplicity formulations disagree: direct parity "
-            f"{mults} -> {all_even}, but lambda_{m_max}={lambda_m!r} vs "
+            f"{mults} -> {all_even}, but lambda_{_DISTINCT}={lambda_m!r} vs "
             f"lambda_0^1={lambda01!r} -> {reduction}; table or solver is "
             f"inconsistent")
     return EvenMultiplicityTest(multiplicities=mults, all_even=all_even,
@@ -266,8 +253,7 @@ def _even_multiplicity_test(channels: _Channels, m_max: int = 4,
                                 lambda_m=lambda_m, table=table)
 
 
-def negative_curvature_witness(p: Profile,
-                               n_grid: int = 4096) -> float | None:
+def negative_curvature_witness(p: Profile) -> float | None:
     """A point where the Gauss curvature is negative, or None at this resolution.
 
     Samples ``K = -f''/2`` on a dense grid and refines around the most
@@ -275,13 +261,13 @@ def negative_curvature_witness(p: Profile,
     witness was *found*; it is not a proof that curvature is nonnegative.
     """
     require_valid(p, context="negative_curvature_witness")
-    xs = np.linspace(-1.0, 1.0, n_grid + 1)
+    xs = np.linspace(-1.0, 1.0, _GRID + 1)
     ks = np.asarray(curvature(p, xs), dtype=float)
     i = int(np.argmin(ks))
     if ks[i] >= 0.0:
         return None
     lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, n_grid)])
+    hi = float(xs[min(i + 1, _GRID)])
     x, v = _golden_extremum(lambda t: float(curvature(p, t)), lo, hi,
                             find_max=False)
     return x if v < 0.0 else float(xs[i])
@@ -293,14 +279,11 @@ def trace_flag(p: Profile, j_terms: int = 24) -> TraceFlag:
     The trace is taken from its exact integral form; a reciprocal partial
     sum over ``j_terms`` computed eigenvalues (a strict lower bound of the
     same trace) is reported alongside as corroboration.  Never a verdict
-    source.  Its eigenvalues are refined to the one target of all solves, 1e-8.
+    source, and not part of :func:`full_report`.  Its eigenvalues are
+    refined to the one target of all solves, 1e-8.
     """
-    return _trace_flag(_Channels(p), j_terms)
-
-
-def _trace_flag(channels: _Channels, j_terms: int = 24) -> TraceFlag:
-    t0 = trace0_integral(channels.p)
-    cs = channels(0, j_terms)
+    t0 = trace0_integral(p)
+    cs = _Channels(p)(0, j_terms)
     return TraceFlag(trace0=t0, threshold=TRACE_FLAG_THRESHOLD,
                      partial_sum=trace_partial_sum(cs, j_terms),
                      suggestive=bool(t0 <= TRACE_FLAG_THRESHOLD))
@@ -317,19 +300,15 @@ def full_report(p: Profile, cluster_tol: float = 1e-6) -> ObstructionReport:
     happy, or a trigger without a negative-curvature point — land in
     ``consistency_failures``; a non-empty list indicates a bug, not a
     geometric discovery.  The external Abreu–Freitas comparison is reported
-    but takes part in no verdict and no consistency check.  Every test reads
-    its channels from one store made for this call, each refined to one
-    target (1e-8).  The trace flag's 24 values are the deepest channel-0
-    request, so they come first and later requests up to 24 read that solve.
+    but takes part in no verdict and no consistency check.  Both threshold
+    tests read ``lambda_0^1`` from the even-multiplicity test, whose one
+    store of channel solves refines channel 0 once per report.
     """
     require_valid(p, context="full_report")
     sup = sup_test(p)
-    channels = _Channels(p)
-    flag = _trace_flag(channels)
-    lam01 = channels(0, 1).eigenvalues[0]
-    spec = _threshold_test(lam01, 3.0)
-    af = _threshold_test(lam01, ABREU_FREITAS_THRESHOLD)
-    even = _even_multiplicity_test(channels, cluster_tol=cluster_tol)
+    even = even_multiplicity_test(p, cluster_tol=cluster_tol)
+    spec = _threshold_test(even.lambda01, 3.0)
+    af = _threshold_test(even.lambda01, ABREU_FREITAS_THRESHOLD)
     witness = negative_curvature_witness(p)
 
     failures = []
@@ -351,5 +330,5 @@ def full_report(p: Profile, cluster_tol: float = 1e-6) -> ObstructionReport:
     return ObstructionReport(
         sup_test=sup, spectral_test=spec, abreu_freitas_test=af,
         even_multiplicity_test=even, negative_curvature_witness=witness,
-        trace_flag=flag, verdict=verdict, spectral_verdict=spectral_verdict,
+        verdict=verdict, spectral_verdict=spectral_verdict,
         consistency_failures=tuple(failures))

@@ -23,7 +23,7 @@ from pathlib import Path
 
 __all__ = ["SCHEMA_VERSION", "fmt17", "json_text", "write_text", "write_bytes"]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def fmt17(x: float) -> str:

@@ -69,7 +69,8 @@ def test_analyze_round(capsys):
     code, out, _ = run(capsys, "analyze", "--builtin", "round")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema"] == 1
+    assert doc["schema"] == 2
+    assert "trace_flag" not in doc["obstructions"]
     assert doc["validation"]["passed"] is True
     assert doc["obstructions"]["verdict"] == "embeddable"
     assert doc["bounds"]["lambda01_upper"] == pytest.approx(2.0)
@@ -293,6 +294,16 @@ def test_sweep_round_and_pinch_rows(capsys):
     assert r9[6] == "2;2;2;2"
     assert (r9[7], r9[8]) == ("not_embeddable", "not_embeddable")
     assert r9[9] == ""
+
+
+def test_sweep_reports_sharp_pinches(capsys):
+    code, out, _ = run(capsys, "sweep", "--eps", "300,1000", "--n", "18")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["300", "1000"]
+    for r in rows:
+        assert r[6] == "2;2;2;2"
+        assert (r[8], r[9]) == ("not_embeddable", "")
 
 
 def test_sweep_captures_per_row_failures(capsys, monkeypatch):

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from revspec.embed import (
-    _OBJ_BLOCK_ROWS, EmbeddingMesh, GrazingClampWarning, MeshError, NotEmbeddableError,
+    _AREA_BLOCK_FACES, _OBJ_BLOCK_ROWS, EmbeddingMesh, GrazingClampWarning,
+    MeshError, NotEmbeddableError,
     ProfileCurve, curve_csv_text, embed_profile_curve, euler_characteristic,
     export_obj, induced_metric_residual, make_mesh, mesh_area,
 )
@@ -271,6 +272,15 @@ def test_mesh_area_approaches_the_fixed_total(round_profile, round_curve):
     target = 4 * np.pi
     assert abs(fine - target) / target < 2e-3
     assert abs(fine - target) < abs(coarse - target)
+
+
+def test_mesh_area_sums_every_face_once(round_profile):
+    mesh = make_mesh(embed_profile_curve(round_profile, n_samples=384), n_theta=96)
+    assert _AREA_BLOCK_FACES < mesh.faces.shape[0] < 2 * _AREA_BLOCK_FACES
+    v, f = mesh.vertices, mesh.faces
+    cr = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
+    whole = 0.5 * np.sum(np.linalg.norm(cr, axis=1))
+    assert mesh_area(mesh) == pytest.approx(whole, rel=1e-13)
 
 
 # ---------------------------------------------------------------------------

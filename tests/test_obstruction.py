@@ -4,13 +4,17 @@ import sys
 
 import pytest
 
+import revspec.obstruction as obstruction
 import revspec.solver as solver
+from revspec.families import squeeze_profile
 from revspec.obstruction import (
     ABREU_FREITAS_THRESHOLD, TRACE_FLAG_THRESHOLD, XI1,
     even_multiplicity_test, full_report, negative_curvature_witness,
     spectral_test, sup_test, trace_flag,
 )
 from revspec.profile import curvature, profile_from_text
+from revspec.solver import refine
+from revspec.spectrum import enumerate_below
 
 
 @pytest.fixture(scope="module")
@@ -83,12 +87,37 @@ def test_even_multiplicities_pinched(pinched_profile):
     assert t.lambda_m < t.lambda01
 
 
-def test_even_multiplicity_reuses_a_given_lambda01(round_profile):
-    direct = even_multiplicity_test(round_profile)
-    reused = even_multiplicity_test(round_profile, lambda01=direct.lambda01)
-    assert reused.multiplicities == direct.multiplicities
-    with pytest.raises(ValueError):
-        even_multiplicity_test(round_profile, m_max=0)
+def test_the_window_holds_the_first_four_distinct_eigenvalues(small_family):
+    """The window sized by channels 1-4 gives what the wider window past
+    both lambda_0^1 and lambda_1^4 certifies.  The family opens with both
+    builtins: the round sphere, and squeeze(9, 36), which is paper-example."""
+    for p in small_family:
+        t = even_multiplicity_test(p)
+        wide = max(refine(p, 0, 1).eigenvalues[0],
+                   refine(p, 1, 4).eigenvalues[-1]) * (1.0 + 1e-3)
+        table = enumerate_below(p, wide)
+        head = [e for e in table.entries if e.value <= table.cutoff][:4]
+        assert t.explanation == "", p.name
+        assert t.multiplicities == tuple(e.multiplicity for e in head), p.name
+        assert t.lambda_m == pytest.approx(head[-1].value, rel=1e-10), p.name
+
+
+# squeeze-grid points with a large lambda_0^1: a window sized by it would
+# ask channel 1 for up to 233 eigenvalues, which do not converge
+FORMERLY_FAILING_PINCHES = [(100, 72), (100, 144), (300, 36), (300, 72),
+                            (300, 144), (1000, 36), (1000, 72), (1000, 144)]
+
+
+@pytest.mark.parametrize("eps,n", FORMERLY_FAILING_PINCHES)
+def test_sharp_pinches_get_a_report(eps, n):
+    r = full_report(squeeze_profile(eps, n))
+    assert r.even_multiplicity_test.multiplicities == (2, 2, 2, 2)
+    assert r.spectral_verdict == "not_embeddable"
+    assert r.consistency_failures == ()
+    if (eps, n) == (300, 72):
+        # Chebyshev collocation at 160 points gives 231.87716375783
+        assert r.spectral_test.lambda01 == pytest.approx(231.87716375783,
+                                                         abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -160,25 +189,43 @@ def test_full_report_borderline(borderline_profile):
 def test_report_json_labels(pinched_profile):
     doc = full_report(pinched_profile).to_json_dict()
     assert doc["abreu_freitas_test"]["label"] == "external (Abreu-Freitas)"
-    assert doc["trace_flag"]["label"] == "informational only"
     assert doc["verdict"] == "not_embeddable"
     assert doc["even_multiplicity_test"]["multiplicities"] == [2, 2, 2, 2]
 
 
-def _count_refines(monkeypatch) -> list[int]:
-    """Channels of every ``refine`` call, under each name that holds it."""
-    channels, original = [], solver.refine
+def _record_calls(monkeypatch, original, record) -> list:
+    """``record(*args, **kwargs)`` of every call of ``original``, under each
+    name that holds it in a loaded revspec module."""
+    calls = []
 
-    def counting(p, k, *args, **kwargs):
-        channels.append(k)
-        return original(p, k, *args, **kwargs)
+    def spy(*args, **kwargs):
+        calls.append(record(*args, **kwargs))
+        return original(*args, **kwargs)
 
     for name, mod in list(sys.modules.items()):
         if mod is not None and name.split(".")[0] == "revspec":
             for key, value in list(vars(mod).items()):
                 if value is original:
-                    monkeypatch.setattr(mod, key, counting)
-    return channels
+                    monkeypatch.setattr(mod, key, spy)
+    return calls
+
+
+def _count_refines(monkeypatch) -> list[int]:
+    """Channels of every ``refine`` call, under each name that holds it."""
+    return _record_calls(monkeypatch, solver.refine,
+                         lambda p, k, *args, **kwargs: k)
+
+
+def test_full_report_is_composed_of_the_public_tests(pinched_profile,
+                                                     monkeypatch):
+    names = ("sup_test", "even_multiplicity_test", "negative_curvature_witness")
+    calls = {name: _record_calls(monkeypatch, getattr(obstruction, name),
+                                 lambda p, *args, **kwargs: p)
+             for name in names}
+    full_report(pinched_profile)
+    for name in names:
+        assert len(calls[name]) == 1, name
+        assert calls[name][0] is pinched_profile, name
 
 
 @pytest.mark.parametrize("which", ["round", "pinched"])
@@ -219,5 +266,3 @@ def test_full_report_agrees_with_the_standalone_tests(round_profile,
                          spectral_test(p, threshold=ABREU_FREITAS_THRESHOLD)))
         _assert_same(dataclasses.asdict(r.even_multiplicity_test),
                      dataclasses.asdict(even_multiplicity_test(p)))
-        _assert_same(dataclasses.asdict(r.trace_flag),
-                     dataclasses.asdict(trace_flag(p)))
