@@ -194,32 +194,41 @@ def make_mesh(curve: ProfileCurve, n_theta: int = 64) -> EmbeddingMesh:
     ct, st = np.cos(theta), np.sin(theta)
     rings = n - 2
     ring_a, ring_z = curve.a[1:-1, None], curve.z[1:-1, None]
-    ring = np.stack(np.broadcast_arrays(ring_a * ct, ring_a * st, ring_z), axis=-1)
-    poles = [(0.0, 0.0, curve.z[0]), (0.0, 0.0, curve.z[-1])]
-    verts = np.concatenate([ring.reshape(-1, 3), poles])
+    verts = np.empty((n_theta * rings + 2, 3))
+    ring = verts[:-2].reshape(rings, n_theta, 3)
+    np.multiply(ring_a, ct, out=ring[:, :, 0])
+    np.multiply(ring_a, st, out=ring[:, :, 1])
+    ring[:, :, 2] = ring_z
+    verts[-2:] = (0.0, 0.0, curve.z[0]), (0.0, 0.0, curve.z[-1])
     south, north = n_theta * rings, n_theta * rings + 1
+
+    # each strip is a frustum of planar trapezoids, so the enclosed volume
+    # is n_theta sin(2 pi/n_theta)/6 sum (a_i^2 + a_i a_i+1 + a_i+1^2) dz_i,
+    # pole radii 0; the faces below point outward exactly when it is
+    # positive, and a downward curve gets columns 0 and 2 swapped
+    a = np.concatenate(([0.0], curve.a[1:-1], [0.0]))
+    lo_a, hi_a = a[:-1], a[1:]
+    flip = np.sum((lo_a * lo_a + lo_a * hi_a + hi_a * hi_a) * np.diff(curve.z)) < 0.0
+    c0, c2 = (2, 0) if flip else (0, 2)
 
     j = np.arange(n_theta, dtype=np.int64)
     jn = (j + 1) % n_theta
     lo = n_theta * np.arange(rings - 1, dtype=np.int64)[:, None]
-    hi = lo + n_theta
     top = (rings - 1) * n_theta
+    f = np.empty((2 * n_theta * rings, 3), dtype=np.int64)
+    fan = f[:n_theta]
+    fan[:, c0], fan[:, 1], fan[:, c2] = south, jn, j
     # per ring, per j: the split quad (lo+j, lo+jn, hi+j), (lo+jn, hi+jn, hi+j)
-    strips = np.stack([lo + j, lo + jn, hi + j, lo + jn, hi + jn, hi + j], axis=-1)
-    f = np.concatenate([
-        np.column_stack([np.full(n_theta, south), jn, j]),
-        strips.reshape(-1, 3),
-        np.column_stack([np.full(n_theta, north), top + j, top + jn])])
-
-    # each strip is a frustum of planar trapezoids, so the enclosed volume
-    # is n_theta sin(2 pi/n_theta)/6 sum (a_i^2 + a_i a_i+1 + a_i+1^2) dz_i,
-    # pole radii 0; these faces point outward exactly when it is positive
-    a = np.concatenate(([0.0], curve.a[1:-1], [0.0]))
-    lo_a, hi_a = a[:-1], a[1:]
-    if np.sum((lo_a * lo_a + lo_a * hi_a + hi_a * hi_a) * np.diff(curve.z)) < 0.0:
-        f = f[:, ::-1]
-    return EmbeddingMesh(vertices=verts, faces=np.ascontiguousarray(f),
-                         curve=curve, n_theta=n_theta)
+    quad = f[n_theta:-n_theta].reshape(rings - 1, n_theta, 2, 3)
+    np.add(lo, j, out=quad[:, :, 0, c0])
+    np.add(lo, jn, out=quad[:, :, 0, 1])
+    np.add(quad[:, :, 0, c0], n_theta, out=quad[:, :, 0, c2])
+    quad[:, :, 1, c0] = quad[:, :, 0, 1]
+    np.add(quad[:, :, 0, 1], n_theta, out=quad[:, :, 1, 1])
+    quad[:, :, 1, c2] = quad[:, :, 0, c2]
+    fan = f[-n_theta:]
+    fan[:, c0], fan[:, 1], fan[:, c2] = north, top + j, top + jn
+    return EmbeddingMesh(vertices=verts, faces=f, curve=curve, n_theta=n_theta)
 
 
 def mesh_area(mesh: EmbeddingMesh) -> float:

@@ -128,12 +128,17 @@ class ChannelSpectrum:
     relative change against the half-size basis (infinite where the smaller
     basis could not produce a partner).  The ``-k`` channel is identical by
     symmetry; callers fold negative ``k`` through ``abs`` before solving.
+    ``ritz_values`` holds the lowest ``basis_size / 2`` Rayleigh-Ritz values
+    of the same basis, converged or not (the first ``len(eigenvalues)`` of
+    them are ``eigenvalues``): each is an upper bound of the true eigenvalue
+    of its index, up to quadrature error where ``f`` is not a polynomial.
     """
 
     k: int
     eigenvalues: tuple[float, ...]
     basis_size: int
     convergence_estimates: tuple[float, ...]
+    ritz_values: tuple[float, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -323,9 +328,11 @@ def solve_channel(p: Profile, k: int, n_eigs: int, basis_size: int, *,
     est = np.full(n_eigs, np.inf)
     m = min(n_eigs, ref.size)
     est[:m] = np.abs(lam[:m] - ref[:m]) / np.abs(lam[:m])
-    return ChannelSpectrum(k=k, eigenvalues=tuple(float(v) for v in lam),
-                           basis_size=N,
-                           convergence_estimates=tuple(float(v) for v in est))
+    # eigenvalues is a slice of the Ritz tuple: one set of float objects
+    ritz = tuple(vals[:N // 2].tolist())
+    return ChannelSpectrum(k=k, eigenvalues=ritz[:n_eigs], basis_size=N,
+                           convergence_estimates=tuple(est.tolist()),
+                           ritz_values=ritz)
 
 
 def refine(p: Profile, k: int, n_eigs: int, target_rel_err: float = 1e-8,

@@ -8,20 +8,33 @@ certifies completeness below a cutoff using the per-channel lower bounds
 
     lambda_0^m > 2m / int (1-x^2)/f,      lambda_k^m > m |k|   (k != 0),
 
-which convert a target ``Lambda`` into a finite solve budget per channel and
-a hard bound on which channels can contribute at all.
+which convert a target ``Lambda`` into an a-priori solve budget per channel.
+
+Which channels can contribute at all follows from min-max.  For ``k >= 1``
+the forms ``q_k(u) = int f u'^2 + k^2 int u^2/f`` share one form domain and
+``q_{k+1} - q_k = (2k+1) int u^2/f > 0``, so ``lambda_{k+1}^j > lambda_k^j``
+for every ``j``: once a channel ``k >= 1`` has no eigenvalue at or below
+``Lambda``, no higher channel has one, and the enumeration stops there.
 
 Trace side: the Green's operator of channel ``k`` has trace ``1/|k|`` for
 ``k != 0`` and ``(1/2) int (1-x^2)/f`` for the invariant channel; these are
-exact identities, so partial reciprocal sums from a solve must increase
-strictly toward them from below — a free consistency check on every
-spectrum this module touches.  The first invariant eigenvalue is also
-bounded above by ``(3/2) int f``, with equality only for the round sphere.
+exact identities (for ``k != 0``, ``e^{+-k tau}`` with ``d tau = dx/f``
+solve ``L_k u = 0``, so ``G(x, x) = 1/(2k)``).  They certify counts: with
+Rayleigh-Ritz values ``v_1 <= ... <= v_M``, each an upper bound of the true
+eigenvalue of its index, and ``m = #{v_j <= Lambda} < M``, a hidden true
+``mu_{m+1} <= Lambda`` would force ``T >= S_M - 1/v_{m+1} + 1/Lambda`` with
+``S_M = sum 1/v_j``.  So ``T - S_M < 1/Lambda - 1/v_{m+1}`` proves that the
+channel has exactly ``m`` eigenvalues at or below ``Lambda``, whether or not
+``v_{m+1..M}`` have converged.  Caveat: the upper-bound property assumes the
+stiffness form is integrated exactly, which for a non-polynomial ``f`` holds
+only up to quadrature error.  The first invariant eigenvalue is also bounded
+above by ``(3/2) int f``, with equality only for the round sphere.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .profile import Profile, require_valid
@@ -153,7 +166,11 @@ def trace_partial_sum(cs: ChannelSpectrum, j_count: int) -> float:
         raise ValueError(
             f"j_count={j_count} outside the available range "
             f"1..{len(cs.eigenvalues)}")
-    return float(sum(1.0 / v for v in cs.eigenvalues[:j_count]))
+    return _reciprocal_sum(cs.eigenvalues[:j_count])
+
+
+def _reciprocal_sum(values) -> float:
+    return float(sum(1.0 / v for v in values))
 
 
 def lambda01_upper_bound(p: Profile) -> float:
@@ -180,6 +197,19 @@ def _channel_budget(below: float, k: int, trace0: float) -> int:
     return max(1, math.ceil(below / k))
 
 
+def _trace_count(cs: ChannelSpectrum, below: float) -> int | None:
+    """Number of eigenvalues at or below ``below`` of channel ``cs.k >= 1``,
+    certified by the trace identity on its Ritz values (module docstring),
+    or None when the certificate fails or counts an unconverged value."""
+    v = cs.ritz_values
+    m = bisect_right(v, below)
+    if m >= len(v) or m > len(cs.eigenvalues):
+        return None
+    if 1.0 / cs.k - _reciprocal_sum(v) < 1.0 / below - 1.0 / v[m]:
+        return m
+    return None
+
+
 def channel_lower_bound(p: Profile, k: int, m: int) -> float:
     """Lower bound for the ``m``-th eigenvalue of channel ``k``.
 
@@ -204,6 +234,14 @@ def bounds_report(p: Profile, k_max: int = 4, m_max: int = 4) -> BoundsReport:
 # ---------------------------------------------------------------------------
 # enumeration with a completeness certificate
 # ---------------------------------------------------------------------------
+
+# A channel k >= 1 whose a-priori budget exceeds this many eigenvalues is
+# first asked for this many, to be counted by the trace certificate ...
+_TRACE_FIRST_REQUEST = 8
+# ... and each refused certificate multiplies the request by this, up to
+# the budget
+_TRACE_REQUEST_GROWTH = 2
+
 
 class _Channels:
     """One profile's channel spectra, at most one per ``k``, refined to one
@@ -232,16 +270,22 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
                     basis_cap: int = REFINE_CAP) -> SpectrumTable:
     """All distinct Laplace eigenvalues in ``(0, below]`` with multiplicities.
 
-    Channels ``1 <= k < below`` are the only ones whose first eigenvalue can
-    undercut ``below`` (it exceeds ``k``); each is solved just deep enough
-    that its lower bound puts its last requested eigenvalue past ``below``,
-    and a channel whose computed values do not clear the bar raises
-    :class:`BudgetError`, since the bound has then been broken.
-    Contributions within relative ``cluster_tol`` of a cluster's first
-    member merge into one entry whose value is the cluster mean; an entry
-    drawing on several channels is the degeneracy signal, visible in its
-    attribution list.  The result passes :func:`check_invariants` before
-    being returned.
+    Channels are solved in the order ``k = 0, 1, 2, ...`` and the walk
+    stops after the first ``k >= 1`` with no eigenvalue at or below
+    ``below``: by min-max no higher channel has one (module docstring).
+    Channel 0, and any channel whose a-priori budget is at most 8
+    eigenvalues, is solved to that budget, just deep enough that its lower
+    bound puts its last requested eigenvalue past ``below``; a channel
+    whose computed values do not clear the bar raises :class:`BudgetError`,
+    since the bound has then been broken.  Any other channel is first asked
+    for 8 eigenvalues, and its count is taken from the trace certificate
+    when that holds; each refusal doubles the request, up to the a-priori
+    budget, which is the fallback; the Ritz values past the request need
+    not meet ``target_rel_err``.  Contributions within relative
+    ``cluster_tol`` of a cluster's first member merge into one entry whose
+    value is the cluster mean; an entry drawing on several channels is the
+    degeneracy signal, visible in its attribution list.  The result passes
+    :func:`check_invariants` before being returned.
     """
     require_valid(p, context="enumerate_below")
     return _enumerate_below(_Channels(p, target_rel_err, basis_cap), below,
@@ -264,7 +308,7 @@ def _enumerate_below(channels: _Channels, below: float,
     t0 = trace0_integral(channels.p)
     k_max = math.ceil(below) - 1
     # budgets only shrink with k, so the worst ones are k = 0 and k = 1;
-    # check them before materializing anything sized by k_max
+    # check them before any solve
     worst_budget = _channel_budget(below, 0, t0)
     if k_max >= 1:
         worst_budget = max(worst_budget, _channel_budget(below, 1, t0))
@@ -272,21 +316,15 @@ def _enumerate_below(channels: _Channels, below: float,
         raise BudgetError(
             f"cutoff {below:g} needs {worst_budget} eigenvalues in one channel; "
             f"the basis cap {channels.basis_cap} supports at most {n_cap}")
-    budgets = {k: _channel_budget(below, k, t0) for k in range(0, k_max + 1)}
 
     found: list[tuple[float, int, int]] = []  # (value, k, j)
     worst_est = 0.0
-    for k, n in sorted(budgets.items()):
-        cs = channels(k, n)
-        if cs.eigenvalues[-1] <= below:
-            raise BudgetError(
-                f"channel {k} did not clear {below:g} within its budget of {n} "
-                f"eigenvalues — lower-bound logic violated, solve untrustworthy")
-        for j, (lam, est) in enumerate(zip(cs.eigenvalues,
-                                           cs.convergence_estimates), start=1):
-            if lam <= below:
-                found.append((lam, k, j))
-                worst_est = max(worst_est, est)
+    for k in range(k_max + 1):
+        cs = _channel_below(channels, k, below, t0)
+        found.extend((lam, k, j) for j, lam in enumerate(cs.eigenvalues, start=1))
+        worst_est = max([worst_est, *cs.convergence_estimates])
+        if k and not cs.eigenvalues:
+            break
 
     found.sort()
     clusters: list[list[tuple[float, int, int]]] = []
@@ -307,6 +345,31 @@ def _enumerate_below(channels: _Channels, below: float,
                           cluster_tol=cluster_tol)
     check_invariants(table, trace0=t0)
     return table
+
+
+def _channel_below(channels: _Channels, k: int, below: float,
+                   t0: float) -> ChannelSpectrum:
+    """Channel ``k``'s spectrum cut to its eigenvalues at or below ``below``:
+    by the trace certificate for ``k >= 1`` while the request is below the
+    a-priori budget, else by the budget itself (see :func:`enumerate_below`)."""
+    budget = _channel_budget(below, k, t0)
+    n = budget if k == 0 else min(budget, _TRACE_FIRST_REQUEST)
+    while n < budget:
+        cs = channels(k, n)
+        m = _trace_count(cs, below)
+        if m is not None:
+            break
+        n = min(_TRACE_REQUEST_GROWTH * n, budget)
+    else:
+        cs = channels(k, budget)
+        if cs.eigenvalues[-1] <= below:
+            raise BudgetError(
+                f"channel {k} did not clear {below:g} within its budget of "
+                f"{budget} eigenvalues — lower-bound logic violated, solve "
+                f"untrustworthy")
+        m = bisect_right(cs.eigenvalues, below)
+    return replace(cs, eigenvalues=cs.eigenvalues[:m],
+                   convergence_estimates=cs.convergence_estimates[:m])
 
 
 def check_invariants(table: SpectrumTable, p: Profile | None = None,

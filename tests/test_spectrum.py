@@ -1,5 +1,8 @@
 import ast
+import itertools
 import math
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -9,7 +12,7 @@ import pytest
 
 import revspec.obstruction as obstruction
 import revspec.spectrum as spectrum
-from revspec.solver import refine
+from revspec.solver import ChannelSpectrum, refine
 from revspec.spectrum import (
     BudgetError, SpectrumEntry, SpectrumInvariantError, SpectrumTable,
     bounds_report, channel_lower_bound, check_invariants, enumerate_below,
@@ -67,24 +70,39 @@ def test_bounds_report_uses_the_channel_lower_bound(which, round_profile,
 @pytest.mark.parametrize("which", ["round", "pinched"])
 def test_channel_budgets_push_the_next_bound_past_the_cutoff(
         which, below, round_profile, pinched_profile, monkeypatch):
-    """The first solve budget ``n`` of each channel leaves the lower bound
-    of index ``n + 1`` above the cutoff; a channel left unsolved has its
-    first bound at or above it."""
+    """The walk solves exactly the channels ``0..k0``, ``k0`` the first
+    channel with no value at or below the cutoff (or ``ceil(below)-1``, if
+    that comes first), and every channel in ``k0+1 .. ceil(below)-1``
+    indeed has its first eigenvalue above it; a higher channel has its
+    first bound at or above the cutoff.  Each solved channel's count rests
+    on a proof: its last request ``n`` leaves the lower bound of index
+    ``n + 1`` above the cutoff (always so for channel 0), or the trace
+    certificate holds on its Ritz values."""
     p = round_profile if which == "round" else pinched_profile
-    budgets = {}
+    last = {}
 
     def recording_refine(p, k, n_eigs, **kwargs):
-        budgets.setdefault(k, n_eigs)
-        return refine(p, k, n_eigs, **kwargs)
+        last[k] = refine(p, k, n_eigs, **kwargs)
+        return last[k]
 
     monkeypatch.setattr(spectrum, "refine", recording_refine)
-    enumerate_below(p, below)
-    assert sorted(budgets) == list(range(math.ceil(below)))
-    for k in range(6):
-        if k in budgets:
-            assert channel_lower_bound(p, k, budgets[k] + 1) > below
-        else:
-            assert channel_lower_bound(p, k, 1) >= below
+    table = enumerate_below(p, below)
+    counts = Counter(k for e in table.entries for k, _ in e.channels)
+    k0 = min(next(k for k in itertools.count(1) if counts[k] == 0),
+             math.ceil(below) - 1)
+    assert sorted(last) == list(range(k0 + 1))
+    for k in range(k0 + 1, math.ceil(below)):
+        assert refine(p, k, 1).eigenvalues[0] > below
+    for k in range(math.ceil(below), math.ceil(below) + 3):
+        assert channel_lower_bound(p, k, 1) >= below
+    assert channel_lower_bound(p, 0, len(last[0].eigenvalues) + 1) > below
+    for k, cs in last.items():
+        if channel_lower_bound(p, k, len(cs.eigenvalues) + 1) > below:
+            continue
+        v = cs.ritz_values
+        m = sum(x <= below for x in v)
+        assert m == counts[k] <= len(cs.eigenvalues) < len(v)
+        assert 1.0 / k - sum(1.0 / x for x in v) < 1.0 / below - 1.0 / v[m]
 
 
 def test_bounds_report_layout(round_profile):
@@ -223,7 +241,9 @@ def test_budget_error_names_the_given_basis_cap(round_profile):
 def test_a_channel_that_does_not_clear_its_budget_is_asked_once(round_profile):
     """The budget already puts the last requested eigenvalue past the
     cutoff, so a channel that stops short has broken the lower bound: it is
-    reported at once, not re-requested deeper."""
+    reported at once, not re-requested deeper.  Channel 1 (budget 13) is
+    first asked for 8 values, whose trace certificate fails (T - S_16 =
+    1/17 against 1/13 - 1/20), and then for its budget."""
     requests = []
 
     class Store(spectrum._Channels):
@@ -237,7 +257,7 @@ def test_a_channel_that_does_not_clear_its_budget_is_asked_once(round_profile):
     with pytest.raises(BudgetError, match="channel 2 did not clear 13 "
                                           "within its budget of 7 eigenvalues"):
         spectrum._enumerate_below(Store(round_profile), 13.0, 1e-6)
-    assert requests == [(0, 13), (1, 13), (2, 7)]
+    assert requests == [(0, 13), (1, 8), (1, 13), (2, 7)]
 
 
 def test_budget_error_is_immediate_even_for_absurd_cutoffs(round_profile):
@@ -247,6 +267,106 @@ def test_budget_error_is_immediate_even_for_absurd_cutoffs(round_profile):
     with pytest.raises(BudgetError):
         enumerate_below(round_profile, 1e300)
     assert time.monotonic() - start < 1.0
+
+
+def _exhaustive_table(every, below, cluster_tol=1e-6):
+    """``(channels, multiplicity, value)`` per distinct eigenvalue at or
+    below ``below``, merged as the module documents, from ``(k, j) ->
+    value`` solves."""
+    found = sorted((v, kj) for kj, v in every.items() if v <= below)
+    clusters = []
+    for v, kj in found:
+        if clusters and v <= clusters[-1][0][0] * (1.0 + cluster_tol):
+            clusters[-1].append((v, kj))
+        else:
+            clusters.append([(v, kj)])
+    return [(tuple(sorted(kj for _, kj in cl)),
+             sum(1 if k == 0 else 2 for _, (k, _) in cl),
+             sum(v for v, _ in cl) / len(cl)) for cl in clusters]
+
+
+def test_the_stop_rule_matches_an_exhaustive_enumeration(small_family):
+    """Every channel ``k < below`` solved to its a-priori budget gives the
+    table that the walk gives, which stops at the first empty channel and
+    counts the deep channels by the trace certificate.  ``small_family``
+    opens with the round sphere and the paper example."""
+    cutoffs = (3.0, 13.0, 21.0, 60.0)
+    top = max(cutoffs)
+    for p in small_family:
+        t0 = trace0_integral(p)
+        # one solve per channel at the largest cutoff's budget serves all
+        every = {}
+        for k in range(math.ceil(top)):
+            n = math.ceil(top * t0) if k == 0 else math.ceil(top / k)
+            cs = refine(p, k, n)
+            assert cs.eigenvalues[-1] > top
+            every.update(((k, j), v) for j, v in enumerate(cs.eigenvalues, 1))
+        for below in cutoffs:
+            table = enumerate_below(p, below)
+            expected = _exhaustive_table(every, below)
+            assert [e.channels for e in table.entries] == \
+                [chans for chans, _, _ in expected], (p.name, below)
+            assert [e.multiplicity for e in table.entries] == \
+                [mult for _, mult, _ in expected]
+            assert [e.value for e in table.entries] == \
+                pytest.approx([v for _, _, v in expected], rel=1e-9)
+
+
+def _round_channel_1(n_eigs, n_ritz, drop=None):
+    """Round-sphere channel 1, ``v_j = j (j + 1)``, trace 1: ``n_ritz`` Ritz
+    values, the first ``n_eigs`` of them converged, the ``drop``-th value
+    (1-based) left out."""
+    v = [float(j * (j + 1)) for j in range(1, n_ritz + 2) if j != drop][:n_ritz]
+    return ChannelSpectrum(k=1, eigenvalues=tuple(v[:n_eigs]), basis_size=2 * n_ritz,
+                           convergence_estimates=(0.0,) * n_eigs,
+                           ritz_values=tuple(v))
+
+
+def test_the_trace_certificate_counts_the_round_channel_1():
+    # T - S_M = 1/(M+1) against 1/Lambda - 1/v_{m+1}
+    assert spectrum._trace_count(_round_channel_1(8, 16), 3.0) == 1
+    assert spectrum._trace_count(_round_channel_1(8, 256), 21.0) == 4
+    assert spectrum._trace_count(_round_channel_1(8, 256), 20.0) == 4
+    # 1/17 is not below 1/21 - 1/30: too few Ritz values to tell
+    assert spectrum._trace_count(_round_channel_1(8, 16), 21.0) is None
+    # the four values below 21 must all be converged ones
+    assert spectrum._trace_count(_round_channel_1(4, 256), 21.0) == 4
+    assert spectrum._trace_count(_round_channel_1(3, 256), 21.0) is None
+    # with no Ritz value above the cutoff there is no v_{m+1} to compare
+    assert spectrum._trace_count(_round_channel_1(8, 16), 300.0) is None
+    # one left out far above the cutoff barely moves the sum
+    assert spectrum._trace_count(_round_channel_1(8, 256, drop=100), 21.0) == 4
+
+
+@pytest.mark.parametrize("drop", [1, 2, 3, 4])
+def test_the_trace_certificate_refuses_a_missing_eigenvalue(drop):
+    """Leaving out one true eigenvalue below the cutoff undercounts the
+    channel by one; the trace gap it leaves is too wide to certify."""
+    cs = _round_channel_1(8, 256, drop=drop)
+    assert bisect_right(cs.ritz_values, 21.0) == 3
+    assert spectrum._trace_count(cs, 21.0) is None
+
+
+def test_a_refused_certificate_doubles_the_request_then_falls_back(
+        round_profile, pinched_profile):
+    """Round, below 21: channel 1 (budget 21, four values below) is asked
+    for 8, refused (M = 16 Ritz values), asked for 16, refused again, and
+    solved to its budget.  Paper example, below 21: channel 1 (budget 21,
+    one value below) is certified by its first request."""
+    requests = []
+
+    class Store(spectrum._Channels):
+        def __call__(self, k, n):
+            requests.append((k, n))
+            return super().__call__(k, n)
+
+    table = spectrum._enumerate_below(Store(round_profile), 21.0, 1e-6)
+    assert [e.multiplicity for e in table.entries] == [3, 5, 7, 9]
+    assert [n for k, n in requests if k == 1] == [8, 16, 21]
+    requests.clear()
+    table = spectrum._enumerate_below(Store(pinched_profile), 21.0, 1e-6)
+    assert [n for k, n in requests if k == 1] == [8]
+    assert sum(1 for e in table.entries for k, _ in e.channels if k == 1) == 1
 
 
 # ---------------------------------------------------------------------------
