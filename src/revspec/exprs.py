@@ -22,18 +22,26 @@ Design notes:
   ``parse(to_string(e)) == e`` holds for every tree in normal form within
   the depth bound below (negative constants are represented as
   ``Neg(Const(...))``; ``differentiate`` only builds normal-form trees).
-* There is no simplification pass.  Second derivatives of a quotient get
-  large, but evaluation is vectorized over numpy arrays and stays cheap at
-  the grid sizes used by the solver.
+* There is no simplification pass, so second derivatives of a quotient get
+  large: the f'' of ``10*(1 - x^2)/(1 + 9*x^36)`` has 278 nodes.  Most are
+  repeats, 76 distinct subtrees in all.  :func:`evaluate` compiles a tree
+  once into a flat program with one slot per distinct subtree and runs it
+  vectorized over numpy arrays, so each is computed once per call, with
+  the tree's own operations and operand order: the values are those of a
+  node-by-node walk, bit for bit.
 * Evaluation raises :class:`EvalDomainError` naming the offending
-  subexpression for division by zero and for sqrt/log outside their domain.
-* Printing, evaluation and differentiation recurse, so :func:`parse`
-  refuses trees and parentheses nested deeper than :data:`MAX_DEPTH`.
+  subexpression for division by zero, a zero base with a negative
+  exponent, and sqrt/log outside their domain: the first failing node in
+  post-order, as a node-by-node walk would find it.
+* Printing and differentiation recurse, so :func:`parse` refuses trees and
+  parentheses nested deeper than :data:`MAX_DEPTH`.  Compiling walks the
+  tree with an explicit stack.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -53,6 +61,7 @@ FUNCTIONS = ("sqrt", "sin", "cos", "exp", "log")
 # Each level of a quotient adds three levels to its derivative, and printing
 # takes two frames per level: 48 keeps the second derivative's ~600 frames
 # under the default limit of 1000 with room for the caller's stack.
+# Evaluation does not recurse; printing and differentiation do.
 MAX_DEPTH = 48
 
 
@@ -315,9 +324,7 @@ def _depth(e: Expr) -> int:
     depth, level = 0, [e]
     while level:
         depth += 1
-        level = [getattr(node, child) for node in level
-                 for child in ("arg", "base", "left", "right")
-                 if hasattr(node, child)]
+        level = [child for node in level for child in _children(node)]
     return depth
 
 
@@ -375,60 +382,159 @@ def to_string(e: Expr) -> str:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _ev(e: Expr, x: np.ndarray):
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -_ev(e.arg, x)
-    if isinstance(e, Add):
-        return _ev(e.left, x) + _ev(e.right, x)
-    if isinstance(e, Sub):
-        return _ev(e.left, x) - _ev(e.right, x)
-    if isinstance(e, Mul):
-        return _ev(e.left, x) * _ev(e.right, x)
-    if isinstance(e, Div):
-        num = _ev(e.left, x)
-        den = _ev(e.right, x)
-        if np.any(np.asarray(den) == 0.0):
-            raise EvalDomainError("division by zero", to_string(e))
-        return num / den
+def _any_zero(u) -> bool:
+    return (u == 0.0).any() if isinstance(u, np.ndarray) else u == 0.0
+
+
+def _any_negative(u) -> bool:
+    return (u < 0.0).any() if isinstance(u, np.ndarray) else u < 0.0
+
+
+def _any_nonpositive(u) -> bool:
+    return (u <= 0.0).any() if isinstance(u, np.ndarray) else u <= 0.0
+
+
+_OPERATORS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
+              Mul: operator.mul, Div: operator.truediv, Pow: operator.pow}
+# per call: the check on its argument and the message when it fails
+_CALL_DOMAINS = {"sqrt": (_any_negative, "sqrt of negative argument"),
+                 "log": (_any_nonpositive, "log of non-positive argument")}
+
+
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, Neg) or isinstance(e, Call) and e.func in FUNCTIONS:
+        return (e.arg,)
     if isinstance(e, Pow):
-        base = _ev(e.base, x)
-        if e.exponent < 0 and np.any(np.asarray(base) == 0.0):
-            raise EvalDomainError("zero base with negative exponent", to_string(e))
-        return base ** e.exponent
-    if isinstance(e, Call):
-        arg = _ev(e.arg, x)
-        a = np.asarray(arg)
-        if e.func == "sqrt":
-            if np.any(a < 0.0):
-                raise EvalDomainError("sqrt of negative argument", to_string(e))
-            return np.sqrt(arg)
-        if e.func == "sin":
-            return np.sin(arg)
-        if e.func == "cos":
-            return np.cos(arg)
-        if e.func == "exp":
-            return np.exp(arg)
-        if e.func == "log":
-            if np.any(a <= 0.0):
-                raise EvalDomainError("log of non-positive argument", to_string(e))
-            return np.log(arg)
+        return (e.base,)
+    if isinstance(e, (Const, Var)):
+        return ()
     raise TypeError(f"not an expression node: {e!r}")
+
+
+@dataclass(frozen=True)
+class _Program:
+    """A tree as a flat list of instructions over value slots.
+
+    Slot 0 holds ``x`` and slots ``1..len(consts)`` the constants, integer
+    exponents among them; instruction ``i`` writes slot
+    ``1 + len(consts) + i``.  Each is ``(fn, a, b, bad, t)``: it computes
+    ``fn(v[a])``, or ``fn(v[a], v[b])`` when ``b >= 0``, after raising
+    :class:`EvalDomainError` with ``errors[i]`` if ``bad(v[t])`` holds.
+    Instructions come in post-order of the tree's first occurrences, so
+    the first check that fails is the recursive walk's first.
+    """
+
+    consts: tuple
+    code: tuple
+    errors: tuple  # (message, node) per instruction, for the domain checks
+    result: int
+
+
+def _post_order(e: Expr) -> list:
+    """The distinct node objects of ``e`` in post-order of their first
+    occurrence, walked without recursion."""
+    seen: set[int] = set()  # ids; the tree keeps its nodes alive
+    order = []
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in seen:
+            stack.pop()
+            continue
+        pending = [c for c in _children(node) if id(c) not in seen]
+        if pending:
+            stack.extend(reversed(pending))
+            continue
+        stack.pop()
+        seen.add(id(node))
+        order.append(node)
+    return order
+
+
+def _instruction(node: Expr, args: tuple) -> tuple:
+    """``(fn, a, b, bad, t)`` and the domain message of one operation node
+    whose operands sit in slots ``args``."""
+    a, b = args if len(args) == 2 else (args[0], -1)
+    bad, t, message = None, a, ""
+    if isinstance(node, Div):
+        bad, t, message = _any_zero, b, "division by zero"
+    elif isinstance(node, Pow) and node.exponent < 0:
+        bad, message = _any_zero, "zero base with negative exponent"
+    elif isinstance(node, Call):
+        bad, message = _CALL_DOMAINS.get(node.func, (None, ""))
+    fn = getattr(np, node.func) if isinstance(node, Call) else _OPERATORS[type(node)]
+    return (fn, a, b, bad, t), message
+
+
+def _compile(e: Expr) -> _Program:
+    """Structurally equal subtrees get one slot, keyed by node type and the
+    slots of their children."""
+    nodes = _post_order(e)
+    # constants and exponents by repr, which tells apart what == does not:
+    # 0.0 and -0.0
+    consts: dict[str, object] = {}
+    for node in nodes:
+        if isinstance(node, (Const, Pow)):
+            value = node.value if isinstance(node, Const) else node.exponent
+            consts.setdefault(repr(value), value)
+    const_slot = {text: i for i, text in enumerate(consts, start=1)}
+    slot_of: dict[int, int] = {}  # id(node) -> slot
+    slot_by_key: dict[tuple, int] = {}
+    code, errors = [], []
+    for node in nodes:
+        if isinstance(node, Var):
+            slot = 0
+        elif isinstance(node, Const):
+            slot = const_slot[repr(node.value)]
+        else:
+            args = tuple(slot_of[id(c)] for c in _children(node))
+            if isinstance(node, Pow):
+                args += (const_slot[repr(node.exponent)],)
+            key = (type(node), getattr(node, "func", None)) + args
+            slot = slot_by_key.get(key)
+            if slot is None:
+                slot = slot_by_key[key] = 1 + len(consts) + len(code)
+                instruction, message = _instruction(node, args)
+                code.append(instruction)
+                errors.append((message, node))
+        slot_of[id(node)] = slot
+    return _Program(tuple(consts.values()), tuple(code), tuple(errors),
+                    slot_of[id(e)])
+
+
+def _run(program: _Program, x):
+    v = [x, *program.consts]
+    push = v.append
+    for fn, a, b, bad, t in program.code:
+        if bad is not None and bad(v[t]):
+            message, node = program.errors[len(v) - 1 - len(program.consts)]
+            raise EvalDomainError(message, to_string(node))
+        push(fn(v[a]) if b < 0 else fn(v[a], v[b]))
+    return v[program.result]
 
 
 def evaluate(e: Expr, x):
     """Evaluate ``e`` at ``x`` (scalar or ndarray; vectorized, pure).
 
-    Returns a float for scalar input and an array matching ``x`` otherwise.
-    Overflow and invalid operations give inf/nan quietly, not a numpy
-    warning: the callers' finiteness checks report them as one failure.
+    The first call compiles ``e`` into a flat program, kept on the tree,
+    that computes each distinct subtree once; every call runs it over
+    ``x`` with the ufuncs and operand order of the tree itself, so shared
+    subtrees change no bit of the result.  Returns a float for scalar
+    input and an array matching ``x`` otherwise.  Overflow and invalid
+    operations give inf/nan quietly, not a numpy warning: the callers'
+    finiteness checks report them as one failure.
     """
+    try:
+        program = e._program
+    except AttributeError:
+        program = _compile(e)
+        # frozen, so set past the dataclass guard; no field, so == ignores it
+        object.__setattr__(e, "_program", program)
     arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        res = _ev(e, arr)
+        res = _run(program, arr)
     if arr.ndim == 0:
         return float(res)
     out = np.asarray(res, dtype=float)

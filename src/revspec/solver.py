@@ -86,7 +86,12 @@ MASS_IDENTITY_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
-    """Assembly or eigensolve failed a structural check."""
+    """Assembly or eigensolve failed a structural check.  The message
+    opens with :func:`_where`: the profile, the channel and the basis size."""
+
+
+def _where(p: Profile, k: int, N: int) -> str:
+    return f"{p.source} profile {p.name!r}, channel {k}, basis {N}"
 
 
 class ConvergenceError(SolverError):
@@ -220,7 +225,8 @@ def assemble(p: Profile, k: int, basis_size: int) -> GalerkinSystem:
     xq, wq = gauss_legendre(Q)
     fq = np.asarray(p.f(xq), dtype=float)
     if np.any(~np.isfinite(fq)) or np.any(fq <= 0.0):
-        raise SolverError("profile not positive and finite on quadrature nodes")
+        raise SolverError(f"{_where(p, k, N)}, {Q} nodes: profile not "
+                          f"positive and finite on the quadrature nodes")
     # the rule is exactly mirrored, so fq[::-1] is f at the mirrored nodes
     split = bool(np.max(np.abs(fq - fq[::-1]))
                  <= 8.0 * np.finfo(float).eps * np.max(fq))
@@ -233,13 +239,14 @@ def assemble(p: Profile, k: int, basis_size: int) -> GalerkinSystem:
     off = np.max(np.abs((phi * phi) @ wq - 1.0))
     if not off <= MASS_IDENTITY_TOL:
         raise SolverError(
-            f"{p.source} profile {p.name!r}, channel {k}, basis {N}, "
-            f"{Q} nodes: mass matrix diagonal is {off:.3e} off the identity")
+            f"{_where(p, k, N)}, {Q} nodes: mass matrix diagonal is "
+            f"{off:.3e} off the identity")
     A = np.zeros((N, N))
     for rows in _parity_blocks(split, N):
         A[rows, rows] = _stiffness(k, phi[rows], dphi[rows], wq, fq)
     if not np.all(np.isfinite(A)):
-        raise SolverError("assembled stiffness matrix contains non-finite entries")
+        raise SolverError(f"{_where(p, k, N)}, {Q} nodes: assembled stiffness "
+                          f"matrix contains non-finite entries")
     return GalerkinSystem(k=k, basis_size=N, stiffness=A, quad_points=Q,
                           parity_split=split)
 
@@ -271,18 +278,17 @@ def eigh(a: np.ndarray) -> np.ndarray:
 
 
 def _raw_eigenvalues(p: Profile, k: int, N: int) -> np.ndarray:
+    """Channel ``k``'s eigenvalues at basis size ``N``, channel 0's zero
+    mode removed by index after a magnitude check."""
     sys = assemble(p, k, N)
-    vals = [eigh(sys.stiffness[s, s]) for s in _parity_blocks(sys.parity_split, N)]
-    return np.sort(np.concatenate(vals))
-
-
-def _strip_zero_mode(vals: np.ndarray, k: int) -> np.ndarray:
+    vals = np.sort(np.concatenate(
+        [eigh(sys.stiffness[s, s]) for s in _parity_blocks(sys.parity_split, N)]))
     if k != 0:
         return vals
     lam1 = vals[1] if vals.size > 1 else 1.0
     if abs(vals[0]) > 1e-6 * max(1.0, abs(lam1)):
-        raise SolverError(
-            f"channel 0 zero mode not resolved (leading value {vals[0]!r})")
+        raise SolverError(f"{_where(p, k, N)}: zero mode not resolved "
+                          f"(leading value {vals[0]!r})")
     return vals[1:]
 
 
@@ -305,20 +311,20 @@ def solve_channel(p: Profile, k: int, n_eigs: int, basis_size: int, *,
         raise ValueError("basis_size must be at least 16 (half-size solve needs 8)")
     if n_eigs > N // 2:
         raise ValueError(f"n_eigs={n_eigs} exceeds basis_size/2={N // 2}")
-    vals = _strip_zero_mode(_raw_eigenvalues(p, k, N), k)
+    vals = _raw_eigenvalues(p, k, N)
     if reference is None:
-        ref = _strip_zero_mode(_raw_eigenvalues(p, k, N // 2), k)
+        ref = _raw_eigenvalues(p, k, N // 2)
     else:
         ref = np.asarray(reference, dtype=float)
     lam = vals[:n_eigs]
     if np.any(lam <= 0.0):
-        raise SolverError(f"nonpositive eigenvalue in channel {k}: {lam[lam <= 0]}")
+        raise SolverError(f"{_where(p, k, N)}: nonpositive eigenvalues {lam[lam <= 0]}")
     if k:
         j = np.arange(1, n_eigs + 1)
         if np.any(lam <= j * k * (1.0 - 1e-12)):
             raise SolverError(
-                f"channel {k} eigenvalues fell below the j*k lower bound; "
-                f"discretization is inconsistent")
+                f"{_where(p, k, N)}: eigenvalues fell below the j*k lower "
+                f"bound; discretization is inconsistent")
     gaps = np.diff(lam)
     if np.any(gaps < 1e-9 * lam[1:]):
         warnings.warn(
@@ -360,8 +366,9 @@ def refine(p: Profile, k: int, n_eigs: int, target_rel_err: float = 1e-8,
             return best
         N *= 2
     raise ConvergenceError(
-        f"channel {k}: estimates {max(best.convergence_estimates):.3e} did not "
-        f"reach {target_rel_err:g} within basis cap {basis_cap}", best)
+        f"{_where(p, k, best.basis_size)}: estimates "
+        f"{max(best.convergence_estimates):.3e} did not reach "
+        f"{target_rel_err:g} within basis cap {basis_cap}", best)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +416,11 @@ def rayleigh_quotient(p: Profile, k: int, u: Expr) -> float:
 
     def energy(x):
         dv = evaluate(du, x)
-        out = np.asarray(p.f(x), dtype=float) * dv * dv
+        fx = np.asarray(p.f(x), dtype=float)
+        out = fx * dv * dv
         if k:
             v = evaluate(u, x)
-            out = out + (k * k) * v * v / np.asarray(p.f(x), dtype=float)
+            out = out + (k * k) * v * v / fx
         return out
 
     num, _ = integrate_adaptive(energy, -1.0, 1.0, rtol=1e-11, n0=128)

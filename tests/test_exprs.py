@@ -229,3 +229,162 @@ def test_symbolic_derivative_matches_finite_difference(e, x0):
     if max(abs(evaluate(e, x0 + h)), abs(evaluate(e, x0 - h))) > 1e6:
         return  # cancellation noise swamps the step size
     assert abs(sym - fd) <= 1e-4 * max(1.0, abs(sym), abs(fd))
+
+
+# --- the compiled evaluator against a recursive walk ------------------------
+
+def _walk(e, x):
+    """The recursive evaluator the compiled programs replace, kept as the
+    reference: one visit per node, children left to right."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Var):
+        return x
+    if isinstance(e, Neg):
+        return -_walk(e.arg, x)
+    if isinstance(e, Add):
+        return _walk(e.left, x) + _walk(e.right, x)
+    if isinstance(e, Sub):
+        return _walk(e.left, x) - _walk(e.right, x)
+    if isinstance(e, Mul):
+        return _walk(e.left, x) * _walk(e.right, x)
+    if isinstance(e, Div):
+        num, den = _walk(e.left, x), _walk(e.right, x)
+        if np.any(np.asarray(den) == 0.0):
+            raise EvalDomainError("division by zero", to_string(e))
+        return num / den
+    if isinstance(e, Pow):
+        base = _walk(e.base, x)
+        if e.exponent < 0 and np.any(np.asarray(base) == 0.0):
+            raise EvalDomainError("zero base with negative exponent", to_string(e))
+        return base ** e.exponent
+    arg = _walk(e.arg, x)
+    a = np.asarray(arg)
+    if e.func == "sqrt" and np.any(a < 0.0):
+        raise EvalDomainError("sqrt of negative argument", to_string(e))
+    if e.func == "log" and np.any(a <= 0.0):
+        raise EvalDomainError("log of non-positive argument", to_string(e))
+    return getattr(np, e.func)(arg)
+
+
+def _reference(e, x):
+    arr = np.asarray(x, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        res = _walk(e, arr)
+    if arr.ndim == 0:
+        return float(res)
+    return np.broadcast_to(np.asarray(res, dtype=float), arr.shape).copy()
+
+
+def _outcome(fn, e, x):
+    """The bytes of the value, or the error with the subexpression it names."""
+    try:
+        return ("value", np.asarray(fn(e, x), dtype=float).tobytes())
+    except EvalDomainError as err:
+        return ("domain", str(err), err.subexpression)
+    except (OverflowError, ZeroDivisionError) as err:
+        return (type(err).__name__, str(err))
+
+
+def _assert_same_as_the_walk(e, xs):
+    for x in [*xs.tolist(), xs]:
+        assert _outcome(evaluate, e, x) == _outcome(_reference, e, x)
+
+
+# the random trees above, widened by the operations with domain checks
+_checked_leaf = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.0, 0.5]).map(Const), st.just(Var("x")))
+
+
+def _combine_checked(children):
+    binary = st.tuples(children, children)
+    return st.one_of(
+        _combine(children),
+        binary.map(lambda t: Div(*t)),
+        st.tuples(children, st.integers(min_value=-3, max_value=-1)).map(
+            lambda t: Pow(t[0], t[1])),
+        st.tuples(st.sampled_from(["sqrt", "log"]), children).map(
+            lambda t: Call(t[0], t[1])),
+    )
+
+
+_checked_exprs = st.recursive(_checked_leaf, _combine_checked, max_leaves=8)
+_XS = np.array([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+
+
+@given(_checked_exprs)
+def test_compiled_evaluation_is_the_walk_bit_for_bit(e):
+    """A tree, its first and its second derivative give the recursive
+    walk's bytes, or its domain error naming the same subexpression, for
+    scalar and array ``x``."""
+    d1 = differentiate(e)
+    for tree in (e, d1, differentiate(d1)):
+        _assert_same_as_the_walk(tree, _XS)
+
+
+@pytest.mark.parametrize("text", [
+    "1/(x - 1) + 1/(x - 1)",
+    "sqrt(x - 2) * 1/(x - 1) + 1/(x - 1)",
+    "1/(x - 1) + sqrt(x - 2) + 1/(x - 1)",
+    "log(x - 1)", "log(x)*log(x) + x^-2",
+])
+def test_a_shared_failing_subtree_is_named_at_its_first_position(text):
+    e = parse(text)
+    d1 = differentiate(e)
+    for tree in (e, d1, differentiate(d1)):
+        _assert_same_as_the_walk(tree, np.array([0.0, 1.0, 2.0, 3.0]))
+
+
+def test_the_log_derivative_names_its_shared_quotient():
+    """``d/dx log(u) = u'/u`` holds ``u`` itself: at ``u = 0`` the quotient
+    is the first failure."""
+    d1 = differentiate(parse("log(x - 1)"))
+    assert isinstance(d1, Div)
+    with pytest.raises(EvalDomainError) as ei:
+        evaluate(d1, np.array([0.5, 1.0]))
+    assert ei.value.subexpression == to_string(d1)
+    assert _outcome(evaluate, d1, 1.0) == _outcome(_reference, d1, 1.0)
+
+
+def test_a_shared_subtree_is_computed_once(monkeypatch):
+    calls = []
+    sin = np.sin
+
+    def counting(a):
+        calls.append(1)
+        return sin(a)
+
+    monkeypatch.setattr(np, "sin", counting)
+    xs = np.linspace(-1, 1, 9)
+    out = evaluate(parse("sin(x)*sin(x) + sin(x)"), xs)
+    assert len(calls) == 1
+    assert out.tobytes() == (sin(xs) * sin(xs) + sin(xs)).tobytes()
+
+
+def test_the_program_is_kept_on_the_tree():
+    e = parse("sin(x)*sin(x) + sin(x)")
+    evaluate(e, 0.5)
+    program = e._program
+    evaluate(e, np.linspace(-1, 1, 5))
+    assert e._program is program
+    assert e == parse("sin(x)*sin(x) + sin(x)")  # == ignores the program
+    assert len(program.code) == 3  # sin, product, sum
+
+
+def test_signed_zeros_are_not_merged():
+    """``Const(0.0) == Const(-0.0)``, but they are different operands."""
+    e = Sub(Mul(Var("x"), Const(-0.0)), Mul(Var("x"), Const(0.0)))
+    assert math.copysign(1.0, evaluate(e, 1.0)) < 0
+    _assert_same_as_the_walk(e, np.array([1.0, -1.0]))
+
+
+def test_a_very_deep_tree_compiles_without_recursion():
+    e = Var("x")
+    for _ in range(5000):
+        e = Add(e, Const(1.0))
+    assert evaluate(e, 0.0) == 5000.0
+
+
+def test_an_unknown_node_is_a_type_error():
+    with pytest.raises(TypeError, match="not an expression node"):
+        evaluate(Call("tan", Var("x")), 0.5)

@@ -224,6 +224,49 @@ def test_refine_cap_carries_the_best_spectrum(pinched_profile):
     assert len(best.eigenvalues) == 4
 
 
+# ---------------------------------------------------------------------------
+# failures name the profile, the channel and the basis size
+# ---------------------------------------------------------------------------
+
+def test_a_refinement_failure_names_the_profile_channel_and_basis(pinched_profile):
+    with pytest.raises(ConvergenceError,
+                       match=r"^expression profile 'paper-example', channel 0, "
+                             r"basis 32: estimates"):
+        refine(pinched_profile, 0, 4, target_rel_err=1e-12, basis_cap=32)
+
+
+def test_a_nonpositive_profile_on_the_nodes_names_where(round_profile, monkeypatch):
+    # nodes pushed past the poles, where 1 - x^2 is negative
+    monkeypatch.setattr(solver, "gauss_legendre",
+                        lambda q: (2.0 * gauss_legendre(q)[0], gauss_legendre(q)[1]))
+    with pytest.raises(SolverError,
+                       match=r"^expression profile 'round', channel 2, basis 16, "
+                             r"64 nodes: profile not positive"):
+        assemble(round_profile, 2, 16)
+
+
+def test_a_nonfinite_stiffness_names_where(monkeypatch):
+    basis_values = solver._basis_values
+
+    def broken(k, x, n):
+        phi, dphi = basis_values(k, x, n)
+        return phi, np.where(x > 0.5, np.inf, dphi)
+
+    monkeypatch.setattr(solver, "_basis_values", broken)
+    with pytest.raises(SolverError,
+                       match=r"^expression profile '', channel 1, basis 16, "
+                             r"128 nodes: assembled stiffness"):
+        assemble(ASYMMETRIC_BUMP, 1, 16)
+
+
+def test_an_unresolved_zero_mode_names_where(pinched_profile, monkeypatch):
+    monkeypatch.setattr(solver, "eigh", lambda a: np.linalg.eigvalsh(a) + 1.0)
+    with pytest.raises(SolverError,
+                       match=r"^expression profile 'paper-example', channel 0, "
+                             r"basis 32: zero mode not resolved"):
+        solve_channel(pinched_profile, 0, 4, 32)
+
+
 def test_refine_solves_each_basis_size_once(pinched_profile, monkeypatch):
     sizes = []
 
