@@ -32,7 +32,9 @@ Design notes:
 * Evaluation raises :class:`EvalDomainError` naming the offending
   subexpression for division by zero, a zero base with a negative
   exponent, and sqrt/log outside their domain: the first failing node in
-  post-order, as a node-by-node walk would find it.
+  post-order, as a node-by-node walk would find it.  Subtrees of constants
+  alone run on Python floats, so a power among them that leaves the float
+  range raises it too ("overflow"), where numpy would give inf.
 * Printing and differentiation recurse, so :func:`parse` refuses trees and
   parentheses nested deeper than :data:`MAX_DEPTH`.  Compiling walks the
   tree with an explicit stack.
@@ -507,11 +509,16 @@ def _compile(e: Expr) -> _Program:
 def _run(program: _Program, x):
     v = [x, *program.consts]
     push = v.append
-    for fn, a, b, bad, t in program.code:
-        if bad is not None and bad(v[t]):
-            message, node = program.errors[len(v) - 1 - len(program.consts)]
-            raise EvalDomainError(message, to_string(node))
-        push(fn(v[a]) if b < 0 else fn(v[a], v[b]))
+    try:
+        for fn, a, b, bad, t in program.code:
+            if bad is not None and bad(v[t]):
+                message, node = program.errors[len(v) - 1 - len(program.consts)]
+                raise EvalDomainError(message, to_string(node))
+            push(fn(v[a]) if b < 0 else fn(v[a], v[b]))
+    except OverflowError:
+        # only Python floats raise it: a power of constants alone
+        _, node = program.errors[len(v) - 1 - len(program.consts)]
+        raise EvalDomainError("overflow", to_string(node)) from None
     return v[program.result]
 
 

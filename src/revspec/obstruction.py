@@ -302,7 +302,8 @@ def full_report(p: Profile, cluster_tol: float = 1e-6) -> ObstructionReport:
     geometric discovery.  The external Abreu–Freitas comparison is reported
     but takes part in no verdict and no consistency check.  Both threshold
     tests read ``lambda_0^1`` from the even-multiplicity test, whose one
-    store of channel solves refines channel 0 once per report.
+    store of channel solves refines channel 0 once per report and solves
+    no basis size twice.
     """
     require_valid(p, context="full_report")
     sup = sup_test(p)

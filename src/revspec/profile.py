@@ -100,14 +100,21 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
+        """The checks, with ``None`` (JSON ``null``) for each value, target
+        or tolerance that is not finite (a check so valued has failed)."""
         return {
             "passed": self.passed,
             "checks": [
-                {"name": c.name, "value": c.value, "target": c.target,
-                 "tol": c.tol, "passed": c.passed}
+                {"name": c.name, "value": _finite_or_none(c.value),
+                 "target": _finite_or_none(c.target),
+                 "tol": _finite_or_none(c.tol), "passed": c.passed}
                 for c in self.checks
             ],
         }
+
+
+def _finite_or_none(v: float) -> float | None:
+    return v if np.isfinite(v) else None
 
 
 @dataclass(frozen=True)
@@ -164,6 +171,14 @@ def validation_grid(n: int = 1024) -> np.ndarray:
     """Chebyshev-distributed interior points of [-1, 1], densest at the ends."""
     i = np.arange(n)
     return np.sort(np.cos(np.pi * (2 * i + 1) / (2 * n)))
+
+
+def _pointwise(g: Callable) -> Callable:
+    """``g`` as a profile function: a float for scalar input, else an array."""
+    def h(t):
+        out = np.asarray(g(t), dtype=float)
+        return out if np.ndim(t) else float(out)
+    return h
 
 
 def make_profile(defn, name: str = "") -> Profile:
@@ -229,18 +244,8 @@ def _profile_from_samples(defn, name: str) -> Profile:
     # never need it, so it loads here and in the two meridian maps only
     from scipy.interpolate import CubicSpline
     spline = CubicSpline(x, y, bc_type=((1, BC_SLOPE), (1, -BC_SLOPE)))
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-
-    def f(t):
-        return np.asarray(spline(t), dtype=float) if np.ndim(t) else float(spline(t))
-
-    def df(t):
-        return np.asarray(d1(t), dtype=float) if np.ndim(t) else float(d1(t))
-
-    def d2f(t):
-        return np.asarray(d2(t), dtype=float) if np.ndim(t) else float(d2(t))
-
+    f, df, d2f = (_pointwise(g) for g in
+                  (spline, spline.derivative(1), spline.derivative(2)))
     return Profile(f=f, df=df, d2f=d2f, source="samples", name=name,
                    knots=tuple(float(v) for v in x))
 
@@ -418,20 +423,16 @@ def arclength_recover(p: Profile, n_seg: int = 1024) -> ArclengthProfile:
     require_valid(p, context="arclength_recover")
     mm = _MeridianMap(p, n_seg=n_seg)
 
-    def a(s):
-        vals = np.clip(np.asarray(p.f(mm.x_of_s(s)), dtype=float), 0.0, None)
-        out = np.sqrt(vals)
-        return float(out) if np.ndim(s) == 0 else out
+    def sqrt_f(x):
+        return np.sqrt(np.clip(np.asarray(p.f(x), dtype=float), 0.0, None))
 
-    def da(s):
-        out = 0.5 * np.asarray(p.df(mm.x_of_s(s)), dtype=float)
-        return float(out) if np.ndim(s) == 0 else out
+    a = _pointwise(lambda s: sqrt_f(mm.x_of_s(s)))
+    da = _pointwise(lambda s: 0.5 * np.asarray(p.df(mm.x_of_s(s)), dtype=float))
 
+    @_pointwise
     def d2a(s):
         x = mm.x_of_s(s)
-        av = np.sqrt(np.clip(np.asarray(p.f(x), dtype=float), 0.0, None))
-        out = 0.5 * np.asarray(p.d2f(x), dtype=float) * av
-        return float(out) if np.ndim(s) == 0 else out
+        return 0.5 * np.asarray(p.d2f(x), dtype=float) * sqrt_f(x)
 
     return ArclengthProfile(a=a, da=da, d2a=d2a, length=mm.length,
                             source="recovered", x_of_s=mm.x_of_s,
@@ -461,20 +462,10 @@ def normalize_area(ap: ArclengthProfile, n_seg: int = 2048) -> ArclengthProfile:
         raise ValueError(f"cannot normalize: measured area is {area!r}")
     c = float(np.sqrt(FOUR_PI / area))
 
-    def a(s):
-        return c * np.asarray(ap.a(np.asarray(s) / c), dtype=float) \
-            if np.ndim(s) else c * float(ap.a(s / c))
-
-    def da(s):
-        return np.asarray(ap.da(np.asarray(s) / c), dtype=float) \
-            if np.ndim(s) else float(ap.da(s / c))
-
-    d2a = None
-    if ap.d2a is not None:
-        def d2a(s):  # noqa: F811 - deliberate conditional definition
-            return np.asarray(ap.d2a(np.asarray(s) / c), dtype=float) / c \
-                if np.ndim(s) else float(ap.d2a(s / c)) / c
-
+    a = _pointwise(lambda s: c * np.asarray(ap.a(np.asarray(s) / c), dtype=float))
+    da = _pointwise(lambda s: ap.da(np.asarray(s) / c))
+    d2a = None if ap.d2a is None else _pointwise(
+        lambda s: np.asarray(ap.d2a(np.asarray(s) / c), dtype=float) / c)
     return ArclengthProfile(a=a, da=da, d2a=d2a, length=c * ap.length,
                             source=ap.source,
                             scale_factor=c * ap.scale_factor)
@@ -550,14 +541,12 @@ def momentum_transform(ap: ArclengthProfile, n_seg: int = 2048,
 
     eps_pole = 1e-7 * L
 
+    @_pointwise
     def f(x):
         av = np.asarray(ap.a(sigma(x)), dtype=float)
-        out = av * av
-        return float(out) if np.ndim(x) == 0 else out
+        return av * av
 
-    def df(x):
-        out = 2.0 * np.asarray(ap.da(sigma(x)), dtype=float)
-        return float(out) if np.ndim(x) == 0 else out
+    df = _pointwise(lambda x: 2.0 * np.asarray(ap.da(sigma(x)), dtype=float))
 
     def d2f(x):
         # f'' = 2 a''/a along the meridian; clamp s away from the poles,

@@ -5,7 +5,9 @@ inputs on the same machine, installation and BLAS thread count: floats go
 through ``%.17g`` (shortest-exact round-trip is repr-dependent; 17
 significant digits is fixed), JSON is sorted-key with two-space indent and
 a ``schema`` version, and all text is written with LF endings regardless
-of platform.
+of platform.  JSON holds no nan or infinity: since schema 3, a validation
+check's value, target or tolerance that is not finite is written as
+``null``.
 
 Across CPUs, BLAS builds, BLAS thread counts and numpy/scipy versions,
 float fields may differ in their last digits: a few ULPs for mesh vertices,
@@ -23,7 +25,7 @@ from pathlib import Path
 
 __all__ = ["SCHEMA_VERSION", "fmt17", "json_text", "write_text", "write_bytes"]
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 def fmt17(x: float) -> str:

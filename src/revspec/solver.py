@@ -48,10 +48,10 @@ zeros between the parities.
 Because trial spaces are nested in ``N``, eigenvalues decrease monotonically
 with ``N`` and sit above the true values; the convergence estimate attached
 to each eigenvalue is the relative change against the half-size solve.
-:func:`refine` doubles ``N`` from 32 until the requested estimate is met or
-a cap is hit.  Each size's eigenvalues are the next size's half-size
-reference, so every size is assembled and solved once; only the first size
-solves its half-size basis as well.
+Refinement doubles ``N`` from 32 until the requested estimates are met or
+a cap is hit, in one store per top-level call that keeps the eigenvalues
+of every ``(k, N)`` it has solved: each size is the next one's half-size
+reference, and no size is solved twice, however often a channel is asked.
 
 The round profile ``f = 1 - x^2`` is the exact oracle for all of this: the
 basis contains its true eigenfunctions, so the discrete spectrum reproduces
@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Sequence
 
@@ -304,71 +304,108 @@ def solve_channel(p: Profile, k: int, n_eigs: int, basis_size: int, *,
     solve, so ``basis_size`` must be at least 16.  Channel 0's zero mode is
     removed by index after a magnitude check, never by deflation.
     """
-    if n_eigs < 1:
-        raise ValueError("n_eigs must be positive")
     N = int(basis_size)
     if N < 16:
         raise ValueError("basis_size must be at least 16 (half-size solve needs 8)")
     if n_eigs > N // 2:
         raise ValueError(f"n_eigs={n_eigs} exceeds basis_size/2={N // 2}")
-    vals = _raw_eigenvalues(p, k, N)
-    if reference is None:
-        ref = _raw_eigenvalues(p, k, N // 2)
-    else:
-        ref = np.asarray(reference, dtype=float)
-    lam = vals[:n_eigs]
-    if np.any(lam <= 0.0):
-        raise SolverError(f"{_where(p, k, N)}: nonpositive eigenvalues {lam[lam <= 0]}")
-    if k:
-        j = np.arange(1, n_eigs + 1)
-        if np.any(lam <= j * k * (1.0 - 1e-12)):
-            raise SolverError(
-                f"{_where(p, k, N)}: eigenvalues fell below the j*k lower "
-                f"bound; discretization is inconsistent")
-    gaps = np.diff(lam)
-    if np.any(gaps < 1e-9 * lam[1:]):
-        warnings.warn(
-            f"channel {k}: eigenvalue gap below 1e-9 relative at basis {N}; "
-            f"values in this cluster are not individually resolved",
-            NearDegenerateWarning, stacklevel=2)
-    est = np.full(n_eigs, np.inf)
-    m = min(n_eigs, ref.size)
-    est[:m] = np.abs(lam[:m] - ref[:m]) / np.abs(lam[:m])
-    # eigenvalues is a slice of the Ritz tuple: one set of float objects
-    ritz = tuple(vals[:N // 2].tolist())
-    return ChannelSpectrum(k=k, eigenvalues=ritz[:n_eigs], basis_size=N,
-                           convergence_estimates=tuple(est.tolist()),
-                           ritz_values=ritz)
+    return _Channels(p)._spectrum(k, n_eigs, N, reference)
+
+
+class _Channels:
+    """One profile's channel solves for one top-level call (a report, an
+    enumeration, a :func:`refine`), refined to one target within one cap.
+    ``channels(k, n)`` serves the first ``n`` values of channel ``k`` from
+    the spectrum it holds for ``k`` when that has as many (a deeper solve
+    meets the target on them too), and otherwise refines the channel to
+    ``n`` values and holds that spectrum instead.  :meth:`_eigenvalues`,
+    the one solve point, keeps the whole eigenvalue array of each ``(k, N)``.
+    """
+
+    def __init__(self, p: Profile, target_rel_err: float = 1e-8,
+                 basis_cap: int = REFINE_CAP):
+        self.p, self.target_rel_err, self.basis_cap = p, target_rel_err, basis_cap
+        self._solved: dict[tuple[int, int], np.ndarray] = {}
+        self._held: dict[int, ChannelSpectrum] = {}
+
+    def __call__(self, k: int, n: int) -> ChannelSpectrum:
+        cs = self._held.get(k)
+        if cs is None or len(cs.eigenvalues) < n:
+            cs = self._held[k] = self.refine(k, n)
+        return replace(cs, eigenvalues=cs.eigenvalues[:n],
+                       convergence_estimates=cs.convergence_estimates[:n])
+
+    def _eigenvalues(self, k: int, N: int) -> np.ndarray:
+        if (k, N) not in self._solved:
+            self._solved[k, N] = _raw_eigenvalues(self.p, k, N)
+        return self._solved[k, N]
+
+    def _spectrum(self, k: int, n_eigs: int, N: int,
+                  reference: Sequence[float] | None = None) -> ChannelSpectrum:
+        """:func:`solve_channel` with ``N >= 16`` and ``n_eigs <= N/2``;
+        the default reference is the whole basis-``N/2`` array."""
+        if n_eigs < 1:
+            raise ValueError("n_eigs must be positive")
+        vals = self._eigenvalues(k, N)
+        ref = (self._eigenvalues(k, N // 2) if reference is None
+               else np.asarray(reference, dtype=float))
+        p, lam = self.p, vals[:n_eigs]
+        if np.any(lam <= 0.0):
+            raise SolverError(f"{_where(p, k, N)}: nonpositive eigenvalues {lam[lam <= 0]}")
+        if k:
+            j = np.arange(1, n_eigs + 1)
+            if np.any(lam <= j * k * (1.0 - 1e-12)):
+                raise SolverError(
+                    f"{_where(p, k, N)}: eigenvalues fell below the j*k lower "
+                    f"bound; discretization is inconsistent")
+        gaps = np.diff(lam)
+        if np.any(gaps < 1e-9 * lam[1:]):
+            warnings.warn(
+                f"channel {k}: eigenvalue gap below 1e-9 relative at basis {N}; "
+                f"values in this cluster are not individually resolved",
+                NearDegenerateWarning, stacklevel=3)
+        est = np.full(n_eigs, np.inf)
+        m = min(n_eigs, ref.size)
+        est[:m] = np.abs(lam[:m] - ref[:m]) / np.abs(lam[:m])
+        # eigenvalues is a slice of the Ritz tuple: one set of float objects
+        ritz = tuple(vals[:N // 2].tolist())
+        return ChannelSpectrum(k=k, eigenvalues=ritz[:n_eigs], basis_size=N,
+                               convergence_estimates=tuple(est.tolist()),
+                               ritz_values=ritz)
+
+    def refine(self, k: int, n: int) -> ChannelSpectrum:
+        """The one refinement loop, :func:`refine` on this store.  Each
+        size's estimates compare against the whole basis-``N/2`` array,
+        which the size before solved, so a request that revisits held sizes
+        gets a fresh refinement's result bit for bit."""
+        if self.target_rel_err < 1e-12:
+            raise ValueError("target_rel_err below the 1e-12 floor is not resolvable")
+        N = REFINE_START
+        while N < 2 * n:
+            N *= 2
+        if N > self.basis_cap:
+            raise ValueError(f"n_eigs={n} needs a basis of {N}, "
+                             f"above basis_cap={self.basis_cap}")
+        while True:
+            best = self._spectrum(k, n, N)
+            if max(best.convergence_estimates) <= self.target_rel_err:
+                return best
+            if 2 * N > self.basis_cap:
+                raise ConvergenceError(
+                    f"{_where(self.p, k, N)}: estimates "
+                    f"{max(best.convergence_estimates):.3e} did not reach "
+                    f"{self.target_rel_err:g} within basis cap {self.basis_cap}",
+                    best)
+            N *= 2
 
 
 def refine(p: Profile, k: int, n_eigs: int, target_rel_err: float = 1e-8,
            basis_cap: int = REFINE_CAP) -> ChannelSpectrum:
     """Double the basis from 32 until every requested eigenvalue's estimate
     meets ``target_rel_err`` (floor 1e-12), or raise :class:`ConvergenceError`
-    carrying the best spectrum when the cap is reached.
-
-    Each size is solved once: its eigenvalues are the next size's
-    half-size reference, and only the first size solves its half.
-    """
-    if target_rel_err < 1e-12:
-        raise ValueError("target_rel_err below the 1e-12 floor is not resolvable")
-    N = REFINE_START
-    while N < 2 * n_eigs:
-        N *= 2
-    if N > basis_cap:
-        raise ValueError(f"n_eigs={n_eigs} needs a basis of {N}, "
-                         f"above basis_cap={basis_cap}")
-    best = None
-    while N <= basis_cap:
-        best = solve_channel(p, k, n_eigs, N,
-                             reference=None if best is None else best.eigenvalues)
-        if max(best.convergence_estimates) <= target_rel_err:
-            return best
-        N *= 2
-    raise ConvergenceError(
-        f"{_where(p, k, best.basis_size)}: estimates "
-        f"{max(best.convergence_estimates):.3e} did not reach "
-        f"{target_rel_err:g} within basis cap {basis_cap}", best)
+    carrying the best spectrum when the cap is reached.  Runs the loop of
+    :class:`_Channels` on a store of its own."""
+    return _Channels(p, target_rel_err, basis_cap).refine(k, n_eigs)
 
 
 # ---------------------------------------------------------------------------

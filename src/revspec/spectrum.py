@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 from .profile import Profile, require_valid
 from .quadrature import QuadratureError, integrate_adaptive
-from .solver import REFINE_CAP, REFINE_START, ChannelSpectrum, refine
+from .solver import REFINE_CAP, REFINE_START, ChannelSpectrum, _Channels
 
 __all__ = [
     "SpectrumEntry", "SpectrumTable", "BoundsReport",
@@ -243,28 +243,6 @@ _TRACE_FIRST_REQUEST = 8
 _TRACE_REQUEST_GROWTH = 2
 
 
-class _Channels:
-    """One profile's channel spectra, at most one per ``k``, refined to one
-    target within one basis cap.  ``channels(k, n)`` serves the first ``n``
-    values of channel ``k`` from the held spectrum when it has that many (a
-    deeper solve meets the target on them too), and otherwise refines the
-    channel to ``n`` values and holds that spectrum instead."""
-
-    def __init__(self, p: Profile, target_rel_err: float = 1e-8,
-                 basis_cap: int = REFINE_CAP):
-        self.p, self.target_rel_err, self.basis_cap = p, target_rel_err, basis_cap
-        self._held: dict[int, ChannelSpectrum] = {}
-
-    def __call__(self, k: int, n: int) -> ChannelSpectrum:
-        cs = self._held.get(k)
-        if cs is None or len(cs.eigenvalues) < n:
-            cs = self._held[k] = refine(self.p, k, n,
-                                        target_rel_err=self.target_rel_err,
-                                        basis_cap=self.basis_cap)
-        return replace(cs, eigenvalues=cs.eigenvalues[:n],
-                       convergence_estimates=cs.convergence_estimates[:n])
-
-
 def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
                     target_rel_err: float = 1e-8,
                     basis_cap: int = REFINE_CAP) -> SpectrumTable:
@@ -300,8 +278,8 @@ def _enumerate_below(channels: _Channels, below: float,
         raise ValueError("cluster_tol must lie in (0, 1e-2)")
     if channels.basis_cap < REFINE_START:
         raise ValueError(f"basis_cap must be at least {REFINE_START}")
-    # refine doubles its basis from REFINE_START, so the largest basis it
-    # reaches within basis_cap holds at most half as many eigenvalues
+    # refinement doubles the basis from REFINE_START, so the largest basis
+    # it reaches within basis_cap holds at most half as many eigenvalues
     n_cap = REFINE_START // 2
     while 4 * n_cap <= channels.basis_cap:
         n_cap *= 2

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import revspec.cli as cli
@@ -69,7 +69,7 @@ def test_analyze_round(capsys):
     code, out, _ = run(capsys, "analyze", "--builtin", "round")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema"] == 2
+    assert doc["schema"] == 3
     assert "trace_flag" not in doc["obstructions"]
     assert doc["validation"]["passed"] is True
     assert doc["obstructions"]["verdict"] == "embeddable"
@@ -92,6 +92,31 @@ def test_analyze_invalid_profile(capsys):
     doc = json.loads(out)
     assert doc["verdict"] == "invalid_profile"
     assert doc["profile"]["passed"] is False
+
+
+def test_analyze_writes_a_non_finite_check_value_as_null(capsys):
+    # 0*inf is nan wherever x != 0, the poles included
+    code, out, err = run(capsys, "analyze",
+                         "--expr=(1 - x^2)*(1 + 0*(1e200*x)^2)")
+    assert code == EXIT_INVALID_PROFILE
+    assert err.startswith("validation failed: ")
+    assert err.count("\n") == 1
+    doc = json.loads(out)
+    assert doc["verdict"] == "invalid_profile"
+    checks = doc["profile"]["checks"]
+    assert [c["name"] for c in checks if c["value"] is None] == \
+        ["f(-1)", "f(+1)", "f'(-1)", "f'(+1)", "min interior f"]
+    assert not any(c["passed"] for c in checks)
+
+
+def test_analyze_names_an_overflowing_constant(capsys):
+    code, out, err = run(capsys, "analyze",
+                         "--expr=(1 - x^2)*(1 + 0*(1e200)^2)")
+    assert code == EXIT_INVALID_PROFILE
+    assert out == ""
+    assert err.startswith("profile error: ")
+    assert err.endswith("overflow in subexpression '1e+200^2'\n")
+    assert err.count("\n") == 1
 
 
 def test_analyze_unparseable_expression(capsys):
@@ -511,9 +536,10 @@ def test_run_failures_exit_1_with_one_line(capsys, monkeypatch, exc, prefix):
 # fuzzing: any text or profile file ends in a documented exit code
 # ---------------------------------------------------------------------------
 
-_FRAGMENTS = ["x", "s", "1", "2", "0.5", "1e308", "-", "+", "*", "/", "^",
-              "(", ")", "sqrt(", "log(", "exp(", "sin(", "cos(", " ", ".",
-              "e", "x^2", "1 - x^2", "(1 - x^2)", "sin(s)", ","]
+_FRAGMENTS = ["x", "s", "1", "2", "0.5", "1e308", "1e200", "0*", "-", "+",
+              "*", "/", "^", "(", ")", "sqrt(", "log(", "exp(", "sin(",
+              "cos(", " ", ".", "e", "x^2", "1 - x^2", "(1 - x^2)", "sin(s)",
+              ","]
 _TEXT = st.lists(st.sampled_from(_FRAGMENTS), max_size=10).map("".join) \
     | st.text(max_size=10)
 _NUMBER = st.floats() | st.integers()
@@ -547,15 +573,37 @@ _PROFILE_JSON = st.one_of(
 )
 
 
+_PREFIXES = tuple(prefix + ": " for _, prefix, _ in cli._FAILURES)
+
+
 def _documented_exit(argv):
+    """Run ``argv``: it must end in a documented exit code, never a
+    traceback, and a failure in one line on stderr (after any note on the
+    area normalization), a usage error in the parser's last line."""
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    assert code in DOCUMENTED_CODES, (argv, code, err.getvalue())
-    assert "Traceback" not in err.getvalue(), (argv, err.getvalue())
+    text = err.getvalue()
+    assert code in DOCUMENTED_CODES, (argv, code, text)
+    assert "Traceback" not in text, (argv, text)
+    lines = [line for line in text.splitlines() if not line.startswith("note: ")]
+    if code == EXIT_USAGE:
+        assert re.match(r"revspec \w+: error: ", lines[-1]), (argv, text)
+    elif code in (EXIT_FAILURE, EXIT_INVALID_PROFILE):
+        assert len(lines) == 1 and lines[0].startswith(_PREFIXES), (argv, text)
+    else:
+        assert len(lines) <= 1, (argv, text)
+
+
+def _profile_file(tmp_path_factory, payload, extra) -> str:
+    if isinstance(payload, dict):
+        payload = {**payload, **extra}
+    path = tmp_path_factory.getbasetemp() / "fuzz-profile.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 @settings(max_examples=60)
@@ -567,8 +615,43 @@ def test_fuzz_expression_text(text):
 @settings(max_examples=60)
 @given(payload=_PROFILE_JSON, extra=_NAME)
 def test_fuzz_profile_files(tmp_path_factory, payload, extra):
-    if isinstance(payload, dict):
-        payload = {**payload, **extra}
-    path = tmp_path_factory.getbasetemp() / "fuzz-profile.json"
-    path.write_text(json.dumps(payload))
-    _documented_exit(["spectrum", "--below", "3", "--profile", str(path)])
+    path = _profile_file(tmp_path_factory, payload, extra)
+    _documented_exit(["spectrum", "--below", "3", "--profile", path])
+
+
+def _command(tmp_path_factory, command: str) -> list[str]:
+    if command == "mesh":
+        return ["mesh", "--out", str(tmp_path_factory.getbasetemp() / "fuzz.obj")]
+    return [command]
+
+
+@pytest.mark.parametrize("command", ["analyze", "mesh"])
+@settings(max_examples=60)
+@given(text=_TEXT)
+@example(text="1 - x^2")
+@example(text="(1 - x^2)*(1 + 0.3*(1 - x^2))")
+@example(text="(1 - x^2)*(1 + 0*(1e200*x)^2)")
+@example(text="(1 - x^2)*(1 + 0*(1e200)^2)")
+def test_fuzz_expression_text_through_every_command(tmp_path_factory, command,
+                                                    text):
+    _documented_exit(_command(tmp_path_factory, command) + [f"--expr={text}"])
+
+
+@pytest.mark.parametrize("command", ["analyze", "mesh"])
+@settings(max_examples=60)
+@given(payload=_PROFILE_JSON, extra=_NAME)
+def test_fuzz_profile_files_through_every_command(tmp_path_factory, command,
+                                                  payload, extra):
+    path = _profile_file(tmp_path_factory, payload, extra)
+    _documented_exit(_command(tmp_path_factory, command) + ["--profile", path])
+
+
+@settings(max_examples=60)
+@given(eps=_TEXT, n=_TEXT)
+@example(eps="0,0.5,1e308", n="1,2")
+@example(eps="1e200", n="2e1")
+def test_fuzz_sweep_lists(eps, n):
+    """Each list against a cheap partner: ``n = 1`` keeps every member's
+    pinch wide, and ``eps = 0`` makes every member the round sphere."""
+    _documented_exit(["sweep", f"--eps={eps}", "--n=1"])
+    _documented_exit(["sweep", "--eps=0", f"--n={n}"])

@@ -257,7 +257,10 @@ def _walk(e, x):
         base = _walk(e.base, x)
         if e.exponent < 0 and np.any(np.asarray(base) == 0.0):
             raise EvalDomainError("zero base with negative exponent", to_string(e))
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:  # a Python float: a power of constants alone
+            raise EvalDomainError("overflow", to_string(e)) from None
     arg = _walk(e.arg, x)
     a = np.asarray(arg)
     if e.func == "sqrt" and np.any(a < 0.0):
@@ -333,6 +336,37 @@ def test_a_shared_failing_subtree_is_named_at_its_first_position(text):
     d1 = differentiate(e)
     for tree in (e, d1, differentiate(d1)):
         _assert_same_as_the_walk(tree, np.array([0.0, 1.0, 2.0, 3.0]))
+
+
+@pytest.mark.parametrize("text, subexpression", [
+    ("1e200^2", "1e+200^2"),
+    ("x + (1 + 1e200)^2", "(1.0+1e+200)^2"),
+    ("(1 - x^2)*(1 + 0*(1e200)^2)", "1e+200^2"),
+    ("2^2000*x + 1/(x - 1)", "2.0^2000"),
+    ("-(1e200^3) + x", "1e+200^3"),
+])
+def test_an_overflowing_power_of_constants_is_named(text, subexpression):
+    """Python floats raise where numpy would give inf: a named domain
+    error, at the walk's first failing node."""
+    e = parse(text)
+    for x in (1.0, np.array([0.0, 1.0])):
+        with pytest.raises(EvalDomainError, match="^overflow in subexpression") as ei:
+            evaluate(e, x)
+        assert ei.value.subexpression == subexpression
+    _assert_same_as_the_walk(e, np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("text, value", [
+    ("(1e200*1e200)^2 + x", math.inf), ("1e100^3*x", 1e300),
+    ("0.5^5000 + x", 1.0)])
+def test_powers_of_constants_that_stay_in_range_keep_their_values(text, value):
+    assert evaluate(parse(text), 1.0) == value
+    _assert_same_as_the_walk(parse(text), np.array([0.0, 1.0]))
+
+
+def test_the_first_failure_is_named_before_an_overflow():
+    assert _outcome(evaluate, parse("1/(x - 1) + 1e200^2"), 1.0)[2] == "1.0/(x-1.0)"
+    assert _outcome(evaluate, parse("1e200^2 + 1/(x - 1)"), 1.0)[2] == "1e+200^2"
 
 
 def test_the_log_derivative_names_its_shared_quotient():

@@ -211,9 +211,16 @@ def _record_calls(monkeypatch, original, record) -> list:
 
 
 def _count_refines(monkeypatch) -> list[int]:
-    """Channels of every ``refine`` call, under each name that holds it."""
-    return _record_calls(monkeypatch, solver.refine,
-                         lambda p, k, *args, **kwargs: k)
+    """Channels of every run of the one refinement loop, the channel
+    store's ``refine``."""
+    channels, loop = [], solver._Channels.refine
+
+    def spy(self, k, n):
+        channels.append(k)
+        return loop(self, k, n)
+
+    monkeypatch.setattr(solver._Channels, "refine", spy)
+    return channels
 
 
 def test_full_report_is_composed_of_the_public_tests(pinched_profile,

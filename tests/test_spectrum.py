@@ -11,8 +11,11 @@ import numpy as np
 import pytest
 
 import revspec.obstruction as obstruction
+import revspec.solver as solver
 import revspec.spectrum as spectrum
-from revspec.solver import ChannelSpectrum, refine
+from revspec.profile import (ArclengthProfile, make_profile, momentum_transform,
+                             normalize_area)
+from revspec.solver import ChannelSpectrum, ConvergenceError, refine
 from revspec.spectrum import (
     BudgetError, SpectrumEntry, SpectrumInvariantError, SpectrumTable,
     bounds_report, channel_lower_bound, check_invariants, enumerate_below,
@@ -66,6 +69,32 @@ def test_bounds_report_uses_the_channel_lower_bound(which, round_profile,
         assert b == channel_lower_bound(p, k, m)
 
 
+def _record_refinements(monkeypatch, record) -> None:
+    """Call ``record(store, k, n, result)`` after every run of the store's
+    refinement loop."""
+    loop = solver._Channels.refine
+
+    def recording(self, k, n):
+        cs = loop(self, k, n)
+        record(self, k, n, cs)
+        return cs
+
+    monkeypatch.setattr(solver._Channels, "refine", recording)
+
+
+def _record_solves(monkeypatch) -> list[tuple[int, int]]:
+    """``(k, N)`` of every channel solve: the store's one solve point calls
+    ``_raw_eigenvalues``, which assembles."""
+    solves, solve = [], solver._raw_eigenvalues
+
+    def spy(p, k, N):
+        solves.append((k, N))
+        return solve(p, k, N)
+
+    monkeypatch.setattr(solver, "_raw_eigenvalues", spy)
+    return solves
+
+
 @pytest.mark.parametrize("below", [3.0, 21.0])
 @pytest.mark.parametrize("which", ["round", "pinched"])
 def test_channel_budgets_push_the_next_bound_past_the_cutoff(
@@ -80,13 +109,12 @@ def test_channel_budgets_push_the_next_bound_past_the_cutoff(
     certificate holds on its Ritz values."""
     p = round_profile if which == "round" else pinched_profile
     last = {}
-
-    def recording_refine(p, k, n_eigs, **kwargs):
-        last[k] = refine(p, k, n_eigs, **kwargs)
-        return last[k]
-
-    monkeypatch.setattr(spectrum, "refine", recording_refine)
+    _record_refinements(monkeypatch,
+                        lambda store, k, n, cs: last.__setitem__(k, cs))
+    solves = _record_solves(monkeypatch)
     table = enumerate_below(p, below)
+    assert sorted({k for k, _ in solves}) == sorted(last)
+    monkeypatch.undo()
     counts = Counter(k for e in table.entries for k, _ in e.channels)
     k0 = min(next(k for k in itertools.count(1) if counts[k] == 0),
              math.ceil(below) - 1)
@@ -134,12 +162,10 @@ def test_partial_sums_increase_toward_the_trace(round_profile):
 def test_channel_store_serves_smaller_requests_and_replaces_on_larger(
         pinched_profile, monkeypatch):
     calls = []
-
-    def counting_refine(p, k, n_eigs, **kwargs):
-        calls.append((k, n_eigs, kwargs))
-        return refine(p, k, n_eigs, **kwargs)
-
-    monkeypatch.setattr(spectrum, "refine", counting_refine)
+    _record_refinements(monkeypatch, lambda store, k, n, cs: calls.append(
+        (k, n, {"target_rel_err": store.target_rel_err,
+                "basis_cap": store.basis_cap})))
+    solves = _record_solves(monkeypatch)
     channels = spectrum._Channels(pinched_profile, 1e-7, 512)
     five = channels(0, 5)
     three = channels(0, 3)
@@ -147,39 +173,166 @@ def test_channel_store_serves_smaller_requests_and_replaces_on_larger(
     assert three.eigenvalues == five.eigenvalues[:3]
     assert three.convergence_estimates == five.convergence_estimates[:3]
     assert (three.k, three.basis_size) == (0, five.basis_size)
-    # a larger request re-solves, and the deeper spectrum serves from then on
+    # a larger request refines again, and the deeper spectrum serves from
+    # then on; it solves only the sizes the first request did not reach
+    held = len(solves)
     eight = channels(0, 8)
     assert [c[:2] for c in calls] == [(0, 5), (0, 8)]
     assert len(eight.eigenvalues) == 8
     assert channels(0, 6).eigenvalues == eight.eigenvalues[:6]
     assert channels(0, 8) == eight
     assert len(calls) == 2
+    assert all(N > five.basis_size for _, N in solves[held:])
     # each channel is held apart
     assert channels(1, 2).k == 1
     assert [c[:2] for c in calls] == [(0, 5), (0, 8), (1, 2)]
+    assert len(solves) == len(set(solves))
 
 
-def _refine_calls(tree: ast.AST) -> list[ast.Call]:
+def _calls_of(tree: ast.AST, *names: str) -> list[ast.Call]:
     return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
             and getattr(node.func, "id", getattr(node.func, "attr", None))
-            == "refine"]
+            in names]
+
+
+def _definition(tree: ast.AST, name: str) -> ast.AST:
+    return next(node for node in ast.walk(tree)
+                if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+                and node.name == name)
 
 
 def test_refine_is_called_only_inside_the_channel_store():
     """How deep each channel is solved is decided in one place: the one
-    ``refine`` call of ``spectrum.py`` is inside ``_Channels``, and
-    ``obstruction.py`` neither calls nor imports ``refine``."""
-    tree = ast.parse(Path(spectrum.__file__).read_text())
-    store = next(node for node in tree.body
-                 if isinstance(node, ast.ClassDef) and node.name == "_Channels")
-    assert len(_refine_calls(tree)) == 1
-    assert len(_refine_calls(store)) == 1
-    tree = ast.parse(Path(obstruction.__file__).read_text())
-    assert _refine_calls(tree) == []
-    imported = {alias.name for node in ast.walk(tree)
-                if isinstance(node, (ast.Import, ast.ImportFrom))
-                for alias in node.names}
-    assert "refine" not in imported
+    refinement loop is ``solver._Channels.refine``, and the public
+    ``refine`` and ``solve_channel`` run on stores of their own.  The one
+    ``_raw_eigenvalues`` call of ``solver.py`` is the store's solve point.
+    ``spectrum.py`` and ``obstruction.py`` neither call nor import a solver
+    entry point."""
+    tree = ast.parse(Path(solver.__file__).read_text())
+    store = _definition(tree, "_Channels")
+    loop = _definition(store, "refine")
+    assert _calls_of(tree, "_raw_eigenvalues") == \
+        _calls_of(_definition(store, "_eigenvalues"), "_raw_eigenvalues")
+    assert len(_calls_of(tree, "_raw_eigenvalues")) == 1
+    assert len(_calls_of(tree, "_spectrum")) == 2
+    assert len(_calls_of(loop, "_spectrum")) == 1
+    assert len(_calls_of(_definition(tree, "solve_channel"), "_spectrum")) == 1
+    assert [type(node) for node in loop.body].count(ast.While) == 2
+    for name in ("refine", "solve_channel"):
+        public = _definition(tree, name)
+        assert not any(isinstance(node, ast.While) for node in ast.walk(public))
+        assert [c.func.id for c in _calls_of(public, "_Channels")] == ["_Channels"]
+    assert spectrum._Channels is solver._Channels
+    entry_points = ("refine", "solve_channel", "_raw_eigenvalues", "assemble")
+    for module in (spectrum, obstruction):
+        tree = ast.parse(Path(module.__file__).read_text())
+        assert _calls_of(tree, *entry_points) == []
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        assert not imported & set(entry_points)
+
+
+def _sample_member():
+    xs = np.linspace(-1.0, 1.0, 33)
+    return make_profile(list(zip(xs, (1 - xs ** 2) * (1 + 0.3 * (1 - xs ** 2)))),
+                        name="samples")
+
+
+def _arclength_member():
+    # a = sin(s) + 0.05 sin(s)^3 keeps a(0) = a(pi) = 0 and a' = +-1 there
+    ap = ArclengthProfile(
+        a=lambda s: np.sin(s) + 0.05 * np.sin(s) ** 3,
+        da=lambda s: np.cos(s) * (1.0 + 0.15 * np.sin(s) ** 2),
+        d2a=lambda s: np.sin(s) * (0.3 * np.cos(s) ** 2 - 1.0
+                                   - 0.15 * np.sin(s) ** 2),
+        length=math.pi)
+    return momentum_transform(normalize_area(ap))
+
+
+@pytest.mark.parametrize("call", [
+    "full_report(paper-example)", "enumerate_below(round, 437)",
+    "full_report(samples)", "full_report(arclength)"])
+def test_each_basis_size_is_assembled_once_per_call(call, round_profile,
+                                                    pinched_profile, monkeypatch):
+    """One top-level call solves each ``(k, N)`` at most once, however
+    often its requests revisit a channel; the next call starts afresh."""
+    p = {"full_report(paper-example)": pinched_profile,
+         "enumerate_below(round, 437)": round_profile,
+         "full_report(samples)": _sample_member(),
+         "full_report(arclength)": _arclength_member()}[call]
+    run = ((lambda: enumerate_below(p, 437.0)) if "437" in call
+           else (lambda: obstruction.full_report(p)))
+    assembled, assemble = [], solver.assemble
+
+    def spy(p, k, N):
+        assembled.append((k, N))
+        return assemble(p, k, N)
+
+    monkeypatch.setattr(solver, "assemble", spy)
+    runs = []
+    for _ in range(2):
+        assembled.clear()
+        run()
+        runs.append(list(assembled))
+        assert assembled
+        assert len(assembled) == len(set(assembled)), Counter(assembled).most_common(3)
+    # nothing is kept from one call to the next
+    assert runs[0] == runs[1]
+    if "437" in call:
+        # 174 solves when every request refined afresh, 88 of them distinct
+        assert len(assembled) == 88
+
+
+def _outcome(solve):
+    """A spectrum, or the ConvergenceError's message and best spectrum, or
+    the ValueError's message."""
+    try:
+        return solve()
+    except ConvergenceError as exc:
+        return ("ConvergenceError", str(exc), exc.best)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def _first(outcome, n):
+    if not isinstance(outcome, ChannelSpectrum):
+        return outcome
+    return replace(outcome, eigenvalues=outcome.eigenvalues[:n],
+                   convergence_estimates=outcome.convergence_estimates[:n])
+
+
+_REQUESTS = [(1, 4), (1, 9), (1, 2), (0, 1), (1, 20), (0, 13), (4, 1),
+             (1, 5), (0, 1), (0, 40), (1, 33), (1, 70), (4, 3), (1, 8)]
+
+
+@pytest.mark.parametrize("target, cap, kinds", [
+    (1e-8, 1024, {"spectrum"}),
+    (1e-8, 128, {"spectrum", "ConvergenceError", "ValueError"}),
+    (1e-12, 256, {"spectrum", "ConvergenceError"}),
+    (1e-13, 1024, {"ValueError"})],
+    ids=["converging", "capped-128", "capped-256", "below-the-floor"])
+def test_a_store_gives_what_a_fresh_refinement_gives(pinched_profile, target,
+                                                     cap, kinds):
+    """Over growing and shrinking requests, the store's loop returns what
+    a fresh ``refine`` returns, field for field, and so does its failure,
+    with the best spectrum it carries; ``store(k, n)`` is the fresh
+    refinement of the deepest request so far, cut to ``n`` values."""
+    store = solver._Channels(pinched_profile, target, cap)
+    served = solver._Channels(pinched_profile, target, cap)
+    deepest, outcomes = {}, set()
+    for k, n in _REQUESTS:
+        fresh = _outcome(lambda: refine(pinched_profile, k, n,
+                                        target_rel_err=target, basis_cap=cap))
+        assert _outcome(lambda: store.refine(k, n)) == fresh
+        outcomes.add(fresh[0] if isinstance(fresh, tuple) else "spectrum")
+        depth = max(n, deepest.get(k, 0))
+        expected = _first(_outcome(lambda: refine(
+            pinched_profile, k, depth, target_rel_err=target, basis_cap=cap)), n)
+        assert _outcome(lambda: served(k, n)) == expected
+        if isinstance(expected, ChannelSpectrum):
+            deepest[k] = depth
+    assert outcomes == kinds
 
 
 def test_round_table_below_13(round_profile):
