@@ -17,7 +17,9 @@ of one of three kinds:
 
 The arclength kind is rescaled to total area 4*pi and transformed into
 momentum coordinates before use (its reported eigenvalues refer to the
-normalized metric; the applied scale factor is printed).
+normalized metric; the applied scale factor is printed).  An arclength
+input whose transform reaches no Chebyshev noise plateau by degree 2048
+(``profile.PROXY_MAX_DEGREE``) is a profile error, exit 3.
 
 Exit codes
     0   success; for analyze, the profile is embeddable
@@ -44,7 +46,8 @@ import numpy as np
 from .exprs import ExprError, EvalDomainError, differentiate, evaluate, parse
 from .families import BUILTIN_EXPRESSIONS, squeeze_profile
 from .profile import (ArclengthProfile, InvalidProfileError, Profile,
-                      ProfileDefinitionError, gauss_bonnet_residual,
+                      ProfileDefinitionError, ProxyResolutionError,
+                      gauss_bonnet_residual,
                       make_profile, momentum_transform, normalize_area,
                       profile_from_text, require_valid, validate)
 from .quadrature import QuadratureError
@@ -230,18 +233,20 @@ def _profile_from_arclength(payload: dict, path: str, name: str) -> Profile:
         raise ProfileDefinitionError(f"{path}: length must be positive")
     a_expr = parse(str(payload["a"]), var="s")
     da_expr = differentiate(a_expr)
-    d2a_expr = differentiate(da_expr)
     ap = ArclengthProfile(
         a=lambda s: evaluate(a_expr, s),
         da=lambda s: evaluate(da_expr, s),
-        d2a=lambda s: evaluate(d2a_expr, s),
         length=length, source="expression")
     normalized = normalize_area(ap)
     if abs(normalized.scale_factor - 1.0) > 1e-12:
         print(f"note: area normalized by homothety factor "
               f"{fmt17(normalized.scale_factor)}; eigenvalues refer to the "
               f"normalized metric", file=sys.stderr)
-    return dataclasses.replace(momentum_transform(normalized), name=name)
+    try:
+        p = momentum_transform(normalized)
+    except ProxyResolutionError as exc:
+        raise ProxyResolutionError(f"{path}: {exc}") from exc
+    return dataclasses.replace(p, name=name)
 
 
 def load_profile(args: argparse.Namespace) -> Profile:

@@ -27,7 +27,10 @@ them:
   ``x = -1 + t^2`` (and mirrored at the other pole), in which the integrand
   ``2 / sqrt(f(x(t)) / t^2)`` extends smoothly to the pole,
 * :func:`momentum_transform` goes the other way from an
-  :class:`ArclengthProfile`,
+  :class:`ArclengthProfile`: it inverts ``x(s)`` once per sample point of
+  one Chebyshev series for ``f/(1-x^2)``, sampled at doubling degrees until
+  its coefficients chop at a noise plateau, and the profile's ``f``,
+  ``f'`` and ``f''`` are that series times ``1-x^2`` and its derivatives,
 * :func:`normalize_area` rescales an arclength profile to total area
   ``4*pi`` by the homothety ``a -> c * a(s / c)``,
 * :func:`curvature` and :func:`gauss_bonnet_residual` expose the curvature
@@ -48,6 +51,7 @@ from .quadrature import CumulativeIntegral, QuadratureError, integrate_adaptive,
 __all__ = [
     "Profile", "ArclengthProfile", "Check", "ValidationReport",
     "ProfileDefinitionError", "InvalidProfileError", "AreaMismatchError",
+    "ProxyResolutionError", "PROXY_MAX_DEGREE",
     "make_profile", "profile_from_text", "validate", "require_valid",
     "validate_arclength", "arclength_recover", "momentum_transform",
     "normalize_area", "area_of", "curvature", "gauss_bonnet_residual",
@@ -56,6 +60,8 @@ __all__ = [
 
 BC_SLOPE = 2.0  # |f'| at the poles forced by smoothness
 FOUR_PI = 4.0 * np.pi
+# largest degree of the Chebyshev series behind a transformed profile
+PROXY_MAX_DEGREE = 2048
 
 
 class ProfileDefinitionError(ValueError):
@@ -70,6 +76,12 @@ class InvalidProfileError(ValueError):
         failing = ", ".join(c.name for c in report.checks if not c.passed)
         prefix = f"{context}: " if context else ""
         super().__init__(f"{prefix}profile validation failed ({failing})")
+
+
+class ProxyResolutionError(ProfileDefinitionError):
+    """A transformed profile's Chebyshev series found no noise plateau by
+    degree :data:`PROXY_MAX_DEGREE`: the arclength input is not smooth
+    enough to be represented."""
 
 
 class AreaMismatchError(ValueError):
@@ -123,7 +135,8 @@ class Profile:
 
     ``f``, ``df``, ``d2f`` are vectorized callables on [-1, 1].  ``source``
     is one of ``"expression"``, ``"samples"``, ``"transformed"``.  Profiles
-    are immutable, so each keeps its validation report once computed.
+    are immutable, so each keeps its validation report and its channel-0
+    trace integral once computed.
     """
 
     f: Callable
@@ -138,18 +151,24 @@ class Profile:
     def _report(self) -> ValidationReport:
         return _profile_report(self, 1e-10 if self.source == "expression" else 1e-6)
 
+    @cached_property
+    def _trace0(self) -> float:
+        return _trace0_integral(self)
+
 
 @dataclass(frozen=True)
 class ArclengthProfile:
     """Metric in arclength form ``ds^2 + a(s)^2 dtheta^2`` on ``[0, length]``.
 
-    ``d2a`` may be None for externally built profiles; transforms that need
-    it fall back to a finite difference of ``da``.  ``scale_factor`` records
-    the cumulative homothety applied by :func:`normalize_area` (eigenvalues
-    of the original metric are ``scale_factor**2`` times those of the
-    normalized one).  ``x_of_s``/``s_of_x`` are carried by profiles produced
-    from :func:`arclength_recover` so downstream consumers can reuse the
-    meridian parametrization.
+    ``d2a`` is optional: :func:`arclength_recover` fills it and
+    :func:`normalize_area` carries it along, but nothing here reads it
+    (:func:`momentum_transform` reads ``a``, and ``da`` only at the two ends
+    to validate).  ``scale_factor`` records the cumulative homothety applied
+    by :func:`normalize_area` (eigenvalues of the original metric are
+    ``scale_factor**2`` times those of the normalized one).
+    ``x_of_s``/``s_of_x`` are carried by profiles produced from
+    :func:`arclength_recover` so downstream consumers can reuse the meridian
+    parametrization.
     """
 
     a: Callable
@@ -240,8 +259,8 @@ def _profile_from_samples(defn, name: str) -> Profile:
         raise ProfileDefinitionError("sample abscissae must be strictly increasing")
     if abs(x[0] + 1.0) > 1e-9 or abs(x[-1] - 1.0) > 1e-9:
         raise ProfileDefinitionError("samples must cover [-1, 1] endpoint to endpoint")
-    # scipy.interpolate takes most of the import time; expression profiles
-    # never need it, so it loads here and in the two meridian maps only
+    # scipy.interpolate takes most of the import time; only sampled
+    # profiles need it, so it loads here alone
     from scipy.interpolate import CubicSpline
     spline = CubicSpline(x, y, bc_type=((1, BC_SLOPE), (1, -BC_SLOPE)))
     f, df, d2f = (_pointwise(g) for g in
@@ -277,6 +296,19 @@ def _profile_report(p: Profile, tol: float) -> ValidationReport:
         checks.append(Check(f"evaluable ({err.subexpression})",
                             float("nan"), 0.0, 0.0, False))
     return ValidationReport(checks=tuple(checks))
+
+
+def _trace0_integral(p: Profile) -> float:
+    """``(1/2) int (1-x^2)/f``, kept on the profile as ``_trace0``; see
+    :func:`revspec.spectrum.trace0_integral`."""
+    try:
+        val, _ = integrate_adaptive(lambda x: (1.0 - x * x) / p.f(x), -1.0, 1.0,
+                                    rtol=1e-12, n0=64)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"trace integrand (1-x^2)/f did not converge — profile boundary "
+            f"behavior is suspect despite validation: {exc}") from exc
+    return 0.5 * val
 
 
 def validate(p: Profile, tol_bc: float | None = None) -> ValidationReport:
@@ -320,6 +352,23 @@ def validate_arclength(ap: ArclengthProfile,
 # meridian parametrization: s(x) and x(s)
 # ---------------------------------------------------------------------------
 
+def _invert_cumulative(cum: CumulativeIntegral, target) -> np.ndarray:
+    """The points of ``cum.grid``'s span where ``cum`` reaches each ``target``.
+
+    The seed interpolates the table linearly against the square root of the
+    integral, a chart in which the map stays regular at a pole even where
+    the integrand vanishes (there the integral grows like the square of the
+    distance); three Newton steps with the integrand as the slope then
+    settle at rounding level.  Every target must lie in ``[0, cum.total]``
+    up to rounding; points are clipped to the grid's span.
+    """
+    lo, hi = cum.grid[0], cum.grid[-1]
+    y = np.interp(np.sqrt(target), np.sqrt(cum.cum), cum.grid)
+    for _ in range(3):
+        y = np.clip(y - (cum.value(y) - target) / cum.fn(y), lo, hi)
+    return y
+
+
 class _MeridianMap:
     """Arclength along the meridian, built with pole-regular charts.
 
@@ -328,12 +377,10 @@ class _MeridianMap:
     ``2 - t^2`` times ``f/(1-x^2)`` at the pole, so plain Gauss quadrature in
     ``t`` converges fast; the mirrored chart ``x = 1 - t^2`` covers the other
     half.  The inverse ``x(s)`` is found per half by inverting the smooth,
-    strictly increasing map ``t -> s`` (monotone interpolation plus a couple
-    of Newton corrections against the quadrature-accurate forward map).
+    strictly increasing map ``t -> s`` (:func:`_invert_cumulative`).
     """
 
     def __init__(self, p: Profile, n_seg: int = 1024, order: int = 8):
-        from scipy.interpolate import PchipInterpolator
         t_grid = np.linspace(0.0, 1.0, n_seg + 1)
 
         def make_g(sign, side):
@@ -355,19 +402,11 @@ class _MeridianMap:
                 return 2.0 / np.sqrt(ratio)
             return g
 
-        g_left = make_g(+1, "-1")    # x = -1 + t^2
-        g_right = make_g(-1, "+1")   # x = 1 - t^2
-
-        self._cum_left = CumulativeIntegral(g_left, t_grid, order)
-        self._cum_right = CumulativeIntegral(g_right, t_grid, order)
-        self._g_left, self._g_right = g_left, g_right
+        # x = -1 + t^2 on the left half, x = 1 - t^2 on the right
+        self._cum_left = CumulativeIntegral(make_g(+1, "-1"), t_grid, order)
+        self._cum_right = CumulativeIntegral(make_g(-1, "+1"), t_grid, order)
         self.s_mid = self._cum_left.total          # s at x = 0
         self.length = self.s_mid + self._cum_right.total
-        # inverse tables t(s), one per half
-        sl = self._cum_left.cum
-        self._t_of_s_left = PchipInterpolator(sl, t_grid, extrapolate=False)
-        sr = self._cum_right.cum                   # arc measured inward from x=+1
-        self._t_of_s_right = PchipInterpolator(sr, t_grid, extrapolate=False)
 
     def s_of_x(self, x):
         scalar = np.ndim(x) == 0
@@ -385,15 +424,6 @@ class _MeridianMap:
             out[~left] = self.length - self._cum_right.value(t)
         return float(out[0]) if scalar else out
 
-    def _invert_half(self, s_target, cum, t_table, g):
-        t = np.clip(np.asarray(t_table(s_target), dtype=float), 0.0, 1.0)
-        for _ in range(2):
-            resid = cum.value(t) - s_target
-            # slope taken a hair inside the chart; g is smooth so the Newton
-            # correction is unaffected at the accuracy that matters here
-            t = np.clip(t - resid / g(np.clip(t, 1e-3, 1.0)), 0.0, 1.0)
-        return t
-
     def x_of_s(self, s):
         scalar = np.ndim(s) == 0
         s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -403,12 +433,10 @@ class _MeridianMap:
         out = np.empty_like(s)
         left = s <= self.s_mid
         if np.any(left):
-            t = self._invert_half(s[left], self._cum_left,
-                                  self._t_of_s_left, self._g_left)
+            t = _invert_cumulative(self._cum_left, s[left])
             out[left] = -1.0 + t * t
         if np.any(~left):
-            t = self._invert_half(self.length - s[~left], self._cum_right,
-                                  self._t_of_s_right, self._g_right)
+            t = _invert_cumulative(self._cum_right, self.length - s[~left])
             out[~left] = 1.0 - t * t
         return float(out[0]) if scalar else out
 
@@ -478,84 +506,120 @@ def momentum_transform(ap: ArclengthProfile, n_seg: int = 2048,
     Preconditions: the arclength profile validates, and the total area is
     ``4*pi`` within ``area_tol`` (otherwise :class:`AreaMismatchError`;
     run :func:`normalize_area` first).  The change of variable is
-    ``x(s) = -1 + integral of a``; its inverse is found per half in the
-    pole-regular variable ``t = sqrt(1 -/+ x)`` where the map ``t -> s`` has
-    a bounded, nonvanishing derivative.
+    ``x(s) = -1 + integral of a``, tabulated from each pole over its half of
+    the meridian so that ``1 + x`` and ``1 - x`` both keep their relative
+    accuracy near their pole.
+
+    The profile is ``f = (1 - x^2) g`` with one Chebyshev series ``g``.
+    ``g = f/(1 - x^2)`` is smooth and equals 1 at both poles (there
+    ``a ~ distance`` and ``1 -/+ x ~ distance^2/2``), so ``g(+-1) = 1`` is set
+    exactly, which makes ``f(+-1) = 0`` and ``f'(+-1) = -+2`` hold by
+    construction.  Inside, ``g`` is sampled on the Chebyshev-Lobatto points
+    of degree 16, 32, 64, ... (one inversion of ``x(s)`` per point) until
+    the coefficients reach a noise plateau under the chop of Aurentz &
+    Trefethen ("Chopping a Chebyshev series", ACM TOMS 43, 2017) at
+    ``tol`` = machine epsilon.  The chopped series is kept, with its end
+    values set back to 1 (the dropped tail moved them by its sum), and
+    ``f'`` and ``f''`` are the derivatives of ``(1 - x^2) g``.  A profile
+    with no plateau by degree :data:`PROXY_MAX_DEGREE` raises
+    :class:`ProxyResolutionError`.
     """
-    from scipy.interpolate import PchipInterpolator
     report = validate_arclength(ap)
     if not report.passed:
         raise InvalidProfileError(report, context="momentum_transform")
     L = ap.length
-    s_grid = np.linspace(0.0, L, n_seg + 1)
-    cum = CumulativeIntegral(ap.a, s_grid)
-    area = 2.0 * np.pi * cum.total
+    half = np.linspace(0.0, 0.5 * L, n_seg // 2 + 1)
+    south = CumulativeIntegral(ap.a, half)                     # 1 + x at s
+    north = CumulativeIntegral(lambda r: ap.a(L - r), half)    # 1 - x at L - r
+    area = 2.0 * np.pi * (south.total + north.total)
     if abs(area - FOUR_PI) > area_tol:
         raise AreaMismatchError(area)
-    x_grid = np.clip(-1.0 + cum.cum, -1.0, 1.0)
-    x_grid[-1] = 1.0
 
-    # inverse tables sigma(x) built in the pole-regular charts
-    mid = int(np.searchsorted(x_grid, 0.0, side="right"))
-    li = slice(0, min(mid + 2, x_grid.size))
-    ri = slice(max(mid - 2, 0), x_grid.size)
-    tl = np.sqrt(np.clip(x_grid[li] + 1.0, 0.0, None))
-    tr = np.sqrt(np.clip(1.0 - x_grid[ri], 0.0, None))[::-1]
-    sl = s_grid[li]
-    sr = s_grid[ri][::-1]
-    tl, il = np.unique(tl, return_index=True)
-    tr, ir = np.unique(tr, return_index=True)
-    s_of_t_left = PchipInterpolator(tl, sl[il], extrapolate=True)
-    s_of_t_right = PchipInterpolator(tr, (L - sr)[ir], extrapolate=True)
+    def coefficients(degree: int) -> np.ndarray:
+        # g at x_j = cos(pi j / degree), j = 0..degree, with 1 + x_j and
+        # 1 - x_j computed without cancellation, and g(+-1) = 1 exactly
+        half_theta = 0.5 * np.pi * np.arange(1, degree) / degree
+        u, v = 2.0 * np.cos(half_theta) ** 2, 2.0 * np.sin(half_theta) ** 2
+        south_side = u <= south.total
+        a = np.empty(degree - 1)
+        for side, cum, target in ((south_side, south, u), (~south_side, north, v)):
+            a[side] = cum.fn(_invert_cumulative(cum, target[side]))
+        return _lobatto_coefficients(np.concatenate(([1.0], a * a / (u * v), [1.0])))
 
-    def sigma(x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        x = np.clip(x, -1.0, 1.0)
-        s = np.empty_like(x)
-        left = x <= 0.0
-        if np.any(left):
-            s[left] = s_of_t_left(np.sqrt(x[left] + 1.0))
-        if np.any(~left):
-            s[~left] = L - s_of_t_right(np.sqrt(1.0 - x[~left]))
-        s = np.clip(s, 0.0, L)
-        # Newton polish against the accurate forward map, away from the poles
-        av = np.asarray(ap.a(s), dtype=float)
-        safe = av > 1e-8
-        for _ in range(2):
-            if not np.any(safe):
-                break
-            resid = cum.value(s[safe]) - (x[safe] + 1.0)
-            s[safe] = np.clip(s[safe] - resid / np.asarray(ap.a(s[safe]), dtype=float),
-                              0.0, L)
-        return float(s[0]) if scalar else s
+    degree, coeffs = 16, coefficients(16)
+    while (keep := _chop(coeffs)) is None:
+        if degree >= PROXY_MAX_DEGREE:
+            raise ProxyResolutionError(
+                f"transformed profile does not resolve: its Chebyshev series "
+                f"reaches no noise plateau by degree {degree}")
+        degree *= 2
+        coeffs = coefficients(degree)
 
-    d2a = ap.d2a
-    if d2a is None:
-        h = 1e-6 * L
-
-        def d2a(s):  # noqa: F811
-            s = np.asarray(s, dtype=float)
-            return (np.asarray(ap.da(np.clip(s + h, 0, L)), dtype=float)
-                    - np.asarray(ap.da(np.clip(s - h, 0, L)), dtype=float)) / (2 * h)
-
-    eps_pole = 1e-7 * L
+    # the dropped tail moved g(+-1) off 1 by its sum; the cardinal functions
+    # of the kept degree's end points set both back, vanishing on its other
+    # Lobatto points
+    c = coeffs[:max(keep, 2)]
+    miss_north, miss_south = 1.0 - c.sum(), 1.0 - c[::2].sum() + c[1::2].sum()
+    pin = (miss_north + miss_south * (-1.0) ** np.arange(c.size)) / (c.size - 1)
+    pin[[0, -1]] *= 0.5
+    # numpy.polynomial is not loaded by numpy itself; only this path needs it
+    from numpy.polynomial import Chebyshev
+    g = Chebyshev(c + pin)
+    f = g * Chebyshev((0.5, 0.0, -0.5))    # (1 - x^2) g
 
     @_pointwise
-    def f(x):
-        av = np.asarray(ap.a(sigma(x)), dtype=float)
-        return av * av
+    def f_value(x):
+        # the factored form keeps f's relative accuracy at the poles
+        x = np.asarray(x, dtype=float)
+        return (1.0 - x) * (1.0 + x) * g(x)
 
-    df = _pointwise(lambda x: 2.0 * np.asarray(ap.da(sigma(x)), dtype=float))
+    return Profile(f=f_value, df=_pointwise(f.deriv()), d2f=_pointwise(f.deriv(2)),
+                   source="transformed")
 
-    def d2f(x):
-        # f'' = 2 a''/a along the meridian; clamp s away from the poles,
-        # where the ratio tends to a finite limit (both factors vanish linearly)
-        s = np.clip(np.atleast_1d(sigma(x)), eps_pole, L - eps_pole)
-        out = 2.0 * np.asarray(d2a(s), dtype=float) / np.asarray(ap.a(s), dtype=float)
-        return float(out[0]) if np.ndim(x) == 0 else out
 
-    return Profile(f=f, df=df, d2f=d2f, source="transformed")
+def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the polynomial through ``values`` at the
+    points ``cos(pi j / n)``, ``j = 0..n``: a DCT-I by the FFT of the even
+    extension."""
+    n = values.size - 1
+    c = np.fft.rfft(np.concatenate((values, values[-2:0:-1]))).real / n
+    c[0] *= 0.5
+    c[-1] *= 0.5
+    return c
+
+
+def _chop(coeffs: np.ndarray) -> int | None:
+    """How many leading coefficients to keep, or None without a plateau.
+
+    Aurentz & Trefethen's ``standardChop`` (ACM TOMS 43, 2017) at ``tol`` =
+    machine epsilon: the normalized monotone envelope of ``|coeffs|`` must
+    flatten out (a plateau, at a level that may rise to about
+    ``tol^(2/3)``), and the cut goes where the envelope, tilted by a linear
+    bias towards short series, is least.
+    """
+    tol = np.finfo(float).eps
+    n = coeffs.size
+    env = np.maximum.accumulate(np.abs(coeffs)[::-1])[::-1]
+    if env[0] == 0.0:
+        return 1
+    env = env / env[0]
+    # 1-based j and j2 = round(1.25 j + 5), as in the paper
+    for j in range(2, n + 1):
+        j2 = int(1.25 * j + 5.5)
+        if j2 > n:
+            return None
+        e1, e2 = env[j - 1], env[j2 - 1]
+        if e1 == 0.0 or e2 / e1 > 3.0 * (1.0 - np.log(e1) / np.log(tol)):
+            break
+    plateau = j - 1
+    if env[plateau - 1] == 0.0:
+        return plateau
+    j3 = int(np.sum(env >= tol ** (7.0 / 6.0)))
+    if j3 < j2:
+        j2 = j3 + 1
+        env[j2 - 1] = tol ** (7.0 / 6.0)
+    tilted = np.log10(env[:j2]) + np.linspace(0.0, -np.log10(tol) / 3.0, j2)
+    return max(int(np.argmin(tilted)), 1)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, replace
 
 from .profile import Profile, require_valid
-from .quadrature import QuadratureError, integrate_adaptive
+from .quadrature import integrate_adaptive
 from .solver import REFINE_CAP, REFINE_START, ChannelSpectrum, _Channels
 
 __all__ = [
@@ -139,20 +139,11 @@ def trace0_integral(p: Profile) -> float:
     The integrand extends continuously to the endpoints (both factors vanish
     to first order with matching slopes), so adaptive Gauss quadrature
     converges for every valid profile; failure to converge is re-raised with
-    that diagnosis.  Round sphere: exactly 1.
+    that diagnosis.  The integral is computed once per profile and kept on
+    it, like its validation report.  Round sphere: exactly 1.
     """
     require_valid(p, context="trace0_integral")
-
-    def integrand(x):
-        return (1.0 - x * x) / p.f(x)
-
-    try:
-        val, _ = integrate_adaptive(integrand, -1.0, 1.0, rtol=1e-12, n0=64)
-    except QuadratureError as exc:
-        raise QuadratureError(
-            f"trace integrand (1-x^2)/f did not converge — profile boundary "
-            f"behavior is suspect despite validation: {exc}") from exc
-    return 0.5 * val
+    return p._trace0
 
 
 def trace_partial_sum(cs: ChannelSpectrum, j_count: int) -> float:

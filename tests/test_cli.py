@@ -14,11 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import revspec.cli as cli
+import revspec.profile
 from revspec.cli import (
     EXIT_FAILURE, EXIT_INVALID_PROFILE, EXIT_NOT_EMBEDDABLE, EXIT_OK,
     EXIT_USAGE, EXIT_VERIFY_FAILED, main,
 )
 from revspec.exprs import EvalDomainError
+from revspec.profile import PROXY_MAX_DEGREE
 from revspec.quadrature import QuadratureError
 from revspec.solver import ConvergenceError, SolverError
 from revspec.spectrum import BudgetError, SpectrumInvariantError
@@ -400,6 +402,71 @@ def test_profile_file_arclength_kind(tmp_path, capsys):
     doc = json.loads(out)
     assert doc["obstructions"]["spectral_test"]["lambda01"] == \
         pytest.approx(2.0, abs=1e-6)
+
+
+_KINKED_ARCLENGTH = {"kind": "arclength-expression",
+                     "a": "sin(s)*(1 + 0.1*sin(s)^2*sqrt((s - 1.3)^2))",
+                     "length": np.pi}
+
+
+def test_arclength_input_without_a_chebyshev_plateau_exits_3(tmp_path, capsys):
+    # |s - 1.3| puts a kink in a: its transform has no Chebyshev plateau
+    path = tmp_path / "kinked.json"
+    path.write_text(json.dumps(_KINKED_ARCLENGTH))
+    code, out, err = run(capsys, "analyze", "--profile", str(path))
+    assert code == EXIT_INVALID_PROFILE
+    assert out == ""
+    lines = [line for line in err.splitlines() if not line.startswith("note: ")]
+    assert lines == [f"profile error: {path}: transformed profile does not "
+                     f"resolve: its Chebyshev series reaches no noise plateau "
+                     f"by degree {PROXY_MAX_DEGREE}"]
+
+
+@pytest.mark.parametrize("source", ["builtin", "arclength"])
+def test_analyze_integrates_the_channel_0_trace_once(tmp_path, capsys,
+                                                     monkeypatch, source):
+    """``full_report`` and the bounds both read the channel-0 trace; the
+    integral runs once per profile."""
+    calls = []
+    integral = revspec.profile._trace0_integral
+
+    def spy(p):
+        calls.append(p)
+        return integral(p)
+    monkeypatch.setattr(revspec.profile, "_trace0_integral", spy)
+    if source == "builtin":
+        argv = ["--builtin", "round"]
+    else:
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps({"kind": "arclength-expression",
+                                    "a": "sin(s) + 0.05*sin(s)^3",
+                                    "length": np.pi}))
+        argv = ["--profile", str(path)]
+    code, out, _ = run(capsys, "analyze", *argv)
+    assert code == EXIT_OK
+    assert len(calls) == 1
+    assert json.loads(out)["bounds"]["trace0_integral"] == \
+        calls[0]._trace0
+
+
+def test_arclength_analysis_and_expression_meshes_load_no_scipy(tmp_path):
+    # a fresh interpreter per run, as for the spectrum test above
+    path = tmp_path / "a.json"
+    path.write_text(json.dumps({"kind": "arclength-expression",
+                                "a": "0.5*sin(2*s)", "length": np.pi / 2}))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    for argv in (["analyze", "--profile", str(path)],
+                 ["mesh", "--builtin", "round", "--out", str(tmp_path / "r.obj")]):
+        script = ("import sys\n"
+                  "from revspec.cli import main\n"
+                  f"code = main({argv!r})\n"
+                  "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+                  "sys.stderr.write(repr((code, loaded)))\n")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.stderr.splitlines()[-1] == "(0, [])", (argv, proc.stderr)
 
 
 @pytest.mark.parametrize("payload,snippet", [

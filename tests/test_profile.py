@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 import revspec
 from revspec.profile import (
     ArclengthProfile, AreaMismatchError, InvalidProfileError,
-    ProfileDefinitionError, area_of, arclength_recover, curvature,
+    PROXY_MAX_DEGREE, ProfileDefinitionError, ProxyResolutionError, area_of,
+    arclength_recover, curvature,
     gauss_bonnet_residual, make_profile, momentum_transform, normalize_area,
     profile_from_text, require_valid, validate, validate_arclength,
     validation_grid,
@@ -279,6 +280,81 @@ def test_transform_round_trip_on_the_pinched_profile(pinched_profile):
     x = np.linspace(-1.0, 1.0, 301)
     assert np.max(np.abs(q.f(x) - pinched_profile.f(x))) < 1e-10
     assert np.max(np.abs(q.df(x) - pinched_profile.df(x))) < 1e-9
+
+
+# Tolerances of the transformed profile against the closed forms, relative
+# to the largest |exact value| on the grid.  arclength_recover stores x near
+# a pole as a float near -1 or +1, so its a(s) carries a relative error of
+# about 1e-16 / (1 -+ x) there: the noise floor of the samples.  The sharp
+# waist of paper-example needs degree 256, where that floor is ~1e-12 and
+# each derivative multiplies it by about the degree.
+_TRANSFORM_TOLERANCES = {
+    "1 - x^2": (1e-14, 1e-14, 1e-13),
+    "(1 - x^2)*exp(0.4*x*(1 - x^2))": (1e-11, 1e-10, 1e-9),
+    "10*(1 - x^2)/(1 + 9*x^36)": (1e-11, 1e-9, 1e-7),
+}
+
+
+def _transformed(p):
+    """``p`` through its arclength form and back, as a caller with only
+    ``a``, ``a'`` and the length would build it."""
+    ap = arclength_recover(p)
+    return momentum_transform(ArclengthProfile(a=ap.a, da=ap.da, length=ap.length))
+
+
+@pytest.mark.parametrize("text", sorted(_TRANSFORM_TOLERANCES))
+def test_transformed_profile_matches_the_closed_forms(text):
+    p = profile_from_text(text)
+    q = _transformed(p)
+    x = np.linspace(-1.0, 1.0, 2001)
+    for name, tol in zip(("f", "df", "d2f"), _TRANSFORM_TOLERANCES[text]):
+        exact = getattr(p, name)(x)
+        err = np.max(np.abs(getattr(q, name)(x) - exact)) / np.max(np.abs(exact))
+        assert err < tol, (text, name, err)
+
+
+def _bumped_sine(d, e):
+    """``a = sin s (1 + d sin^2 s + e sin^2 s cos s)`` on ``[0, pi]``,
+    normalized to area 4*pi."""
+    def a(s):
+        sn = np.sin(s)
+        return sn * (1.0 + d * sn ** 2 + e * sn ** 2 * np.cos(s))
+
+    def da(s):
+        sn, cs = np.sin(s), np.cos(s)
+        return (cs * (1.0 + d * sn ** 2 + e * sn ** 2 * cs)
+                + sn * (2.0 * d * sn * cs + e * (2.0 * sn * cs * cs - sn ** 3)))
+    return normalize_area(ArclengthProfile(a=a, da=da, length=np.pi))
+
+
+@pytest.mark.parametrize("make", [
+    sine_arclength,
+    lambda: _bumped_sine(0.3, 0.4),
+    lambda: _bumped_sine(-0.2, 0.9),
+    lambda: _bumped_sine(1.5, -1.0),
+    lambda: arclength_recover(profile_from_text("(1 - x^2)*exp(0.4*x*(1 - x^2))")),
+], ids=["sine", "bump-a", "bump-b", "bump-c", "recovered-bump"])
+def test_transformed_profile_meets_the_pole_conditions_to_rounding(make):
+    """f(+-1) = 0 exactly, and f'(+-1) = -+2 within 4 ulps of 2."""
+    q = momentum_transform(make())
+    assert q.f(1.0) == 0.0 and q.f(-1.0) == 0.0
+    ulp = np.spacing(2.0)
+    assert abs(q.df(1.0) + 2.0) <= 4 * ulp
+    assert abs(q.df(-1.0) - 2.0) <= 4 * ulp
+    assert gauss_bonnet_residual(q) < 1e-13
+
+
+def test_an_arclength_profile_without_a_chebyshev_plateau_is_named():
+    """A kink in a(s) leaves Chebyshev coefficients decaying like k^-2:
+    no plateau by the largest degree, and a definition error saying so."""
+    # of a', only the end values +-1 are read
+    ap = normalize_area(ArclengthProfile(
+        a=lambda s: np.sin(s) * (1.0 + 0.1 * np.sin(s) ** 2 * np.abs(s - 1.3)),
+        da=lambda s: np.cos(s), length=np.pi))
+    with pytest.raises(ProxyResolutionError,
+                       match=f"no noise plateau by degree {PROXY_MAX_DEGREE}$"):
+        momentum_transform(ap)
+    assert issubclass(ProxyResolutionError, ProfileDefinitionError)
 
 
 def test_area_of_round_arclength():
