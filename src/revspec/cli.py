@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .exprs import ExprError, EvalDomainError, differentiate, evaluate, parse
-from .families import BUILTIN_EXPRESSIONS, squeeze_profile
+from .families import BUILTIN_EXPRESSIONS, builtin_profile, squeeze_profile
 from .profile import (ArclengthProfile, InvalidProfileError, Profile,
                       ProfileDefinitionError, ProxyResolutionError,
                       gauss_bonnet_residual,
@@ -259,8 +259,7 @@ def load_profile(args: argparse.Namespace) -> Profile:
     """
     try:
         if args.builtin is not None:
-            p = profile_from_text(BUILTIN_EXPRESSIONS[args.builtin],
-                                  name=args.builtin)
+            p = builtin_profile(args.builtin)
         elif args.expr is not None:
             p = profile_from_text(args.expr, name="command-line")
         else:
@@ -376,9 +375,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     """Recompute the pinned constants of the strongly pinched example and the
     round sphere; any mismatch exits with the dedicated failure code."""
-    squeeze = profile_from_text(BUILTIN_EXPRESSIONS["paper-example"],
-                                name="paper-example")
-    rnd = profile_from_text(BUILTIN_EXPRESSIONS["round"], name="round")
+    squeeze = builtin_profile("paper-example")
+    rnd = builtin_profile("round")
     target = 185 / 23
     bound = channel_lower_bound(squeeze, 0, 1)
     rel = abs(bound - target) / target

@@ -18,8 +18,8 @@ differences, independent of how the curve was built) against the metric's
 
 Profiles at the embeddability boundary (``|f'|`` touching 2 in the
 interior) produce a tiny negative radicand through roundoff; values in
-``[-tol, 0)`` are clamped to zero with :class:`GrazingClampWarning`, while
-anything below ``-tol`` raises :class:`NotEmbeddableError` — consistent
+``[-1e-8, 0)`` are clamped to zero with :class:`GrazingClampWarning`, while
+anything below ``-1e-8`` raises :class:`NotEmbeddableError` — consistent
 with the slope test that gates this module.
 """
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .profile import Profile, arclength_recover, require_valid
+from .profile import Profile, _MeridianMap, require_valid
 from .quadrature import CumulativeIntegral
 
 __all__ = [
@@ -58,6 +58,10 @@ class MeshError(ValueError):
 
 class GrazingClampWarning(UserWarning):
     """The meridian grazed ``|a'| = 1`` in the interior; radicand clamped to 0."""
+
+
+# deepest radicand 1 - a'^2 clamped to 0 rather than refused
+_GRAZING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -111,37 +115,39 @@ class MetricResiduals:
                 "sup": self.sup, "rms": self.rms}
 
 
-def embed_profile_curve(p: Profile, n_samples: int = 256,
-                        tol: float = 1e-8) -> ProfileCurve:
+def embed_profile_curve(p: Profile, n_samples: int = 256) -> ProfileCurve:
     """Generating curve ``(a(s), z(s))`` of the embedded surface.
 
-    ``n_samples >= 16`` uniform points on ``[0, L]``.  The slope criterion
-    is enforced up front (max over the curve's own samples and the dense
-    validation already behind :func:`~revspec.profile.arclength_recover`);
-    radicand dips in ``[-tol, 0)`` are clamped with a warning, deeper ones
-    raise :class:`NotEmbeddableError`.
+    ``n_samples >= 16`` uniform points on ``[0, L]`` of the meridian map
+    ``x(s)`` (:class:`~revspec.profile._MeridianMap`).  The slope criterion
+    is enforced up front on the curve's own samples; radicand dips in
+    ``[-1e-8, 0)`` are clamped with a warning, deeper ones (a slope whose
+    square overflows included) raise :class:`NotEmbeddableError`.
     """
     require_valid(p, context="embed_profile_curve")
     if n_samples < 16:
         raise ValueError("n_samples must be at least 16")
-    ap = arclength_recover(p)
-    L = ap.length
+    mm = _MeridianMap(p)
+    L = mm.length
     s = np.linspace(0.0, L, n_samples)
-    x = np.asarray(ap.x_of_s(s), dtype=float)
-    # a = sqrt(f) on the meridian, as ap.a(s) computes it, without inverting it again
+    x = np.asarray(mm.x_of_s(s), dtype=float)
     a = np.sqrt(np.clip(np.asarray(p.f(x), dtype=float), 0.0, None))
     x[0], x[-1] = -1.0, 1.0
     a[0] = a[-1] = 0.0
     da = 0.5 * np.asarray(p.df(x), dtype=float)
-    rad = 1.0 - da * da
+    with np.errstate(over="ignore"):
+        rad = 1.0 - da * da
     # |f'| = 2 at the poles is a validated boundary condition; a spline
     # profile meets it only to rounding, which must not read as grazing
     rad[0] = rad[-1] = 0.0
     worst = float(np.min(rad))
-    if worst < -tol:
+    if worst < -_GRAZING_TOL:
         # a mirror-symmetric profile ties its two worst samples up to the
-        # rounding of 1 - a'^2; name the one nearest x = 0, then x < 0
-        tied = np.flatnonzero(rad <= worst + 16 * np.finfo(float).eps * (1.0 - worst))
+        # rounding of 1 - a'^2; name the one nearest x = 0, then x < 0.  An
+        # overflowed a'^2 leaves worst = -inf, tied with itself alone
+        slack = (16 * np.finfo(float).eps * (1.0 - worst) if np.isfinite(worst)
+                 else 0.0)
+        tied = np.flatnonzero(rad <= worst + slack)
         ax = np.abs(x[tied])
         tied = tied[ax <= ax.min() + 1e-12]
         i = int(tied[np.argmin(x[tied])])
@@ -153,11 +159,11 @@ def embed_profile_curve(p: Profile, n_samples: int = 256,
             f"clamping to 0", GrazingClampWarning, stacklevel=2)
 
     def dz_of_s(t):
-        xt = np.asarray(ap.x_of_s(t), dtype=float)
+        xt = np.asarray(mm.x_of_s(t), dtype=float)
         v = 1.0 - (0.5 * np.asarray(p.df(xt), dtype=float)) ** 2
         return np.sqrt(np.clip(v, 0.0, None))
 
-    z = CumulativeIntegral(dz_of_s, s, order=8).cum
+    z = CumulativeIntegral(dz_of_s, s).cum
     dz = np.sqrt(np.clip(rad, 0.0, None))
     return ProfileCurve(s=s, x=x, a=a, z=z, da=da, dz=dz, length=float(L))
 

@@ -69,21 +69,18 @@ def squeeze_profile(eps: float, n: int = 36) -> Profile:
     return p
 
 
-def random_bump_profile(rng: np.random.Generator, n_terms: int = 4,
-                        mass: float = 0.8) -> Profile:
-    """Round sphere times ``1 + (1 - x^2) r(x)`` for a random polynomial ``r``.
+def random_bump_profile(rng: np.random.Generator) -> Profile:
+    """Round sphere times ``1 + (1 - x^2) r(x)`` for a random cubic ``r``.
 
-    ``r`` has ``n_terms`` coefficients drawn uniformly and rescaled so their
-    absolute sum is at most ``mass`` (strictly below 1).  The multiplier then
-    stays positive and equals 1 to second order at the poles, preserving the
-    endpoint values and slopes of the round profile exactly.
+    ``r`` has 4 coefficients drawn uniformly and rescaled so their absolute
+    sum is at most 0.8.  The multiplier then stays positive and equals 1 to
+    second order at the poles, preserving the endpoint values and slopes of
+    the round profile exactly.
     """
-    if not 0 <= mass < 1:
-        raise ValueError("coefficient mass must lie in [0, 1)")
-    coeffs = rng.uniform(-1.0, 1.0, size=n_terms)
+    coeffs = rng.uniform(-1.0, 1.0, size=4)
     total = float(np.sum(np.abs(coeffs)))
     if total > 0:
-        coeffs *= rng.uniform(0.2, 1.0) * mass / total
+        coeffs *= rng.uniform(0.2, 1.0) * 0.8 / total
     terms = " + ".join(f"{float(c)!r}*x^{i}" if i else f"{float(c)!r}"
                        for i, c in enumerate(coeffs))
     text = f"(1 - x^2) * (1 + (1 - x^2)*({terms}))"

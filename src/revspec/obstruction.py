@@ -52,6 +52,8 @@ _GOLDEN_STEPS = 64
 _GRID = 4096
 # the slope test's allowance above 2
 _SLOPE_TOL = 1e-9
+# lambda_0^1 above this obstructs embedding
+_SPECTRAL_THRESHOLD = 3.0
 # the corollary reads the first four distinct eigenvalues; the window that
 # holds them sits this far (relative) above the value that sizes it
 _DISTINCT = 4
@@ -193,11 +195,12 @@ def sup_test(p: Profile) -> SupTest:
                    embeddable=bool(best_v <= 2.0 + _SLOPE_TOL))
 
 
-def spectral_test(p: Profile, threshold: float = 3.0) -> SpectralTest:
-    """First invariant eigenvalue against a threshold; exceeding 3 obstructs
-    embedding (use ``ABREU_FREITAS_THRESHOLD`` for the external variant)."""
+def spectral_test(p: Profile) -> SpectralTest:
+    """First invariant eigenvalue against 3; exceeding it obstructs
+    embedding.  :func:`full_report` also compares it with the external
+    ``ABREU_FREITAS_THRESHOLD`` (its ``abreu_freitas_test``)."""
     require_valid(p, context="spectral_test")
-    return _threshold_test(_Channels(p)(0, 1).eigenvalues[0], threshold)
+    return _threshold_test(_Channels(p)(0, 1).eigenvalues[0], _SPECTRAL_THRESHOLD)
 
 
 def _threshold_test(lambda01: float, threshold: float) -> SpectralTest:
@@ -308,7 +311,7 @@ def full_report(p: Profile, cluster_tol: float = 1e-6) -> ObstructionReport:
     require_valid(p, context="full_report")
     sup = sup_test(p)
     even = even_multiplicity_test(p, cluster_tol=cluster_tol)
-    spec = _threshold_test(even.lambda01, 3.0)
+    spec = _threshold_test(even.lambda01, _SPECTRAL_THRESHOLD)
     af = _threshold_test(even.lambda01, ABREU_FREITAS_THRESHOLD)
     witness = negative_curvature_witness(p)
 

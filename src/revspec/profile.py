@@ -62,6 +62,8 @@ BC_SLOPE = 2.0  # |f'| at the poles forced by smoothness
 FOUR_PI = 4.0 * np.pi
 # largest degree of the Chebyshev series behind a transformed profile
 PROXY_MAX_DEGREE = 2048
+# uniform segments over [0, L] of an arclength profile's area integrals
+_ARCLENGTH_SEGMENTS = 2048
 
 
 class ProfileDefinitionError(ValueError):
@@ -165,10 +167,9 @@ class ArclengthProfile:
     (:func:`momentum_transform` reads ``a``, and ``da`` only at the two ends
     to validate).  ``scale_factor`` records the cumulative homothety applied
     by :func:`normalize_area` (eigenvalues of the original metric are
-    ``scale_factor**2`` times those of the normalized one).
-    ``x_of_s``/``s_of_x`` are carried by profiles produced from
-    :func:`arclength_recover` so downstream consumers can reuse the meridian
-    parametrization.
+    ``scale_factor**2`` times those of the normalized one).  The profile
+    holds functions of ``s`` only; the meridian's ``x(s)`` stays with the
+    map that computes it.
     """
 
     a: Callable
@@ -177,17 +178,16 @@ class ArclengthProfile:
     d2a: Optional[Callable] = None
     source: str = "expression"
     scale_factor: float = 1.0
-    x_of_s: Optional[Callable] = None
-    s_of_x: Optional[Callable] = None
 
 
 # ---------------------------------------------------------------------------
 # construction
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=8)
-def validation_grid(n: int = 1024) -> np.ndarray:
-    """Chebyshev-distributed interior points of [-1, 1], densest at the ends."""
+@lru_cache(maxsize=1)
+def validation_grid() -> np.ndarray:
+    """The 1024 Chebyshev points of [-1, 1], ascending, densest at the ends."""
+    n = 1024
     i = np.arange(n)
     return np.sort(np.cos(np.pi * (2 * i + 1) / (2 * n)))
 
@@ -262,7 +262,9 @@ def _profile_from_samples(defn, name: str) -> Profile:
     # scipy.interpolate takes most of the import time; only sampled
     # profiles need it, so it loads here alone
     from scipy.interpolate import CubicSpline
-    spline = CubicSpline(x, y, bc_type=((1, BC_SLOPE), (1, -BC_SLOPE)))
+    # samples near the float range overflow; the spline then refuses them
+    with np.errstate(all="ignore"):
+        spline = CubicSpline(x, y, bc_type=((1, BC_SLOPE), (1, -BC_SLOPE)))
     f, df, d2f = (_pointwise(g) for g in
                   (spline, spline.derivative(1), spline.derivative(2)))
     return Profile(f=f, df=df, d2f=d2f, source="samples", name=name,
@@ -311,31 +313,29 @@ def _trace0_integral(p: Profile) -> float:
     return 0.5 * val
 
 
-def validate(p: Profile, tol_bc: float | None = None) -> ValidationReport:
+def validate(p: Profile) -> ValidationReport:
     """Check boundary conditions and interior positivity.
 
     Expression-backed profiles are held to 1e-10 on the endpoint values and
     slopes; sample-backed and transformed ones to 1e-6.  Positivity is
-    checked on the Chebyshev validation grid (1024 points, clustered at the
-    endpoints where profiles degenerate).  The report at the default
-    tolerance is computed once per profile and kept on it; an explicit
-    ``tol_bc`` is checked afresh.
+    checked on the Chebyshev validation grid (:func:`validation_grid`,
+    clustered at the endpoints where profiles degenerate).  The report is
+    computed once per profile and kept on it.
     """
-    if tol_bc is None:
-        return p._report
-    return _profile_report(p, float(tol_bc))
+    return p._report
 
 
-def require_valid(p: Profile, tol_bc: float | None = None,
-                  context: str = "") -> None:
-    report = validate(p, tol_bc=tol_bc)
+def require_valid(p: Profile, context: str = "") -> None:
+    """Raise :class:`InvalidProfileError`, naming ``context``, unless the
+    profile passes :func:`validate`."""
+    report = validate(p)
     if not report.passed:
         raise InvalidProfileError(report, context=context)
 
 
-def validate_arclength(ap: ArclengthProfile,
-                       tol_bc: float = 1e-8) -> ValidationReport:
-    """Arclength-side analog of :func:`validate`."""
+def validate_arclength(ap: ArclengthProfile) -> ValidationReport:
+    """Arclength-side analog of :func:`validate`: a finite positive length,
+    end values 0 and slopes +1, -1 to within 1e-8, positive ``a`` inside."""
     L = ap.length
     ok_len = np.isfinite(L) and L > 0
     checks = [Check("length", float(L), float(L) if ok_len else float("nan"),
@@ -343,7 +343,7 @@ def validate_arclength(ap: ArclengthProfile,
     if ok_len:
         ends = (("a(0)", ap.a, 0.0, 0.0), ("a(L)", ap.a, L, 0.0),
                 ("a'(0)", ap.da, 0.0, 1.0), ("a'(L)", ap.da, L, -1.0))
-        _append_checks(checks, tol_bc, ends, ap.a,
+        _append_checks(checks, 1e-8, ends, ap.a,
                        0.5 * L * (validation_grid() + 1.0), "min interior a")
     return ValidationReport(checks=tuple(checks))
 
@@ -374,14 +374,15 @@ class _MeridianMap:
 
     In the chart ``x = -1 + t^2`` the arclength element is
     ``ds = 2 dt / sqrt(f(x)/t^2)`` and ``f(x)/t^2`` tends to the finite limit
-    ``2 - t^2`` times ``f/(1-x^2)`` at the pole, so plain Gauss quadrature in
-    ``t`` converges fast; the mirrored chart ``x = 1 - t^2`` covers the other
-    half.  The inverse ``x(s)`` is found per half by inverting the smooth,
-    strictly increasing map ``t -> s`` (:func:`_invert_cumulative`).
+    ``2 - t^2`` times ``f/(1-x^2)`` at the pole, so Gauss quadrature on 1024
+    uniform segments of ``t`` converges fast; the mirrored chart
+    ``x = 1 - t^2`` covers the other half.  The inverse ``x(s)`` is found
+    per half by inverting the smooth, strictly increasing map ``t -> s``
+    (:func:`_invert_cumulative`).
     """
 
-    def __init__(self, p: Profile, n_seg: int = 1024, order: int = 8):
-        t_grid = np.linspace(0.0, 1.0, n_seg + 1)
+    def __init__(self, p: Profile):
+        t_grid = np.linspace(0.0, 1.0, 1024 + 1)
 
         def make_g(sign, side):
             def g(t):
@@ -403,26 +404,10 @@ class _MeridianMap:
             return g
 
         # x = -1 + t^2 on the left half, x = 1 - t^2 on the right
-        self._cum_left = CumulativeIntegral(make_g(+1, "-1"), t_grid, order)
-        self._cum_right = CumulativeIntegral(make_g(-1, "+1"), t_grid, order)
+        self._cum_left = CumulativeIntegral(make_g(+1, "-1"), t_grid)
+        self._cum_right = CumulativeIntegral(make_g(-1, "+1"), t_grid)
         self.s_mid = self._cum_left.total          # s at x = 0
         self.length = self.s_mid + self._cum_right.total
-
-    def s_of_x(self, x):
-        scalar = np.ndim(x) == 0
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if np.any(x < -1.0 - 1e-12) or np.any(x > 1.0 + 1e-12):
-            raise ValueError("x outside [-1, 1]")
-        x = np.clip(x, -1.0, 1.0)
-        out = np.empty_like(x)
-        left = x <= 0.0
-        if np.any(left):
-            t = np.sqrt(x[left] + 1.0)
-            out[left] = self._cum_left.value(t)
-        if np.any(~left):
-            t = np.sqrt(1.0 - x[~left])
-            out[~left] = self.length - self._cum_right.value(t)
-        return float(out[0]) if scalar else out
 
     def x_of_s(self, s):
         scalar = np.ndim(s) == 0
@@ -441,7 +426,7 @@ class _MeridianMap:
         return float(out[0]) if scalar else out
 
 
-def arclength_recover(p: Profile, n_seg: int = 1024) -> ArclengthProfile:
+def arclength_recover(p: Profile) -> ArclengthProfile:
     """Recover the arclength form of a validated profile.
 
     ``a = sqrt(f)`` along the meridian, ``a' = f'/2`` (chain rule through
@@ -449,7 +434,7 @@ def arclength_recover(p: Profile, n_seg: int = 1024) -> ArclengthProfile:
     +1 and -1 exactly because the profile's boundary slopes are +2 and -2.
     """
     require_valid(p, context="arclength_recover")
-    mm = _MeridianMap(p, n_seg=n_seg)
+    mm = _MeridianMap(p)
 
     def sqrt_f(x):
         return np.sqrt(np.clip(np.asarray(p.f(x), dtype=float), 0.0, None))
@@ -463,21 +448,20 @@ def arclength_recover(p: Profile, n_seg: int = 1024) -> ArclengthProfile:
         return 0.5 * np.asarray(p.d2f(x), dtype=float) * sqrt_f(x)
 
     return ArclengthProfile(a=a, da=da, d2a=d2a, length=mm.length,
-                            source="recovered", x_of_s=mm.x_of_s,
-                            s_of_x=mm.s_of_x)
+                            source="recovered")
 
 
 # ---------------------------------------------------------------------------
 # arclength side: area, normalization, transform to momentum coordinates
 # ---------------------------------------------------------------------------
 
-def area_of(ap: ArclengthProfile, n_seg: int = 2048) -> float:
+def area_of(ap: ArclengthProfile) -> float:
     """Total area ``2*pi * integral of a over [0, L]``."""
-    grid = np.linspace(0.0, ap.length, n_seg + 1)
+    grid = np.linspace(0.0, ap.length, _ARCLENGTH_SEGMENTS + 1)
     return 2.0 * np.pi * CumulativeIntegral(ap.a, grid).total
 
 
-def normalize_area(ap: ArclengthProfile, n_seg: int = 2048) -> ArclengthProfile:
+def normalize_area(ap: ArclengthProfile) -> ArclengthProfile:
     """Rescale to total area ``4*pi`` by the homothety ``a -> c a(s/c)``.
 
     The homothety preserves the pole slopes, so validity is unchanged.  The
@@ -485,7 +469,7 @@ def normalize_area(ap: ArclengthProfile, n_seg: int = 2048) -> ArclengthProfile:
     already recorded); eigenvalues of the original metric are recovered from
     the normalized one by dividing by ``c**2``.
     """
-    area = area_of(ap, n_seg=n_seg)
+    area = area_of(ap)
     if not np.isfinite(area) or area <= 0:
         raise ValueError(f"cannot normalize: measured area is {area!r}")
     c = float(np.sqrt(FOUR_PI / area))
@@ -499,12 +483,11 @@ def normalize_area(ap: ArclengthProfile, n_seg: int = 2048) -> ArclengthProfile:
                             scale_factor=c * ap.scale_factor)
 
 
-def momentum_transform(ap: ArclengthProfile, n_seg: int = 2048,
-                       area_tol: float = 1e-8) -> Profile:
+def momentum_transform(ap: ArclengthProfile) -> Profile:
     """Rewrite a validated arclength profile in the flat-area coordinates.
 
     Preconditions: the arclength profile validates, and the total area is
-    ``4*pi`` within ``area_tol`` (otherwise :class:`AreaMismatchError`;
+    ``4*pi`` within 1e-8 (otherwise :class:`AreaMismatchError`;
     run :func:`normalize_area` first).  The change of variable is
     ``x(s) = -1 + integral of a``, tabulated from each pole over its half of
     the meridian so that ``1 + x`` and ``1 - x`` both keep their relative
@@ -528,11 +511,11 @@ def momentum_transform(ap: ArclengthProfile, n_seg: int = 2048,
     if not report.passed:
         raise InvalidProfileError(report, context="momentum_transform")
     L = ap.length
-    half = np.linspace(0.0, 0.5 * L, n_seg // 2 + 1)
+    half = np.linspace(0.0, 0.5 * L, _ARCLENGTH_SEGMENTS // 2 + 1)
     south = CumulativeIntegral(ap.a, half)                     # 1 + x at s
     north = CumulativeIntegral(lambda r: ap.a(L - r), half)    # 1 - x at L - r
     area = 2.0 * np.pi * (south.total + north.total)
-    if abs(area - FOUR_PI) > area_tol:
+    if abs(area - FOUR_PI) > 1e-8:
         raise AreaMismatchError(area)
 
     def coefficients(degree: int) -> np.ndarray:
@@ -648,6 +631,5 @@ def gauss_bonnet_residual(p: Profile) -> float:
         for a, b in zip(ks[:-1], ks[1:]):
             total += integrate_gl(p.d2f, a, b, 4)
     else:
-        total, _ = integrate_adaptive(p.d2f, -1.0, 1.0, rtol=1e-11,
-                                      n0=64, n_max=8192)
+        total, _ = integrate_adaptive(p.d2f, -1.0, 1.0, rtol=1e-11, n0=64)
     return abs(-np.pi * total - FOUR_PI)

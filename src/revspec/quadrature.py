@@ -26,8 +26,14 @@ __all__ = [
 ]
 
 
+# largest node count of integrate_adaptive
+ADAPTIVE_MAX_NODES = 8192
+# Gauss nodes per segment of a CumulativeIntegral
+SEGMENT_ORDER = 8
+
+
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """An integrand was not finite, or adaptive quadrature did not converge."""
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -85,30 +91,40 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def integrate_gl(fn, a: float, b: float, n: int) -> float:
+    """The ``n``-point Gauss rule on ``[a, b]``; :class:`QuadratureError`
+    when a weighted node value, or their sum, is not finite."""
     xi, wi = gauss_legendre(n)
     half = 0.5 * (b - a)
     x = 0.5 * (a + b) + half * xi
-    # fsum rounds the exact sum once: no BLAS kernel's summation order shows
-    return float(half * math.fsum((wi * fn(x)).tolist()))
+    vals = fn(x)
+    with np.errstate(over="ignore"):
+        terms = wi * vals
+    if not np.all(np.isfinite(terms)):
+        raise QuadratureError("integrand not finite on quadrature nodes")
+    try:
+        # fsum rounds the exact sum once: no BLAS kernel's summation order shows
+        return float(half * math.fsum(terms.tolist()))
+    except OverflowError as exc:
+        raise QuadratureError(f"integral overflows: {exc}") from exc
 
 
 def integrate_adaptive(fn, a: float, b: float, rtol: float = 1e-11,
-                       n0: int = 32, n_max: int = 8192,
-                       atol: float = 0.0) -> tuple[float, float]:
+                       n0: int = 32, atol: float = 0.0) -> tuple[float, float]:
     """Double the node count until two consecutive values agree to ``rtol``.
 
     Returns ``(value, estimate)`` where the estimate is the relative change
     in the last doubling.  Raises :class:`QuadratureError` if the sequence
-    has not settled by ``n_max`` nodes, which for profile integrands signals
-    an integrand that is not actually smooth (for instance a profile whose
-    boundary behavior is wrong, making ``(1-x^2)/f`` blow up).  ``atol``
+    has not settled by ``ADAPTIVE_MAX_NODES`` nodes, which for profile
+    integrands signals an integrand that is not actually smooth (for
+    instance a profile whose boundary behavior is wrong, making
+    ``(1-x^2)/f`` blow up).  ``atol``
     (default off) accepts the value once the doubling change falls below it
     in absolute terms — needed for integrals whose true value is zero, where
     no relative test can ever pass.
     """
     prev = integrate_gl(fn, a, b, n0)
     n = 2 * n0
-    while n <= n_max:
+    while n <= ADAPTIVE_MAX_NODES:
         cur = integrate_gl(fn, a, b, n)
         scale = max(abs(cur), abs(prev), 1e-300)
         est = abs(cur - prev) / scale
@@ -117,7 +133,7 @@ def integrate_adaptive(fn, a: float, b: float, rtol: float = 1e-11,
         prev = cur
         n *= 2
     raise QuadratureError(
-        f"integral did not converge to rtol={rtol:g} by {n_max} nodes "
+        f"integral did not converge to rtol={rtol:g} by {ADAPTIVE_MAX_NODES} nodes "
         f"(last change {est:.3e}); integrand may be singular")
 
 
@@ -136,8 +152,8 @@ def _gauss_sums(vals: np.ndarray, wi: np.ndarray) -> np.ndarray:
 class CumulativeIntegral:
     """Cumulative integral of ``fn`` from ``grid[0]``, with partial segments.
 
-    The grid is fixed at construction; each segment is integrated with an
-    ``order``-point Gauss rule (all segments in one vectorized call).
+    The grid is fixed at construction; each segment is integrated with a
+    ``SEGMENT_ORDER``-point Gauss rule (all segments in one vectorized call).
     ``value(u)`` then returns the integral from ``grid[0]`` to arbitrary
     points ``u`` inside the grid span by adding a partial-segment Gauss
     integral to the precomputed cumulative sums.  Nodes never touch the
@@ -150,7 +166,7 @@ class CumulativeIntegral:
     bit-identical on every CPU for the same nodes and integrand values.
     """
 
-    def __init__(self, fn, grid: np.ndarray, order: int = 8):
+    def __init__(self, fn, grid: np.ndarray):
         grid = np.asarray(grid, dtype=float)
         if grid.ndim != 1 or grid.size < 2:
             raise ValueError("grid must be a 1-d array with at least 2 points")
@@ -158,8 +174,7 @@ class CumulativeIntegral:
             raise ValueError("grid must be strictly increasing")
         self.fn = fn
         self.grid = grid
-        self.order = order
-        xi, wi = gauss_legendre(order)
+        xi, wi = gauss_legendre(SEGMENT_ORDER)
         self._xi, self._wi = xi, wi
         a = grid[:-1]
         half = 0.5 * np.diff(grid)

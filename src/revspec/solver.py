@@ -64,8 +64,6 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Sequence
-
 import numpy as np
 
 from .exprs import Expr, differentiate, evaluate
@@ -288,28 +286,26 @@ def _raw_eigenvalues(p: Profile, k: int, N: int) -> np.ndarray:
     lam1 = vals[1] if vals.size > 1 else 1.0
     if abs(vals[0]) > 1e-6 * max(1.0, abs(lam1)):
         raise SolverError(f"{_where(p, k, N)}: zero mode not resolved "
-                          f"(leading value {vals[0]!r})")
+                          f"(leading value {float(vals[0])!r})")
     return vals[1:]
 
 
-def solve_channel(p: Profile, k: int, n_eigs: int, basis_size: int, *,
-                  reference: Sequence[float] | None = None) -> ChannelSpectrum:
+def solve_channel(p: Profile, k: int, n_eigs: int,
+                  basis_size: int) -> ChannelSpectrum:
     """First ``n_eigs`` eigenvalues of channel ``k`` at a fixed basis size.
 
     ``n_eigs <= basis_size / 2`` keeps the reported part of the spectrum in
     the trustworthy half of the discretization; the convergence estimate per
-    eigenvalue compares against ``reference``, the eigenvalues of the same
-    channel in a smaller basis (zero mode removed, as in
-    ``ChannelSpectrum.eigenvalues``), and by default against the half-size
-    solve, so ``basis_size`` must be at least 16.  Channel 0's zero mode is
-    removed by index after a magnitude check, never by deflation.
+    eigenvalue compares against the half-size solve of the same channel, so
+    ``basis_size`` must be at least 16.  Channel 0's zero mode is removed by
+    index after a magnitude check, never by deflation.
     """
     N = int(basis_size)
     if N < 16:
         raise ValueError("basis_size must be at least 16 (half-size solve needs 8)")
     if n_eigs > N // 2:
         raise ValueError(f"n_eigs={n_eigs} exceeds basis_size/2={N // 2}")
-    return _Channels(p)._spectrum(k, n_eigs, N, reference)
+    return _Channels(p)._spectrum(k, n_eigs, N)
 
 
 class _Channels:
@@ -340,15 +336,13 @@ class _Channels:
             self._solved[k, N] = _raw_eigenvalues(self.p, k, N)
         return self._solved[k, N]
 
-    def _spectrum(self, k: int, n_eigs: int, N: int,
-                  reference: Sequence[float] | None = None) -> ChannelSpectrum:
+    def _spectrum(self, k: int, n_eigs: int, N: int) -> ChannelSpectrum:
         """:func:`solve_channel` with ``N >= 16`` and ``n_eigs <= N/2``;
-        the default reference is the whole basis-``N/2`` array."""
+        the estimates compare against the whole basis-``N/2`` array."""
         if n_eigs < 1:
             raise ValueError("n_eigs must be positive")
         vals = self._eigenvalues(k, N)
-        ref = (self._eigenvalues(k, N // 2) if reference is None
-               else np.asarray(reference, dtype=float))
+        ref = self._eigenvalues(k, N // 2)
         p, lam = self.p, vals[:n_eigs]
         if np.any(lam <= 0.0):
             raise SolverError(f"{_where(p, k, N)}: nonpositive eigenvalues {lam[lam <= 0]}")

@@ -213,11 +213,11 @@ def channel_lower_bound(p: Profile, k: int, m: int) -> float:
     return _lower_bound(k, m, trace0_integral(p) if k == 0 else None)
 
 
-def bounds_report(p: Profile, k_max: int = 4, m_max: int = 4) -> BoundsReport:
-    """Bundle the closed-form bounds for channels ``0..k_max``, orders ``1..m_max``."""
+def bounds_report(p: Profile) -> BoundsReport:
+    """Bundle the closed-form bounds for channels ``0..4``, orders ``1..4``."""
     t0 = trace0_integral(p)
     bounds = {(k, m): _lower_bound(k, m, t0)
-              for k in range(0, k_max + 1) for m in range(1, m_max + 1)}
+              for k in range(0, 5) for m in range(1, 5)}
     return BoundsReport(lambda01_upper=lambda01_upper_bound(p),
                         trace0_integral=t0, channel_lower_bounds=bounds)
 
@@ -312,7 +312,7 @@ def _enumerate_below(channels: _Channels, below: float,
     table = SpectrumTable(entries=tuple(entries),
                           cutoff=below * (1.0 - worst_est),
                           cluster_tol=cluster_tol)
-    check_invariants(table, trace0=t0)
+    check_invariants(table, p=channels.p)
     return table
 
 
@@ -341,15 +341,15 @@ def _channel_below(channels: _Channels, k: int, below: float,
                    convergence_estimates=cs.convergence_estimates[:m])
 
 
-def check_invariants(table: SpectrumTable, p: Profile | None = None,
-                     trace0: float | None = None) -> None:
+def check_invariants(table: SpectrumTable, p: Profile | None = None) -> None:
     """Raise :class:`SpectrumInvariantError` unless the table obeys the laws.
 
     Structural: strictly ascending values; multiplicity recomputable from
     the attribution list; parity (odd multiplicity exactly when channel 0
     contributes); the ``m``-th entry's multiplicity at most ``2m + 1``.
-    With a profile (or its precomputed channel-0 trace): every entry
-    strictly exceeds the lower bound of each of its attributions.
+    With a profile: every entry strictly exceeds the lower bound of each of
+    its attributions (the channel-0 bound reads the trace integral the
+    profile keeps, so an enumeration's own check integrates nothing anew).
     """
     problems: list[str] = []
     prev = 0.0
@@ -374,9 +374,8 @@ def check_invariants(table: SpectrumTable, p: Profile | None = None,
         if e.multiplicity > 2 * m + 1:
             problems.append(
                 f"entry {m}: multiplicity {e.multiplicity} exceeds 2m+1={2 * m + 1}")
-    if p is not None or trace0 is not None:
-        if trace0 is None:
-            trace0 = trace0_integral(p)
+    if p is not None:
+        trace0 = trace0_integral(p)
         for i, e in enumerate(table.entries):
             for k, j in e.channels:
                 bound = _lower_bound(k, j, trace0)

@@ -277,6 +277,23 @@ def test_mesh_output_is_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("argv, code, prefix", [
+    # f' squared overflows on the curve samples
+    (["mesh", "--expr=(1-x^2)*(1+1e300*x^2*(1-x^2)^2)"], EXIT_NOT_EMBEDDABLE,
+     "cannot mesh: "),
+    # f'' is +-inf on the Gauss-Bonnet quadrature nodes
+    (["analyze", "--expr=(1-x^2)*(1+1e-300*sin(1e300*x)*(1-x^2)^2)"],
+     EXIT_FAILURE, "numerical failure: "),
+], ids=["mesh", "analyze"])
+def test_overflowing_derivatives_end_in_one_line(tmp_path, capsys, argv, code,
+                                                 prefix):
+    if argv[0] == "mesh":
+        argv = argv + ["--out", str(tmp_path / "m.obj")]
+    got, out, err = run(capsys, *argv)
+    assert (got, out) == (code, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
 def test_mesh_usage_errors():
     usage_error("mesh", "--builtin", "round")               # --out missing
     usage_error("mesh", "--builtin", "round", "--out", "x.obj",
@@ -645,10 +662,13 @@ _PREFIXES = tuple(prefix + ": " for _, prefix, _ in cli._FAILURES)
 
 def _documented_exit(argv):
     """Run ``argv``: it must end in a documented exit code, never a
-    traceback, and a failure in one line on stderr (after any note on the
-    area normalization), a usage error in the parser's last line."""
+    traceback or a ``RuntimeWarning``, and a failure in one line on stderr
+    (after any note on the area normalization), a usage error in the
+    parser's last line."""
     err = io.StringIO()
-    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+    with redirect_stdout(io.StringIO()), redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:
@@ -656,6 +676,9 @@ def _documented_exit(argv):
     text = err.getvalue()
     assert code in DOCUMENTED_CODES, (argv, code, text)
     assert "Traceback" not in text, (argv, text)
+    runtime = [str(w.message) for w in caught
+               if issubclass(w.category, RuntimeWarning)]
+    assert not runtime, (argv, runtime)
     lines = [line for line in text.splitlines() if not line.startswith("note: ")]
     if code == EXIT_USAGE:
         assert re.match(r"revspec \w+: error: ", lines[-1]), (argv, text)
@@ -699,6 +722,8 @@ def _command(tmp_path_factory, command: str) -> list[str]:
 @example(text="(1 - x^2)*(1 + 0.3*(1 - x^2))")
 @example(text="(1 - x^2)*(1 + 0*(1e200*x)^2)")
 @example(text="(1 - x^2)*(1 + 0*(1e200)^2)")
+@example(text="(1-x^2)*(1+1e300*x^2*(1-x^2)^2)")
+@example(text="(1-x^2)*(1+1e-300*sin(1e300*x)*(1-x^2)^2)")
 def test_fuzz_expression_text_through_every_command(tmp_path_factory, command,
                                                     text):
     _documented_exit(_command(tmp_path_factory, command) + [f"--expr={text}"])
@@ -707,6 +732,8 @@ def test_fuzz_expression_text_through_every_command(tmp_path_factory, command,
 @pytest.mark.parametrize("command", ["analyze", "mesh"])
 @settings(max_examples=60)
 @given(payload=_PROFILE_JSON, extra=_NAME)
+@example(payload={"kind": "samples", "x": list(np.linspace(-1.0, 1.0, 40)),
+                  "f": [0.0] * 20 + [1e308] + [0.0] * 19}, extra={})
 def test_fuzz_profile_files_through_every_command(tmp_path_factory, command,
                                                   payload, extra):
     path = _profile_file(tmp_path_factory, payload, extra)

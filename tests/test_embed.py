@@ -147,10 +147,14 @@ def test_not_embeddable_names_the_same_x_on_a_symmetric_tie(borderline_profile,
     assert exc_info.value.argmax_x == pytest.approx(-0.9440593727832146, abs=1e-12)
 
 
-def test_grazing_slope_clamps_with_warning(borderline_profile):
-    # widening the tolerance turns the failure into an explicit clamp
+def test_grazing_slope_clamps_with_warning():
+    # at c = 1/4 the pole slope -2 is the interior maximum of |f'|; a little
+    # above, |f'| exceeds 2 inside by less than the 1e-8 clamp allowance
+    p = profile_from_text("(1 - x^2) * (1 + 0.25004*(1 - x^2))")
+    excess = np.max(np.abs(p.df(np.linspace(-1.0, 1.0, 200001)))) - 2.0
+    assert 0.0 < excess < 1e-8
     with pytest.warns(GrazingClampWarning):
-        c = embed_profile_curve(borderline_profile, tol=0.05)
+        c = embed_profile_curve(p)
     assert float(np.min(c.dz)) == 0.0
     assert np.all(np.isfinite(c.z))
 

@@ -64,11 +64,6 @@ def test_random_bump_is_deterministic_per_seed():
     assert to_string(c.expr) != to_string(a.expr)
 
 
-def test_random_bump_rejects_unit_mass():
-    with pytest.raises(ValueError, match="mass"):
-        random_bump_profile(np.random.default_rng(0), mass=1.0)
-
-
 @given(seed=st.integers(0, 2 ** 32 - 1))
 def test_random_bumps_always_validate(seed):
     p = random_bump_profile(np.random.default_rng(seed))

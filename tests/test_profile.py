@@ -11,9 +11,9 @@ from revspec.profile import (
     arclength_recover, curvature,
     gauss_bonnet_residual, make_profile, momentum_transform, normalize_area,
     profile_from_text, require_valid, validate, validate_arclength,
-    validation_grid,
+    validation_grid, _MeridianMap,
 )
-from revspec.quadrature import CumulativeIntegral, gauss_legendre
+from revspec.quadrature import SEGMENT_ORDER, CumulativeIntegral, gauss_legendre
 
 
 def sine_arclength(c=1.0):
@@ -155,16 +155,14 @@ def test_replaced_profile_is_validated_afresh():
     assert validate(good).passed
 
 
-def test_explicit_tolerance_is_checked_afresh():
-    # pole slopes off by 2e-12: inside the default 1e-10, outside 1e-13
-    p = profile_from_text("(1 - x^2) * (1 + 1e-12*x)")
-    assert validate(p).passed
-    failing = {c.name for c in validate(p, tol_bc=1e-13).checks if not c.passed}
+def test_expression_pole_slopes_are_held_to_1e_10():
+    # pole slopes off by 2e-12 pass, off by 2e-9 fail
+    assert validate(profile_from_text("(1 - x^2) * (1 + 1e-12*x)")).passed
+    p = profile_from_text("(1 - x^2) * (1 + 1e-9*x)")
+    failing = {c.name for c in validate(p).checks if not c.passed}
     assert failing == {"f'(-1)", "f'(+1)"}
     with pytest.raises(InvalidProfileError):
-        require_valid(p, tol_bc=1e-13)
-    assert validate(p).passed
-    assert validate(p, tol_bc=1e-10) == validate(p)
+        require_valid(p)
 
 
 @pytest.fixture(scope="module")
@@ -239,7 +237,7 @@ def test_arclength_recover_round_is_the_sine_curve(round_profile):
     s = np.linspace(0.0, ap.length, 301)
     assert np.max(np.abs(ap.a(s) - np.sin(s))) < 1e-10
     assert np.max(np.abs(ap.da(s) - np.cos(s))) < 1e-10
-    assert np.max(np.abs(ap.x_of_s(s) + np.cos(s))) < 1e-10
+    assert np.max(np.abs(_MeridianMap(round_profile).x_of_s(s) + np.cos(s))) < 1e-10
     assert validate_arclength(ap).passed
 
 
@@ -249,13 +247,17 @@ def test_arclength_recover_rejects_invalid_profiles():
 
 
 def test_meridian_maps_are_mutually_inverse(pinched_profile):
-    ap = arclength_recover(pinched_profile)
-    assert ap.x_of_s(0.0) == pytest.approx(-1.0, abs=1e-12)
-    assert ap.x_of_s(ap.length) == pytest.approx(1.0, abs=1e-12)
-    s = np.linspace(0.0, ap.length, 401)
-    assert np.max(np.abs(ap.s_of_x(ap.x_of_s(s)) - s)) < 1e-10
+    """``x_of_s`` inverts the tabulated arclength ``s(x)`` of each chart."""
+    mm = _MeridianMap(pinched_profile)
+    assert mm.x_of_s(0.0) == pytest.approx(-1.0, abs=1e-12)
+    assert mm.x_of_s(mm.length) == pytest.approx(1.0, abs=1e-12)
     x = np.linspace(-1.0, 1.0, 301)
-    assert np.max(np.abs(ap.a(ap.s_of_x(x)) ** 2 - pinched_profile.f(x))) < 1e-12
+    south, north = x[x <= 0.0], x[x > 0.0]
+    s = np.concatenate((mm._cum_left.value(np.sqrt(1.0 + south)),
+                        mm.length - mm._cum_right.value(np.sqrt(1.0 - north))))
+    assert np.max(np.abs(mm.x_of_s(s) - x)) < 1e-10
+    ap = arclength_recover(pinched_profile)
+    assert np.max(np.abs(ap.a(s) ** 2 - pinched_profile.f(x))) < 1e-12
 
 
 def test_momentum_transform_of_sine_recovers_round():
@@ -394,7 +396,7 @@ def test_cumulative_integral_sums_nodes_in_index_order():
 
     grid = np.linspace(-1.0, 1.0, 41) ** 3
     ci = CumulativeIntegral(fn, grid)
-    _, wi = gauss_legendre(ci.order)
+    _, wi = gauss_legendre(SEGMENT_ORDER)
 
     def gauss_sums(a, b, vals):
         out = []

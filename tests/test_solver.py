@@ -11,7 +11,7 @@ import revspec.solver as solver
 from revspec.exprs import parse
 from revspec.families import builtin_profile
 from revspec.profile import InvalidProfileError, make_profile, profile_from_text
-from revspec.quadrature import gauss_legendre, integrate_gl
+from revspec.quadrature import QuadratureError, gauss_legendre, integrate_gl
 from revspec.solver import (
     AdmissibilityError, ConvergenceError, SolverError, assemble,
     rayleigh_quotient, refine, solve_channel,
@@ -104,6 +104,17 @@ def test_fixed_order_integral_rounds_the_exact_gauss_sum(n):
     terms = wi * fn(0.5 * (a + b) + half * xi)
     exact = float(sum(Fraction(float(t)) for t in terms))
     assert integrate_gl(fn, a, b, n) == half * exact
+
+
+@pytest.mark.parametrize("fn, n, message", [
+    (lambda x: np.where(x > 0.0, np.inf, -np.inf), 8, "not finite"),
+    (lambda x: np.full_like(x, np.nan), 8, "not finite"),
+    (lambda x: np.full_like(x, 1e308), 1, "not finite"),  # times the weight 2
+    (lambda x: np.full_like(x, 1e308), 8, "overflows"),   # summed
+], ids=["infinite", "nan", "weighted", "sum"])
+def test_fixed_order_integral_refuses_non_finite_sums(fn, n, message):
+    with pytest.raises(QuadratureError, match=message):
+        integrate_gl(fn, -1.0, 1.0, n)
 
 
 def test_gauss_rule_rejects_empty_rules():
@@ -263,7 +274,8 @@ def test_an_unresolved_zero_mode_names_where(pinched_profile, monkeypatch):
     monkeypatch.setattr(solver, "eigh", lambda a: np.linalg.eigvalsh(a) + 1.0)
     with pytest.raises(SolverError,
                        match=r"^expression profile 'paper-example', channel 0, "
-                             r"basis 32: zero mode not resolved"):
+                             r"basis 32: zero mode not resolved "
+                             r"\(leading value [0-9.e+-]+\)$"):
         solve_channel(pinched_profile, 0, 4, 32)
 
 

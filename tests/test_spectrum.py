@@ -134,7 +134,7 @@ def test_channel_budgets_push_the_next_bound_past_the_cutoff(
 
 
 def test_bounds_report_layout(round_profile):
-    rep = bounds_report(round_profile, k_max=4, m_max=4)
+    rep = bounds_report(round_profile)
     assert len(rep.channel_lower_bounds) == 20
     doc = rep.to_json_dict()
     assert doc["channel_lower_bounds"][0] == {
