@@ -16,11 +16,12 @@ fundamental form of the realized curve (derivatives taken by finite
 differences, independent of how the curve was built) against the metric's
 ``ds^2 + a^2 dtheta^2``, and the mesh area converges to the fixed total 4*pi.
 
-Profiles at the embeddability boundary (``|f'|`` touching 2 in the
-interior) produce a tiny negative radicand through roundoff; values in
-``[-1e-8, 0)`` are clamped to zero with :class:`GrazingClampWarning`, while
-anything below ``-1e-8`` raises :class:`NotEmbeddableError` — consistent
-with the slope test that gates this module.
+Whether a profile embeds is decided once, by
+:func:`~revspec.obstruction.sup_test`; a refused profile raises
+:class:`NotEmbeddableError`.  On an accepted one, the sampled radicand
+``1 - a'^2`` still dips below 0 where ``|f'|`` exceeds 2 within that test's
+``1e-9`` allowance; such dips are clamped to 0 with
+:class:`GrazingClampWarning`.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .obstruction import sup_test
 from .profile import Profile, _MeridianMap, require_valid
 from .quadrature import CumulativeIntegral
 
@@ -48,7 +50,7 @@ class NotEmbeddableError(ValueError):
         self.max_slope = max_slope
         self.argmax_x = argmax_x
         super().__init__(
-            f"profile is not embeddable: max|f'| = {max_slope:.6g} > 2 "
+            f"profile is not embeddable: max|f'| = 2 + {max_slope - 2.0:.3g} "
             f"near x = {argmax_x:.6g} (slope criterion)")
 
 
@@ -58,10 +60,6 @@ class MeshError(ValueError):
 
 class GrazingClampWarning(UserWarning):
     """The meridian grazed ``|a'| = 1`` in the interior; radicand clamped to 0."""
-
-
-# deepest radicand 1 - a'^2 clamped to 0 rather than refused
-_GRAZING_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -119,14 +117,17 @@ def embed_profile_curve(p: Profile, n_samples: int = 256) -> ProfileCurve:
     """Generating curve ``(a(s), z(s))`` of the embedded surface.
 
     ``n_samples >= 16`` uniform points on ``[0, L]`` of the meridian map
-    ``x(s)`` (:class:`~revspec.profile._MeridianMap`).  The slope criterion
-    is enforced up front on the curve's own samples; radicand dips in
-    ``[-1e-8, 0)`` are clamped with a warning, deeper ones (a slope whose
-    square overflows included) raise :class:`NotEmbeddableError`.
+    ``x(s)`` (:class:`~revspec.profile._MeridianMap`).  A profile that
+    :func:`~revspec.obstruction.sup_test` refuses raises
+    :class:`NotEmbeddableError` with that test's maximum and its place;
+    radicand dips on an accepted one are clamped with a warning.
     """
     require_valid(p, context="embed_profile_curve")
     if n_samples < 16:
         raise ValueError("n_samples must be at least 16")
+    sup = sup_test(p)
+    if not sup.embeddable:
+        raise NotEmbeddableError(max_slope=sup.max_slope, argmax_x=sup.argmax_x)
     mm = _MeridianMap(p)
     L = mm.length
     s = np.linspace(0.0, L, n_samples)
@@ -135,24 +136,11 @@ def embed_profile_curve(p: Profile, n_samples: int = 256) -> ProfileCurve:
     x[0], x[-1] = -1.0, 1.0
     a[0] = a[-1] = 0.0
     da = 0.5 * np.asarray(p.df(x), dtype=float)
-    with np.errstate(over="ignore"):
-        rad = 1.0 - da * da
+    rad = 1.0 - da * da
     # |f'| = 2 at the poles is a validated boundary condition; a spline
     # profile meets it only to rounding, which must not read as grazing
     rad[0] = rad[-1] = 0.0
     worst = float(np.min(rad))
-    if worst < -_GRAZING_TOL:
-        # a mirror-symmetric profile ties its two worst samples up to the
-        # rounding of 1 - a'^2; name the one nearest x = 0, then x < 0.  An
-        # overflowed a'^2 leaves worst = -inf, tied with itself alone
-        slack = (16 * np.finfo(float).eps * (1.0 - worst) if np.isfinite(worst)
-                 else 0.0)
-        tied = np.flatnonzero(rad <= worst + slack)
-        ax = np.abs(x[tied])
-        tied = tied[ax <= ax.min() + 1e-12]
-        i = int(tied[np.argmin(x[tied])])
-        raise NotEmbeddableError(max_slope=2.0 * abs(float(da[i])),
-                                 argmax_x=float(x[i]))
     if worst < 0.0:
         warnings.warn(
             f"meridian grazes |f'| = 2 (radicand dips to {worst:.3e}); "

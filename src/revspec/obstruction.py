@@ -148,9 +148,11 @@ class ObstructionReport:
 # individual tests
 # ---------------------------------------------------------------------------
 
-def _golden_extremum(fn, a: float, b: float,
+def _golden_extremum(fn, xs: np.ndarray, i: int,
                      find_max: bool = True) -> tuple[float, float]:
-    """Golden-section search on [a, b]; returns (arg, value)."""
+    """Golden-section search around grid point ``xs[i]``, in the bracket
+    between its neighbours clipped to ``[-1, 1]``; returns (arg, value)."""
+    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])
     sign = 1.0 if find_max else -1.0
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -172,9 +174,10 @@ def sup_test(p: Profile) -> SupTest:
     """Global maximum of ``|f'|`` and the decisive embeddability verdict.
 
     Dense uniform grid (endpoints included — the poles attain ``|f'| = 2``
-    exactly), then golden-section refinement inside every bracket around an
-    interior grid local maximum.  Embeddable iff the max is at most
-    ``2 + 1e-9``.
+    exactly), then golden-section refinement around every grid local
+    maximum, poles included (a maximum just inside a pole lies in its grid
+    cell).  Embeddable iff the max is at most ``2 + 1e-9``; meshing asks
+    this test too.
     """
     require_valid(p, context="sup_test")
     xs = np.linspace(-1.0, 1.0, _GRID + 1)
@@ -185,10 +188,10 @@ def sup_test(p: Profile) -> SupTest:
     def slope_at(x: float) -> float:
         return abs(float(p.df(x)))
 
-    interior = np.flatnonzero((slopes[1:-1] >= slopes[:-2])
-                              & (slopes[1:-1] >= slopes[2:])) + 1
-    for i in interior:
-        x, v = _golden_extremum(slope_at, float(xs[i - 1]), float(xs[i + 1]))
+    padded = np.concatenate(([-np.inf], slopes, [-np.inf]))
+    peaks = np.flatnonzero((slopes >= padded[:-2]) & (slopes >= padded[2:]))
+    for i in peaks:
+        x, v = _golden_extremum(slope_at, xs, i)
         if v > best_v:
             best_x, best_v = x, v
     return SupTest(max_slope=best_v, argmax_x=best_x,
@@ -269,9 +272,7 @@ def negative_curvature_witness(p: Profile) -> float | None:
     i = int(np.argmin(ks))
     if ks[i] >= 0.0:
         return None
-    lo = float(xs[max(i - 1, 0)])
-    hi = float(xs[min(i + 1, _GRID)])
-    x, v = _golden_extremum(lambda t: float(curvature(p, t)), lo, hi,
+    x, v = _golden_extremum(lambda t: float(curvature(p, t)), xs, i,
                             find_max=False)
     return x if v < 0.0 else float(xs[i])
 

@@ -625,11 +625,16 @@ def gauss_bonnet_residual(p: Profile) -> float:
     knots, where a fixed Gauss rule is exact per panel.
     """
     require_valid(p, context="gauss_bonnet_residual")
-    if p.knots is not None:
-        total = 0.0
-        ks = p.knots
-        for a, b in zip(ks[:-1], ks[1:]):
-            total += integrate_gl(p.d2f, a, b, 4)
-    else:
-        total, _ = integrate_adaptive(p.d2f, -1.0, 1.0, rtol=1e-11, n0=64)
+    try:
+        if p.knots is not None:
+            total = 0.0
+            ks = p.knots
+            for a, b in zip(ks[:-1], ks[1:]):
+                total += integrate_gl(p.d2f, a, b, 4)
+        else:
+            total, _ = integrate_adaptive(p.d2f, -1.0, 1.0, rtol=1e-11, n0=64)
+    except QuadratureError as exc:
+        raise QuadratureError(
+            f"Gauss-Bonnet integrand f'' of {p.source} profile {p.name!r} "
+            f"did not integrate: {exc}") from exc
     return abs(-np.pi * total - FOUR_PI)

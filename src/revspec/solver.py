@@ -316,11 +316,16 @@ class _Channels:
     meets the target on them too), and otherwise refines the channel to
     ``n`` values and holds that spectrum instead.  :meth:`_eigenvalues`,
     the one solve point, keeps the whole eigenvalue array of each ``(k, N)``.
+    ``n_cap``, the most values a refinement can serve within ``basis_cap``,
+    is 0 when that is below ``REFINE_START``.
     """
 
     def __init__(self, p: Profile, target_rel_err: float = 1e-8,
                  basis_cap: int = REFINE_CAP):
         self.p, self.target_rel_err, self.basis_cap = p, target_rel_err, basis_cap
+        self.n_cap, N = 0, REFINE_START
+        while N <= basis_cap:
+            self.n_cap, N = N // 2, 2 * N
         self._solved: dict[tuple[int, int], np.ndarray] = {}
         self._held: dict[int, ChannelSpectrum] = {}
 
@@ -377,7 +382,7 @@ class _Channels:
         N = REFINE_START
         while N < 2 * n:
             N *= 2
-        if N > self.basis_cap:
+        if n > self.n_cap:
             raise ValueError(f"n_eigs={n} needs a basis of {N}, "
                              f"above basis_cap={self.basis_cap}")
         while True:

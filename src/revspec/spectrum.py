@@ -267,13 +267,8 @@ def _enumerate_below(channels: _Channels, below: float,
         raise ValueError("cutoff must be positive and finite")
     if cluster_tol <= 0 or cluster_tol >= 1e-2:
         raise ValueError("cluster_tol must lie in (0, 1e-2)")
-    if channels.basis_cap < REFINE_START:
+    if not channels.n_cap:
         raise ValueError(f"basis_cap must be at least {REFINE_START}")
-    # refinement doubles the basis from REFINE_START, so the largest basis
-    # it reaches within basis_cap holds at most half as many eigenvalues
-    n_cap = REFINE_START // 2
-    while 4 * n_cap <= channels.basis_cap:
-        n_cap *= 2
     t0 = trace0_integral(channels.p)
     k_max = math.ceil(below) - 1
     # budgets only shrink with k, so the worst ones are k = 0 and k = 1;
@@ -281,10 +276,10 @@ def _enumerate_below(channels: _Channels, below: float,
     worst_budget = _channel_budget(below, 0, t0)
     if k_max >= 1:
         worst_budget = max(worst_budget, _channel_budget(below, 1, t0))
-    if worst_budget > n_cap:
+    if worst_budget > channels.n_cap:
         raise BudgetError(
             f"cutoff {below:g} needs {worst_budget} eigenvalues in one channel; "
-            f"the basis cap {channels.basis_cap} supports at most {n_cap}")
+            f"the basis cap {channels.basis_cap} supports at most {channels.n_cap}")
 
     found: list[tuple[float, int, int]] = []  # (value, k, j)
     worst_est = 0.0

@@ -277,21 +277,40 @@ def test_mesh_output_is_deterministic(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
-@pytest.mark.parametrize("argv, code, prefix", [
-    # f' squared overflows on the curve samples
+@pytest.mark.parametrize("argv, code, prefix, names", [
+    # f' is about 1e300 inside: the slope test refuses it before any curve
+    # sample is squared
     (["mesh", "--expr=(1-x^2)*(1+1e300*x^2*(1-x^2)^2)"], EXIT_NOT_EMBEDDABLE,
-     "cannot mesh: "),
+     "cannot mesh: ", ("max|f'| = 2 + ",)),
     # f'' is +-inf on the Gauss-Bonnet quadrature nodes
     (["analyze", "--expr=(1-x^2)*(1+1e-300*sin(1e300*x)*(1-x^2)^2)"],
-     EXIT_FAILURE, "numerical failure: "),
+     EXIT_FAILURE, "numerical failure: ",
+     ("Gauss-Bonnet integrand f''", "expression profile 'command-line'")),
 ], ids=["mesh", "analyze"])
 def test_overflowing_derivatives_end_in_one_line(tmp_path, capsys, argv, code,
-                                                 prefix):
+                                                 prefix, names):
     if argv[0] == "mesh":
         argv = argv + ["--out", str(tmp_path / "m.obj")]
     got, out, err = run(capsys, *argv)
     assert (got, out) == (code, "")
     assert err.startswith(prefix) and err.count("\n") == 1
+    assert all(name in err for name in names)
+
+
+@pytest.mark.parametrize("source", [
+    ["--builtin", "round"],
+    ["--expr", "(1 - x^2) * (1 + 0.3*(1 - x^2))"],
+    ["--builtin", "paper-example"],
+    # |f'| exceeds 2 by 8.5e-9 and 5.3e-8, just inside each pole
+    ["--expr", "(1 - x^2) * (1 + 0.25004*(1 - x^2))"],
+    ["--expr", "(1 - x^2) * (1 + 0.2501*(1 - x^2))"],
+], ids=["round", "bump", "paper-example", "c=0.25004", "c=0.2501"])
+def test_analyze_and_mesh_decide_embeddability_alike(tmp_path, capsys, source):
+    analyzed = run(capsys, "analyze", *source)[0]
+    meshed = run(capsys, "mesh", *source, "--out", str(tmp_path / "m.obj"))[0]
+    assert analyzed == meshed
+    assert analyzed in (EXIT_OK, EXIT_NOT_EMBEDDABLE)
+    assert (analyzed == EXIT_OK) == (source == ["--builtin", "round"])
 
 
 def test_mesh_usage_errors():

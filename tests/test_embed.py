@@ -1,16 +1,21 @@
+import ast
 import dataclasses
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from revspec import embed, obstruction
 from revspec.embed import (
     _AREA_BLOCK_FACES, _OBJ_BLOCK_ROWS, EmbeddingMesh, GrazingClampWarning,
     MeshError, NotEmbeddableError,
     ProfileCurve, curve_csv_text, embed_profile_curve, euler_characteristic,
     export_obj, induced_metric_residual, make_mesh, mesh_area,
 )
+from revspec.families import random_bump_profile, squeeze_profile
+from revspec.obstruction import sup_test
 from revspec.profile import InvalidProfileError, make_profile, profile_from_text
 from revspec.serialize import fmt17
 
@@ -131,32 +136,96 @@ def test_steep_profile_raises(borderline_profile):
     assert abs(exc_info.value.argmax_x) == pytest.approx(0.944, abs=1e-2)
 
 
-@pytest.mark.parametrize("lower_side", [-1.0, 1.0])
-def test_not_embeddable_names_the_same_x_on_a_symmetric_tie(borderline_profile,
-                                                            lower_side):
-    # scale f' up by a few ulps on one side: that side's radicand
-    # 1 - f'^2/4 ends lower in its last bits, the other side's stays put
-    def df(t):
-        v = np.asarray(borderline_profile.df(t), dtype=float)
-        return np.where(np.sign(t) == lower_side,
-                        v * (1.0 + 4 * np.finfo(float).eps), v)
-
-    nudged = dataclasses.replace(borderline_profile, df=df)
+def test_a_spike_between_the_samples_is_refused():
+    # 256 curve samples step over the spike; the slope test's grid does not
+    p = profile_from_text("(1-x^2)*(1+0.008*exp(-((x-0.3)/0.002)^2))")
     with pytest.raises(NotEmbeddableError) as exc_info:
-        embed_profile_curve(nudged)
-    assert exc_info.value.argmax_x == pytest.approx(-0.9440593727832146, abs=1e-12)
+        embed_profile_curve(p)
+    assert exc_info.value.max_slope == pytest.approx(3.7251, abs=1e-4)
+    assert exc_info.value.argmax_x == pytest.approx(0.3014, abs=1e-3)
+
+
+def test_refusal_message_shows_the_excess_over_2():
+    p = profile_from_text("(1 - x^2) * (1 + 0.2505*(1 - x^2))")
+    with pytest.raises(NotEmbeddableError, match=r"max\|f'\| = 2 \+ 1\.33e-06 "):
+        embed_profile_curve(p)
 
 
 def test_grazing_slope_clamps_with_warning():
-    # at c = 1/4 the pole slope -2 is the interior maximum of |f'|; a little
-    # above, |f'| exceeds 2 inside by less than the 1e-8 clamp allowance
-    p = profile_from_text("(1 - x^2) * (1 + 0.25004*(1 - x^2))")
-    excess = np.max(np.abs(p.df(np.linspace(-1.0, 1.0, 200001)))) - 2.0
-    assert 0.0 < excess < 1e-8
+    # a little above c = 1/4, |f'| exceeds 2 just inside each pole by
+    # 5.3e-10, within the slope test's 1e-9 allowance; samples that close
+    # to the pole dip the radicand below 0
+    p = profile_from_text("(1 - x^2) * (1 + 0.25001*(1 - x^2))")
+    assert sup_test(p).embeddable
     with pytest.warns(GrazingClampWarning):
-        c = embed_profile_curve(p)
+        c = embed_profile_curve(p, n_samples=1024)
     assert float(np.min(c.dz)) == 0.0
     assert np.all(np.isfinite(c.z))
+
+
+def test_an_excess_beyond_the_slope_allowance_is_refused():
+    # 8.5e-9 above 2: the old 1e-8 radicand allowance clamped it
+    p = profile_from_text("(1 - x^2) * (1 + 0.25004*(1 - x^2))")
+    with pytest.raises(NotEmbeddableError) as exc_info:
+        embed_profile_curve(p)
+    assert exc_info.value.max_slope - 2.0 == pytest.approx(8.5e-9, rel=1e-2)
+
+
+_c = st.floats(0.2, 0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["bump", "random-bump", "squeeze"]),
+       c=_c, seed=st.integers(0, 2 ** 32 - 1),
+       eps=st.floats(0.0, 10.0), n=st.sampled_from([2, 4, 8, 36]))
+def test_embedding_is_refused_exactly_when_the_slope_test_refuses(kind, c,
+                                                                   seed, eps, n):
+    if kind == "bump":
+        p = profile_from_text(f"(1 - x^2) * (1 + {c!r}*(1 - x^2))")
+    elif kind == "random-bump":
+        p = random_bump_profile(np.random.default_rng(seed))
+    else:
+        p = squeeze_profile(eps, n)
+    sup = sup_test(p)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", GrazingClampWarning)
+            embed_profile_curve(p, n_samples=64)
+    except NotEmbeddableError as exc:
+        assert not sup.embeddable
+        assert (exc.max_slope, exc.argmax_x) == (sup.max_slope, sup.argmax_x)
+    else:
+        assert sup.embeddable
+
+
+def test_embed_asks_the_slope_test_and_keeps_no_tolerance_of_its_own():
+    """Embeddability is decided in one place: ``embed_profile_curve``
+    raises ``NotEmbeddableError`` only from what ``sup_test`` returned, and
+    ``embed.py`` holds no slope or radicand tolerance that could grow into a
+    second gate."""
+    tree = ast.parse(Path(embed.__file__).read_text())
+    assert embed.sup_test is obstruction.sup_test
+    curve_fn = next(node for node in tree.body if isinstance(node, ast.FunctionDef)
+                    and node.name == "embed_profile_curve")
+    asks = [node for node in ast.walk(curve_fn) if isinstance(node, ast.Assign)
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "sup_test"]
+    assert len(asks) == 1
+    verdict = asks[0].targets[0].id
+    raises = [node.exc for node in ast.walk(tree) if isinstance(node, ast.Raise)
+              and getattr(getattr(node.exc, "func", None), "id", None)
+              == "NotEmbeddableError"]
+    assert len(raises) == 1
+    assert [(kw.value.value.id, kw.value.attr) for kw in raises[0].keywords] == \
+        [(verdict, "max_slope"), (verdict, "argmax_x")]
+    # module constants are block sizes only, and the curve's own numbers
+    # are the exact 0, 1/2 and 1 of a' = f'/2 and the clamp
+    constants = [target.id for node in tree.body if isinstance(node, ast.Assign)
+                 for target in node.targets]
+    assert constants == ["__all__", "_AREA_BLOCK_FACES", "_OBJ_BLOCK_ROWS"]
+    numbers = {node.value for node in ast.walk(curve_fn)
+               if isinstance(node, ast.Constant) and isinstance(node.value, float)}
+    assert numbers <= {0.0, 0.5, 1.0}
 
 
 def test_sampled_round_profile_meshes_without_grazing():

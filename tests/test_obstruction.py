@@ -53,6 +53,16 @@ def test_sup_borderline(borderline_profile):
     assert not st.embeddable
 
 
+def test_sup_refines_inside_the_pole_cells():
+    # |f'| = 2|x| (1 + 2c(1 - x^2)) peaks at 2 + (4c - 1)^2/(12c) where
+    # 1 - |x| = (4c - 1)/(12c), 1.3e-4 from each pole: inside the last grid
+    # cell, whose only grid maximum is the pole sample with |f'| = 2
+    st = sup_test(profile_from_text("(1 - x^2) * (1 + 0.2501*(1 - x^2))"))
+    assert abs(st.argmax_x) == pytest.approx(1.0 - 0.0004 / 3.0012, abs=1e-6)
+    assert st.max_slope - 2.0 == pytest.approx(0.0004 ** 2 / 3.0012, rel=1e-3)
+    assert not st.embeddable
+
+
 # ---------------------------------------------------------------------------
 # spectral obstructions
 # ---------------------------------------------------------------------------
