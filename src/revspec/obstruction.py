@@ -171,13 +171,16 @@ def _golden_extremum(fn, xs: np.ndarray, i: int,
 
 
 def sup_test(p: Profile) -> SupTest:
-    """Global maximum of ``|f'|`` and the decisive embeddability verdict.
+    """Maximum of ``|f'|`` as resolved by a 4 097-point grid, and the
+    decisive embeddability verdict.
 
-    Dense uniform grid (endpoints included — the poles attain ``|f'| = 2``
-    exactly), then golden-section refinement around every grid local
-    maximum, poles included (a maximum just inside a pole lies in its grid
-    cell).  Embeddable iff the max is at most ``2 + 1e-9``; meshing asks
-    this test too.
+    Uniform grid of spacing ``2/4096`` (about 4.9e-4; endpoints included —
+    the poles attain ``|f'| = 2`` exactly), then golden-section refinement
+    around every grid local maximum, poles included (a maximum just inside
+    a pole lies in its grid cell).  A feature of ``f'`` narrower than the
+    spacing can fall between the samples and go unseen: this is the sup
+    over what the grid resolves, not a proved global bound.  Embeddable iff
+    that max is at most ``2 + 1e-9``; meshing asks this test too.
     """
     require_valid(p, context="sup_test")
     xs = np.linspace(-1.0, 1.0, _GRID + 1)

@@ -53,6 +53,17 @@ a cap is hit, in one store per top-level call that keeps the eigenvalues
 of every ``(k, N)`` it has solved: each size is the next one's half-size
 reference, and no size is solved twice, however often a channel is asked.
 
+The basis tables ``phi`` and ``phi'`` on the nodes depend only on the
+channel, the basis size, the rule and the parity split, never on the
+profile, so one process-wide cache keeps them, keyed by ``(k, N, Q,
+split)``, for the life of the process.  A kept pair is read-only and bit
+for bit the fresh build.  The cache holds at most ``BASIS_CACHE_BYTES``
+(4 MiB), drops the least recently used pair to stay within it, and never
+keeps a pair above a sixteenth of it (256 KiB: ``N <= 64`` at ``Q = 4N``),
+so the large tables of deep refinements are built on each use.  The mass
+diagonal is checked on every assembly, against that call's weights.
+Eigenvalues are not kept from one call to the next.
+
 The round profile ``f = 1 - x^2`` is the exact oracle for all of this: the
 basis contains its true eigenfunctions, so the discrete spectrum reproduces
 ``(k + j - 1)(k + j)`` (and ``j (j + 1)`` in channel 0) to roundoff.
@@ -61,7 +72,9 @@ basis contains its true eigenfunctions, so the discrete spectrum reproduces
 from __future__ import annotations
 
 import math
+import threading
 import warnings
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 import numpy as np
@@ -81,6 +94,9 @@ REFINE_START = 32
 REFINE_CAP = 1024
 # largest |diag(B) - 1| an assembly may leave; a larger one raises SolverError
 MASS_IDENTITY_TOL = 1e-12
+# bytes of basis tables kept across calls; a pair above a sixteenth of this
+# is not kept
+BASIS_CACHE_BYTES = 4 << 20
 
 
 class SolverError(RuntimeError):
@@ -191,7 +207,47 @@ def _basis_values(k: int, x: np.ndarray, n_max: int):
     om = 1.0 - x * x
     w = om ** (0.5 * k)
     dw = -k * x * w / om
-    return w * P, dw * P + w * dP
+    # in place, with no full-size temporary: the bits of w*P and dw*P + w*dP
+    dP *= w
+    for n in range(n_max):
+        dP[n] += dw * P[n]
+    P *= w
+    return P, dP
+
+
+# (k, N, Q, split) -> (phi, dphi), least recently used first; the lock
+# serves callers on several threads
+_tables: OrderedDict[tuple[int, int, int, bool],
+                     tuple[np.ndarray, np.ndarray]] = OrderedDict()
+_tables_lock = threading.Lock()
+
+
+def _table_bytes() -> int:
+    return sum(phi.nbytes + dphi.nbytes for phi, dphi in _tables.values())
+
+
+def _basis_table(k: int, N: int, Q: int, split: bool):
+    """Read-only :func:`_basis_values` of channel ``k``, ``N`` rows, on the
+    ``Q``-node Gauss rule (its nonnegative half on a parity ``split``),
+    from the process-wide cache when it holds them; a new pair is kept if
+    it is at most ``BASIS_CACHE_BYTES / 16``, and the least recently used
+    pairs go until the cache is within ``BASIS_CACHE_BYTES``."""
+    key = (k, N, Q, split)
+    with _tables_lock:
+        pair = _tables.get(key)
+        if pair is not None:
+            _tables.move_to_end(key)
+            return pair
+    x = gauss_legendre(Q)[0]
+    pair = _basis_values(k, x[Q // 2:] if split else x, N)
+    for table in pair:
+        table.flags.writeable = False
+    if pair[0].nbytes + pair[1].nbytes <= BASIS_CACHE_BYTES // 16:
+        with _tables_lock:
+            _tables[key] = pair
+            while _table_bytes() > BASIS_CACHE_BYTES:
+                _tables.popitem(last=False)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +263,10 @@ def assemble(p: Profile, k: int, basis_size: int) -> GalerkinSystem:
     integrates every mass entry (degree ``2 basis_size + 2k - 2`` at most),
     so the mass matrix is the identity.  Its diagonal, which holds the
     top-degree entry, is checked: further than ``MASS_IDENTITY_TOL`` from 1,
-    it raises :class:`SolverError`.  A mirror-symmetric profile is assembled
-    by parity (``parity_split``): the entries between even and odd ``n`` are
-    exact zeros.
+    it raises :class:`SolverError`; the check reads this call's weights, so
+    it is made on every call, cached basis tables or not.  A
+    mirror-symmetric profile is assembled by parity (``parity_split``): the
+    entries between even and odd ``n`` are exact zeros.
     """
     require_valid(p, context="assemble")
     if k < 0:
@@ -232,7 +289,7 @@ def assemble(p: Profile, k: int, basis_size: int) -> GalerkinSystem:
         # every integrand within one parity is even: twice its half-interval
         # integral over the nonnegative nodes
         xq, wq, fq = xq[Q // 2:], 2.0 * wq[Q // 2:], fq[Q // 2:]
-    phi, dphi = _basis_values(k, xq, N)
+    phi, dphi = _basis_table(k, N, Q, split)
     # the (N-1, N-1) mass entry has the top degree: an inexact rule misses it first
     off = np.max(np.abs((phi * phi) @ wq - 1.0))
     if not off <= MASS_IDENTITY_TOL:

@@ -3,6 +3,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, settings
 
+import revspec.solver as solver
 from revspec.families import builtin_profile, reference_family
 
 settings.register_profile(
@@ -11,6 +12,16 @@ settings.register_profile(
 settings.load_profile("suite")
 
 FAMILY_SEED = 20260822
+
+
+@pytest.fixture(autouse=True)
+def cold_basis_tables():
+    """Each test starts and ends with an empty basis-table cache: a test
+    that swaps in another Gauss rule or table builder leaves tables under
+    the usual keys that no other test may read."""
+    solver._tables.clear()
+    yield
+    solver._tables.clear()
 
 
 @pytest.fixture(scope="session")

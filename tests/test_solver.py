@@ -1,6 +1,8 @@
 import ast
 import dataclasses
 import math
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,6 +12,7 @@ import pytest
 import revspec.solver as solver
 from revspec.exprs import parse
 from revspec.families import builtin_profile
+from revspec.obstruction import full_report
 from revspec.profile import InvalidProfileError, make_profile, profile_from_text
 from revspec.quadrature import QuadratureError, gauss_legendre, integrate_gl
 from revspec.solver import (
@@ -442,6 +445,148 @@ def test_split_system_layout(pinched_profile, k, n):
     cross = (np.arange(n)[:, None] + np.arange(n)) % 2 == 1
     assert np.all(sys.stiffness[cross] == 0.0)
     assert np.max(np.abs(mass_matrix(sys) - np.eye(n))) < 1e-11
+
+
+# ---------------------------------------------------------------------------
+# basis tables kept across calls
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("k,n,q,split", [(0, 32, 128, True), (1, 32, 256, False),
+                                         (3, 64, 256, True), (5, 16, 64, False)])
+def test_a_kept_table_is_the_fresh_build_and_read_only(k, n, q, split):
+    phi, dphi = solver._basis_table(k, n, q, split)
+    assert (k, n, q, split) in solver._tables
+    assert solver._basis_table(k, n, q, split)[0] is phi
+    x = gauss_legendre(q)[0]
+    x = x[q // 2:] if split else x
+    fresh = solver._basis_values(k, x, n)
+    # the weights applied out of place, as a product and a sum of products
+    P, dP = solver._jacobi_values(k, n, x)
+    w = (1.0 - x * x) ** (0.5 * k)
+    dw = -k * x * w / (1.0 - x * x)
+    for kept, built, formula in ((phi, fresh[0], w * P), (dphi, fresh[1], dw * P + w * dP)):
+        assert kept.tobytes() == built.tobytes() == formula.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            kept[0, 0] = 0.0
+
+
+def _reports():
+    """``repr`` of the full reports of paper-example and an asymmetric bump,
+    on new profile objects."""
+    bump = "(1 - x^2) * (1 + (1 - x^2)*(0.3*x + 0.2*x^2))"
+    return [repr(full_report(p)) for p in (builtin_profile("paper-example"),
+                                           profile_from_text(bump, name="bump"))]
+
+
+def test_reports_do_not_depend_on_the_cache_history(monkeypatch):
+    cold = _reports()
+    assert solver._tables
+    assert _reports() == cold
+    # a deeper enumeration fills the cache to its budget, dropping some of
+    # the reports' tables and keeping others
+    enumerate_below(builtin_profile("paper-example"), 60)
+    assert solver._table_bytes() > solver.BASIS_CACHE_BYTES - solver.BASIS_CACHE_BYTES // 16
+    assert _reports() == cold
+    monkeypatch.setattr(solver, "BASIS_CACHE_BYTES", 0)
+    solver._tables.clear()
+    assert _reports() == cold
+    assert not solver._tables
+
+
+def test_the_cache_stays_within_its_budget(monkeypatch):
+    budget = 512 << 10
+    monkeypatch.setattr(solver, "BASIS_CACHE_BYTES", budget)
+    built, kept, checked = {}, set(), []
+    basis_values = solver._basis_values
+
+    def recording(k, x, n):
+        phi, dphi = basis_values(k, x, n)
+        built[k, n, x.size] = phi.nbytes + dphi.nbytes
+        return phi, dphi
+
+    def checking(*args):
+        sys = assemble(*args)
+        assert solver._table_bytes() <= budget
+        kept.update(solver._tables)
+        checked.append(sys.quad_points)
+        return sys
+
+    monkeypatch.setattr(solver, "_basis_values", recording)
+    monkeypatch.setattr(solver, "assemble", checking)
+    enumerate_below(builtin_profile("paper-example"), 30)
+    assert checked
+    # some pairs were too large to keep, and some were kept and then dropped
+    assert any(size > budget // 16 for size in built.values())
+    assert kept - set(solver._tables)
+    for k, n, q, split in kept:
+        assert built[k, n, q // 2 if split else q] <= budget // 16
+
+
+def test_threads_share_the_cache(monkeypatch):
+    """Four threads, more than the cores, read and fill a cache small enough
+    to evict on most admissions: every table is its fresh build, and the
+    cache ends within its budget."""
+    monkeypatch.setattr(solver, "BASIS_CACHE_BYTES", 256 << 10)
+    keys = [(k, n, 4 * n, split) for k in (0, 2, 3) for n in (8, 16, 32)
+            for split in (False, True)]
+    fresh = {}
+    for k, n, q, split in keys:
+        x = gauss_legendre(q)[0]
+        fresh[k, n, q, split] = solver._basis_values(k, x[q // 2:] if split else x, n)
+    solver._tables.clear()
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(200):
+                key = keys[(offset + 7 * i) % len(keys)]
+                phi, dphi = solver._basis_table(*key)
+                if not (np.array_equal(phi, fresh[key][0])
+                        and np.array_equal(dphi, fresh[key][1])):
+                    errors.append(key)
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert 0 < solver._table_bytes() <= solver.BASIS_CACHE_BYTES
+
+
+def test_tables_are_built_only_through_the_cache():
+    """``_basis_values`` has one caller in ``src/``, ``_basis_table``, and
+    ``assemble`` reads its tables only through ``_basis_table``."""
+
+    def calls(tree, name):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+    def definition(tree, name):
+        return next(node for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name == name)
+
+    tree = ast.parse(Path(solver.__file__).read_text())
+    assert calls(tree, "_basis_values") == \
+        calls(definition(tree, "_basis_table"), "_basis_values")
+    assert len(calls(tree, "_basis_values")) == 1
+    assert calls(tree, "_jacobi_values") == \
+        calls(definition(tree, "_basis_values"), "_jacobi_values")
+    builder = definition(tree, "assemble")
+    assert len(calls(builder, "_basis_table")) == 1
+    assert calls(builder, "_basis_values") == calls(builder, "_jacobi_values") == []
+    for path in sorted(SRC.rglob("*.py")):
+        if path.name != "solver.py":
+            text = path.read_text()
+            assert "_basis_values" not in text and "_basis_table" not in text, path.name
 
 
 # ---------------------------------------------------------------------------
