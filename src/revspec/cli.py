@@ -52,14 +52,14 @@ from .profile import (ArclengthProfile, InvalidProfileError, Profile,
                       profile_from_text, require_valid, validate)
 from .quadrature import QuadratureError
 from .obstruction import full_report
-from .embed import (NotEmbeddableError, embed_profile_curve,
-                    euler_characteristic, export_obj, induced_metric_residual,
-                    make_mesh, mesh_area)
+from .embed import (NotEmbeddableError, _obj_blocks, embed_profile_curve,
+                    euler_characteristic, induced_metric_residual, make_mesh,
+                    mesh_area)
 from .solver import REFINE_START, SolverError, rayleigh_quotient, refine
 from .spectrum import (BudgetError, SpectrumInvariantError, bounds_report,
                        channel_lower_bound, enumerate_below,
                        lambda01_upper_bound)
-from .serialize import fmt17, json_text, write_bytes, write_text
+from .serialize import fmt17, json_text, write_blocks, write_text
 
 __all__ = ["main", "build_parser", "load_profile"]
 
@@ -328,7 +328,7 @@ def cmd_mesh(args: argparse.Namespace) -> int:
     curve = embed_profile_curve(p, n_samples=args.n_samples)
     mesh = make_mesh(curve, n_theta=args.n_theta)
     res = induced_metric_residual(mesh, p)
-    write_bytes(Path(args.out), export_obj(mesh))
+    write_blocks(Path(args.out), _obj_blocks(mesh))
     sidecar = {
         "profile": {"name": p.name, "source": p.source},
         "n_theta": args.n_theta,

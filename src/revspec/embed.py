@@ -26,8 +26,11 @@ Whether a profile embeds is decided once, by
 
 from __future__ import annotations
 
+import itertools
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -225,26 +228,62 @@ def make_mesh(curve: ProfileCurve, n_theta: int = 64) -> EmbeddingMesh:
     return EmbeddingMesh(vertices=verts, faces=f, curve=curve, n_theta=n_theta)
 
 
+def _check_faces(faces: np.ndarray, n_vertices: int) -> None:
+    """Refuse a face that indexes outside the ``n_vertices`` vertices."""
+    if faces.size and (faces.min() < 0 or faces.max() >= n_vertices):
+        first = int(np.flatnonzero((faces < 0) | (faces >= n_vertices))[0])
+        row, col = divmod(first, faces.shape[1])
+        raise ValueError(f"face {row} indexes vertex {int(faces[row, col])}, "
+                         f"but the mesh has {n_vertices} vertices")
+
+
 def mesh_area(mesh: EmbeddingMesh) -> float:
-    """Sum of the face areas, over blocks of ``_AREA_BLOCK_FACES`` faces."""
+    """Sum of the face areas, over blocks of ``_AREA_BLOCK_FACES`` faces.
+
+    The cross product and its length are written out by component, in the
+    operations and order of ``np.cross`` and ``np.linalg.norm(axis=1)``, so
+    the sum is theirs bit for bit.
+    """
     v, total = mesh.vertices, 0.0
+    _check_faces(mesh.faces, v.shape[0])
     for start in range(0, mesh.faces.shape[0], _AREA_BLOCK_FACES):
         f = mesh.faces[start:start + _AREA_BLOCK_FACES]
         v0 = v[f[:, 0]]
-        cr = np.cross(v[f[:, 1]] - v0, v[f[:, 2]] - v0)
-        total += float(np.sum(np.linalg.norm(cr, axis=1)))
+        a0, a1, a2 = (v[f[:, 1]] - v0).T
+        b0, b1, b2 = (v[f[:, 2]] - v0).T
+        c0 = a1 * b2
+        c0 -= a2 * b1
+        c1 = a2 * b0
+        c1 -= a0 * b2
+        c2 = a0 * b1
+        c2 -= a1 * b0
+        c0 *= c0
+        c1 *= c1
+        c2 *= c2
+        c0 += c1
+        c0 += c2
+        total += float(np.sum(np.sqrt(c0, out=c0)))
     return 0.5 * total
 
 
 def euler_characteristic(mesh: EmbeddingMesh) -> int:
+    """``V - E + F``, each undirected edge counted once.
+
+    An edge's key is ``min * V + max`` of its two vertex indices, built by
+    ``np.minimum`` and ``np.maximum`` of two face columns; the keys are
+    sorted in place and counted where they change.  Transient memory is the
+    keys, three int64 per face, and one column of ``np.maximum``.
+    """
     f = mesh.faces
     n = mesh.vertices.shape[0]
-    edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-    edges = np.sort(edges, axis=1)
-    # one integer key per edge; sorting in place and counting changes spares
-    # the time and memory of np.unique's copies
-    keys = edges[:, 0] * n
-    keys += edges[:, 1]
+    _check_faces(f, n)
+    keys = np.empty((3, f.shape[0]), dtype=np.int64)
+    for c in range(3):
+        u, w = f[:, c], f[:, (c + 1) % 3]
+        np.minimum(u, w, out=keys[c])
+        keys[c] *= n
+        keys[c] += np.maximum(u, w)
+    keys = keys.ravel()
     keys.sort()
     n_edges = int(np.count_nonzero(keys[1:] != keys[:-1])) + min(keys.size, 1)
     return int(n - n_edges + f.shape[0])
@@ -296,32 +335,84 @@ def induced_metric_residual(obj: ProfileCurve | EmbeddingMesh,
 # export
 # ---------------------------------------------------------------------------
 
-# Rows per formatting call: bounds the transient lists at the 8192 x 1024
-# CLI maximum (8.4 M vertices, 16.8 M faces) to a few MB each.
+# Rows per block of OBJ lines.  A block's transient arrays and texts stay
+# within a few hundred kB at any mesh size.  `revspec mesh` writes the blocks
+# to its file one by one, so at the 8192 x 1024 CLI maximum (8.4 M vertices,
+# 16.8 M faces, a 956 MB file) it peaks at 1.1 GB RSS: the mesh arrays and
+# the edge keys of euler_characteristic.
 _OBJ_BLOCK_ROWS = 1024
+
+
+def _vertex_lines(v: np.ndarray) -> bytes:
+    """``v`` lines of a block of vertices.
+
+    Each distinct coordinate, told apart by its bit pattern so that ``-0.0``
+    still prints as ``-0``, is formatted once by CPython's ``%.17g``, and
+    the texts are gathered into the lines.
+    """
+    bits = np.ascontiguousarray(v, dtype=np.float64).view(np.int64).ravel()
+    distinct, which = np.unique(bits, return_inverse=True)
+    texts = (b"%.17g " * distinct.size
+             % tuple(distinct.view(np.float64).tolist())).split(b" ")
+    return b"v %s %s %s\n" * v.shape[0] % itemgetter(*which.tolist())(texts)
+
+
+def _face_lines(f: np.ndarray, digits: int) -> bytes:
+    """``f`` lines of a block of faces, 1-indexed, with indices of at most
+    ``digits`` decimal digits written by numpy integer arithmetic."""
+    n = f.shape[0]
+    rest = np.empty((3, n), dtype=np.int64)
+    np.add(f.T, 1, out=rest)
+    quot = np.empty_like(rest)
+    # the lines transposed, one row per byte column, so that each step below
+    # writes whole rows; an index is a space and its digits right-aligned
+    cols = np.empty((3 * digits + 5, n), dtype=np.uint8)
+    keep = np.ones(cols.shape, dtype=bool)
+    cols[0], cols[-1] = ord("f"), ord("\n")
+    body = cols[1:-1].reshape(3, digits + 1, n)
+    kept = keep[1:-1].reshape(3, digits + 1, n)
+    body[:, 0] = ord(" ")
+    for j in range(digits, 0, -1):
+        np.floor_divide(rest, 10, out=quot)
+        rest -= 10 * quot
+        rest += ord("0")
+        body[:, j] = rest
+        if j > 1:
+            # the next digit is a leading zero once the quotient is 0
+            np.not_equal(quot, 0, out=kept[:, j - 1])
+        rest, quot = quot, rest
+    return cols.T[keep.T].tobytes()
+
+
+def _obj_blocks(mesh: EmbeddingMesh) -> Iterator[bytes]:
+    """The OBJ text of :func:`export_obj` in blocks of ``_OBJ_BLOCK_ROWS``
+    lines.  The mesh is checked before the first block is made."""
+    v, f = mesh.vertices, mesh.faces
+    if v.size == 0 or f.size == 0:
+        raise ValueError("refusing to export an empty mesh")
+    _check_faces(f, v.shape[0])
+    rows, digits = _OBJ_BLOCK_ROWS, len(str(v.shape[0]))
+    return itertools.chain(
+        (_vertex_lines(v[i:i + rows]) for i in range(0, v.shape[0], rows)),
+        (_face_lines(f[i:i + rows], digits) for i in range(0, f.shape[0], rows)))
 
 
 def export_obj(mesh: EmbeddingMesh) -> bytes:
     """Mesh as OBJ text: ``v`` lines then 1-indexed ``f`` lines, LF endings,
-    17 significant digits.  Rows are formatted in blocks of
-    ``_OBJ_BLOCK_ROWS``, one repeated ``%`` template per block, to the same
-    bytes as line by line.
+    17 significant digits.
+
+    The text is the bytes of formatting line by line with ``"%.17g"`` and
+    ``"%d"``, made in blocks of ``_OBJ_BLOCK_ROWS`` rows: within a vertex
+    block each distinct coordinate is formatted once, and face indices are
+    written digit by digit with numpy.  A face indexing outside the vertices
+    raises ``ValueError``.
 
     Byte-identical across runs on the same machine and installation.  Across
     CPUs, BLAS builds and numpy/scipy versions the vertex coordinates may
     differ in the last few ULPs; the layout, the ``f`` lines and the number
     format are exact everywhere.
     """
-    if mesh.vertices.size == 0 or mesh.faces.size == 0:
-        raise ValueError("refusing to export an empty mesh")
-    chunks = []
-    for start in range(0, mesh.vertices.shape[0], _OBJ_BLOCK_ROWS):
-        blk = mesh.vertices[start:start + _OBJ_BLOCK_ROWS]
-        chunks.append(b"v %.17g %.17g %.17g\n" * blk.shape[0] % tuple(blk.ravel().tolist()))
-    for start in range(0, mesh.faces.shape[0], _OBJ_BLOCK_ROWS):
-        blk = mesh.faces[start:start + _OBJ_BLOCK_ROWS] + 1
-        chunks.append(b"f %d %d %d\n" * blk.shape[0] % tuple(blk.ravel().tolist()))
-    return b"".join(chunks)
+    return b"".join(_obj_blocks(mesh))
 
 
 def curve_csv_text(curve: ProfileCurve) -> str:

@@ -21,9 +21,10 @@ everywhere.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from pathlib import Path
 
-__all__ = ["SCHEMA_VERSION", "fmt17", "json_text", "write_text", "write_bytes"]
+__all__ = ["SCHEMA_VERSION", "fmt17", "json_text", "write_text", "write_blocks"]
 
 SCHEMA_VERSION = 3
 
@@ -42,5 +43,7 @@ def write_text(path: str | Path, text: str) -> None:
     Path(path).write_bytes(text.encode("utf-8"))
 
 
-def write_bytes(path: str | Path, data: bytes) -> None:
-    Path(path).write_bytes(data)
+def write_blocks(path: str | Path, blocks: Iterable[bytes]) -> None:
+    """Write ``blocks`` to ``path`` one after another, never joined."""
+    with Path(path).open("wb") as fh:
+        fh.writelines(blocks)

@@ -19,7 +19,9 @@ from revspec.cli import (
     EXIT_FAILURE, EXIT_INVALID_PROFILE, EXIT_NOT_EMBEDDABLE, EXIT_OK,
     EXIT_USAGE, EXIT_VERIFY_FAILED, main,
 )
+from revspec.embed import embed_profile_curve, export_obj, make_mesh
 from revspec.exprs import EvalDomainError
+from revspec.families import builtin_profile
 from revspec.profile import PROXY_MAX_DEGREE
 from revspec.quadrature import QuadratureError
 from revspec.solver import ConvergenceError, SolverError
@@ -255,6 +257,26 @@ def test_mesh_writes_obj_and_sidecar(tmp_path, capsys):
     assert side["mesh"]["area"] == pytest.approx(4 * np.pi, rel=2e-2)
     assert side["meridian_length"] == pytest.approx(np.pi, abs=1e-9)
     assert side["induced_metric_residual"]["sup"] < 1e-5
+
+
+def test_mesh_streams_the_obj_blocks_to_its_file(tmp_path, capsys, monkeypatch):
+    written = []
+
+    def write_blocks(path, blocks):
+        for block in blocks:
+            written.append(block)
+        Path(path).write_bytes(b"".join(written))
+
+    monkeypatch.setattr(cli, "write_blocks", write_blocks)
+    out = tmp_path / "ball.obj"
+    code, _, _ = run(capsys, "mesh", "--builtin", "round", "--out", str(out),
+                     "--n-theta", "16", "--n-samples", "128")
+    assert code == EXIT_OK
+    # 16 * 126 + 2 vertices and 2 * 16 * 126 faces: 2 + 4 blocks of 1024 rows
+    assert len(written) == 6
+    mesh = make_mesh(embed_profile_curve(builtin_profile("round"), n_samples=128),
+                     n_theta=16)
+    assert out.read_bytes() == export_obj(mesh)
 
 
 def test_mesh_refuses_the_pinched_profile(tmp_path, capsys):

@@ -74,6 +74,36 @@ def loop_export_obj(mesh):
     return ("\n".join(lines) + "\n").encode("ascii")
 
 
+def sort_count_euler(mesh):
+    """V - E + F by the row sort and key count of the earlier implementation."""
+    f = mesh.faces
+    n = mesh.vertices.shape[0]
+    edges = np.concatenate([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
+    edges = np.sort(edges, axis=1)
+    keys = edges[:, 0] * n
+    keys += edges[:, 1]
+    keys.sort()
+    n_edges = int(np.count_nonzero(keys[1:] != keys[:-1])) + min(keys.size, 1)
+    return int(n - n_edges + f.shape[0])
+
+
+def cross_norm_area(mesh):
+    """Mesh area by ``np.cross`` and ``np.linalg.norm``, block by block."""
+    v, total = mesh.vertices, 0.0
+    for start in range(0, mesh.faces.shape[0], _AREA_BLOCK_FACES):
+        f = mesh.faces[start:start + _AREA_BLOCK_FACES]
+        v0 = v[f[:, 0]]
+        cr = np.cross(v[f[:, 1]] - v0, v[f[:, 2]] - v0)
+        total += float(np.sum(np.linalg.norm(cr, axis=1)))
+    return 0.5 * total
+
+
+def hand_mesh(vertices, faces):
+    return EmbeddingMesh(vertices=np.asarray(vertices, dtype=float),
+                         faces=np.asarray(faces, dtype=np.int64),
+                         curve=None, n_theta=0)
+
+
 def loop_curve_csv_text(curve):
     lines = ["s,a,z"]
     lines.extend(f"{s:.17g},{a:.17g},{z:.17g}"
@@ -260,12 +290,53 @@ def test_mesh_counts(round_profile):
     (4, [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0)], 2),
     # two triangles forming an open square: 4 - 5 + 2
     (4, [(0, 1, 2), (0, 2, 3)], 1),
-], ids=["tetrahedron", "square"])
+    # two disjoint closed tetrahedra: 8 - 12 + 8
+    (8, [(0, 1, 2), (0, 3, 1), (1, 3, 2), (2, 3, 0),
+         (4, 5, 6), (4, 7, 5), (5, 7, 6), (6, 7, 4)], 4),
+    # a bow-tie, two triangles sharing only vertex 0: 5 - 6 + 2
+    (5, [(0, 1, 2), (0, 3, 4)], 1),
+], ids=["tetrahedron", "square", "two-tetrahedra", "bow-tie"])
 def test_euler_characteristic_of_hand_built_meshes(vertices, faces, chi):
     mesh = EmbeddingMesh(vertices=np.zeros((vertices, 3)),
                          faces=np.asarray(faces, dtype=np.int64),
                          curve=None, n_theta=0)
     assert euler_characteristic(mesh) == chi
+
+
+@settings(max_examples=60)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       rows=st.integers(0, 300))
+def test_euler_characteristic_equals_the_sort_and_count_reference(seed, n, rows):
+    rng = np.random.default_rng(seed)
+    mesh = hand_mesh(np.zeros((n, 3)), rng.integers(0, n, size=(rows, 3)))
+    assert euler_characteristic(mesh) == sort_count_euler(mesh)
+
+
+def test_euler_characteristic_of_a_revolved_mesh_equals_the_reference(round_profile):
+    mesh = make_mesh(embed_profile_curve(round_profile, n_samples=384), n_theta=96)
+    assert euler_characteristic(mesh) == sort_count_euler(mesh) == 2
+
+
+@pytest.mark.parametrize("faces,row,index", [
+    ([(0, 1, 2), (0, 1, 3)], 1, 3),     # one past the last vertex
+    ([(0, 1, 2), (-1, 0, 1)], 1, -1),   # one before the first
+    ([(0, 1, 5), (-1, 0, 1)], 0, 5),    # the first bad row is named
+], ids=["past-the-end", "negative", "first-bad-row"])
+@pytest.mark.parametrize("check", [export_obj, euler_characteristic, mesh_area],
+                         ids=["export_obj", "euler_characteristic", "mesh_area"])
+def test_faces_outside_the_vertices_are_refused(check, faces, row, index):
+    mesh = hand_mesh(np.eye(3), faces)
+    with pytest.raises(ValueError) as exc_info:
+        check(mesh)
+    assert str(exc_info.value) == \
+        f"face {row} indexes vertex {index}, but the mesh has 3 vertices"
+
+
+def test_faces_on_the_first_and_last_vertex_are_accepted():
+    mesh = hand_mesh(np.eye(3), [(0, 1, 2), (2, 1, 0)])
+    assert export_obj(mesh).endswith(b"f 1 2 3\nf 3 2 1\n")
+    assert euler_characteristic(mesh) == 2
+    assert mesh_area(mesh) == cross_norm_area(mesh)
 
 
 def test_mesh_is_outward_oriented(round_curve):
@@ -354,6 +425,32 @@ def test_mesh_area_sums_every_face_once(round_profile):
     cr = np.cross(v[f[:, 1]] - v[f[:, 0]], v[f[:, 2]] - v[f[:, 0]])
     whole = 0.5 * np.sum(np.linalg.norm(cr, axis=1))
     assert mesh_area(mesh) == pytest.approx(whole, rel=1e-13)
+
+
+@pytest.mark.parametrize("n_samples,n_theta", [(384, 96), (700, 100)],
+                         ids=["one-boundary", "two-boundaries"])
+def test_mesh_area_is_the_cross_and_norm_sum_bit_for_bit(round_profile,
+                                                         n_samples, n_theta):
+    mesh = make_mesh(embed_profile_curve(round_profile, n_samples=n_samples),
+                     n_theta=n_theta)
+    assert mesh.faces.shape[0] > _AREA_BLOCK_FACES
+    assert mesh_area(mesh).hex() == cross_norm_area(mesh).hex()
+
+
+def test_mesh_area_of_wide_ranging_coordinates_is_bit_for_bit():
+    rng = np.random.default_rng(21)
+    # scales from 1e-30 to 1e30: squared cross products stay finite
+    verts = rng.standard_normal((5000, 3)) * 10.0 ** rng.integers(-30, 31, (5000, 1))
+    verts[:4] = (0.0, -0.0, 5e-324), (1e-300, 0.0, 0.0), (0.0, 1e-300, 0.0), (1.0, 1.0, 1.0)
+    faces = rng.integers(0, 5000, size=(2 * _AREA_BLOCK_FACES + 17, 3))
+    faces[:3] = (0, 1, 2), (1, 2, 3), (0, 0, 3)
+    mesh = hand_mesh(verts, faces)
+    assert np.isfinite(mesh_area(mesh))
+    assert mesh_area(mesh).hex() == cross_norm_area(mesh).hex()
+    # one face at a time, so no rounding of a long sum hides a last bit
+    for face in faces[:300]:
+        one = hand_mesh(verts, [face])
+        assert mesh_area(one).hex() == cross_norm_area(one).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +560,66 @@ def test_obj_refuses_empty_mesh(round_curve):
                           curve=round_curve, n_theta=8)
     with pytest.raises(ValueError, match="empty"):
         export_obj(empty)
+
+
+def test_obj_tells_signed_zeros_apart_in_one_block():
+    mesh = hand_mesh([(0.0, -0.0, 0.0), (-0.0, 0.0, -0.0), (1.0, -0.0, 0.0)],
+                     [(0, 1, 2)])
+    got = export_obj(mesh)
+    assert got == loop_export_obj(mesh)
+    assert got.split(b"\n")[:3] == [b"v 0 -0 0", b"v -0 0 -0", b"v 1 -0 0"]
+
+
+def test_obj_repeats_values_across_rows_and_columns():
+    rng = np.random.default_rng(7)
+    pool = np.array([0.1, -2.5, 1 / 3, 5e-324, -1e300, np.pi, -0.0, 0.0])
+    verts = rng.choice(pool, size=(3 * _OBJ_BLOCK_ROWS + 7, 3))
+    verts[::5] = verts[::5, :1]                 # one value across a row
+    verts[1::7, 2] = verts[1::7, 0]             # a value in two columns
+    verts[_OBJ_BLOCK_ROWS - 1:_OBJ_BLOCK_ROWS + 2] = (1 / 3, 1 / 3, -1e300)
+    mesh = hand_mesh(verts, rng.integers(0, verts.shape[0], size=(50, 3)))
+    assert export_obj(mesh) == loop_export_obj(mesh)
+
+
+@pytest.mark.parametrize("n_vertices", [9, 10, 99, 100, 999, 1000, 9999, 10000])
+def test_obj_face_indices_at_digit_width_boundaries(n_vertices):
+    rng = np.random.default_rng(n_vertices)
+    faces = rng.integers(0, n_vertices, size=(n_vertices + 5, 3))
+    last = n_vertices - 1
+    faces[0] = (last, 0, last)
+    faces[-1] = (0, last, 9 % n_vertices)
+    mesh = hand_mesh(rng.standard_normal((n_vertices, 3)), faces)
+    got = export_obj(mesh)
+    assert got == loop_export_obj(mesh)
+    lines = got.split(b"\n")
+    assert lines[n_vertices] == b"f %d 1 %d" % (n_vertices, n_vertices)
+    assert lines[-2] == b"f 1 %d %d" % (n_vertices, 9 % n_vertices + 1)
+
+
+def test_obj_writes_nan_and_inf_as_before():
+    other_nans = np.array([0xFFF8000000000000, 0x7FF0000000000001],
+                          dtype=np.uint64).view(np.float64)
+    mesh = hand_mesh([(np.nan, np.inf, -np.inf), (*other_nans, 0.0),
+                      (np.inf, np.nan, -0.0)], [(0, 1, 2)])
+    got = export_obj(mesh)
+    assert got == loop_export_obj(mesh)
+    assert got.split(b"\n")[:3] == [b"v nan inf -inf", b"v nan nan 0",
+                                     b"v inf nan -0"]
+
+
+def test_obj_blocks_join_to_the_export(round_profile):
+    mesh = make_mesh(embed_profile_curve(round_profile, n_samples=64), n_theta=40)
+    blocks = list(embed._obj_blocks(mesh))
+    n_v, n_f = mesh.vertices.shape[0], mesh.faces.shape[0]
+    assert len(blocks) == -(-n_v // _OBJ_BLOCK_ROWS) + -(-n_f // _OBJ_BLOCK_ROWS)
+    assert all(block.count(b"\n") <= _OBJ_BLOCK_ROWS for block in blocks)
+    assert b"".join(blocks) == export_obj(mesh) == loop_export_obj(mesh)
+
+
+def test_obj_blocks_check_the_mesh_before_the_first_block():
+    # cmd_mesh opens its file only after this call returns
+    with pytest.raises(ValueError, match="face 0 indexes vertex 3"):
+        embed._obj_blocks(hand_mesh(np.eye(3), [(0, 1, 3)]))
 
 
 def test_curve_csv(round_curve):
