@@ -55,7 +55,8 @@ from .obstruction import full_report
 from .embed import (NotEmbeddableError, _obj_blocks, embed_profile_curve,
                     euler_characteristic, induced_metric_residual, make_mesh,
                     mesh_area)
-from .solver import REFINE_START, SolverError, rayleigh_quotient, refine
+from .solver import (CLUSTER_TOL, REFINE_CAP, REFINE_START, TARGET_REL_ERR,
+                     SolverError, rayleigh_quotient, refine)
 from .spectrum import (BudgetError, SpectrumInvariantError, bounds_report,
                        channel_lower_bound, enumerate_below,
                        lambda01_upper_bound)
@@ -134,15 +135,17 @@ def build_parser() -> argparse.ArgumentParser:
                          help="profile description JSON file")
 
     def add_solver(sp):
-        sp.add_argument("--tol", type=_number(float, 1e-12), default=1e-8,
+        sp.add_argument("--tol", type=_number(float, 1e-12), default=TARGET_REL_ERR,
                         help="relative eigenvalue tolerance (default %(default)s)")
-        sp.add_argument("--basis-cap", type=_number(int, REFINE_START), default=1024,
+        sp.add_argument("--basis-cap", type=_number(int, REFINE_START),
+                        default=REFINE_CAP,
                         help="largest Galerkin basis size (default %(default)s)")
 
     def add_cluster_tol(sp):
         sp.add_argument("--cluster-tol", type=_number(float, 0, 1e-2, True),
-                        default=1e-6, help="relative gap merging eigenvalues "
-                                           "across channels (default %(default)s)")
+                        default=CLUSTER_TOL,
+                        help="relative gap merging eigenvalues across channels "
+                             "(default %(default)s)")
 
     sp = sub.add_parser("analyze", help="validation, bounds, embeddability report")
     sp.set_defaults(run=cmd_analyze)

@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import Profile, curvature, require_valid
+from .solver import CLUSTER_TOL
 from .spectrum import (SpectrumInvariantError, SpectrumTable, _Channels,
                        _enumerate_below, trace0_integral, trace_partial_sum)
 
@@ -204,7 +205,10 @@ def sup_test(p: Profile) -> SupTest:
 def spectral_test(p: Profile) -> SpectralTest:
     """First invariant eigenvalue against 3; exceeding it obstructs
     embedding.  :func:`full_report` also compares it with the external
-    ``ABREU_FREITAS_THRESHOLD`` (its ``abreu_freitas_test``)."""
+    ``ABREU_FREITAS_THRESHOLD`` (its ``abreu_freitas_test``).  This test
+    refines channel 0 for one value, the report reads ``lambda_0^1`` from
+    the deeper channel-0 solve of its parity window: their last digits can
+    differ (up to 1.5e-11 relative on sample-backed profiles)."""
     require_valid(p, context="spectral_test")
     return _threshold_test(_Channels(p)(0, 1).eigenvalues[0], _SPECTRAL_THRESHOLD)
 
@@ -215,7 +219,7 @@ def _threshold_test(lambda01: float, threshold: float) -> SpectralTest:
 
 
 def even_multiplicity_test(p: Profile,
-                           cluster_tol: float = 1e-6) -> EvenMultiplicityTest:
+                           cluster_tol: float = CLUSTER_TOL) -> EvenMultiplicityTest:
     """Parity of the first four distinct multiplicities, cross-checked.
 
     Enumerates below ``W = min(lambda_1^4, lambda_4^1) (1 + 1e-3)``, a
@@ -287,7 +291,7 @@ def trace_flag(p: Profile, j_terms: int = 24) -> TraceFlag:
     sum over ``j_terms`` computed eigenvalues (a strict lower bound of the
     same trace) is reported alongside as corroboration.  Never a verdict
     source, and not part of :func:`full_report`.  Its eigenvalues are
-    refined to the one target of all solves, 1e-8.
+    refined to the one target of all solves, ``TARGET_REL_ERR``.
     """
     t0 = trace0_integral(p)
     cs = _Channels(p)(0, j_terms)
@@ -296,7 +300,7 @@ def trace_flag(p: Profile, j_terms: int = 24) -> TraceFlag:
                      suggestive=bool(t0 <= TRACE_FLAG_THRESHOLD))
 
 
-def full_report(p: Profile, cluster_tol: float = 1e-6) -> ObstructionReport:
+def full_report(p: Profile, cluster_tol: float = CLUSTER_TOL) -> ObstructionReport:
     """Run every test, derive verdicts, and cross-check proved implications.
 
     ``verdict`` comes from the decisive slope test alone.

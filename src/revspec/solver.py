@@ -56,13 +56,15 @@ reference, and no size is solved twice, however often a channel is asked.
 The basis tables ``phi`` and ``phi'`` on the nodes depend only on the
 channel, the basis size, the rule and the parity split, never on the
 profile, so one process-wide cache keeps them, keyed by ``(k, N, Q,
-split)``, for the life of the process.  A kept pair is read-only and bit
-for bit the fresh build.  The cache holds at most ``BASIS_CACHE_BYTES``
-(4 MiB), drops the least recently used pair to stay within it, and never
-keeps a pair above a sixteenth of it (256 KiB: ``N <= 64`` at ``Q = 4N``),
-so the large tables of deep refinements are built on each use.  The mass
-diagonal is checked on every assembly, against that call's weights.
-Eigenvalues are not kept from one call to the next.
+split)``, in a :func:`functools.lru_cache` of 64 pairs.  A kept pair is
+read-only and bit for bit the fresh build.  A pair above
+``BASIS_CACHE_BYTES // 64`` (256 KiB: ``N > 64`` at ``Q = 4N``) is built
+on each use, so the cache holds at most ``BASIS_CACHE_BYTES``, 16 MiB, a
+loose bound: the benchmark's report sweep keeps 34 pairs (2.8 MB), a
+paper-example enumeration below 21 keeps 36 (2.2 MB), and the deepest one
+measured holds at most 3.9 MB.  The mass diagonal is checked on every
+assembly, against that call's weights.  Eigenvalues are not kept from one
+call to the next.
 
 The round profile ``f = 1 - x^2`` is the exact oracle for all of this: the
 basis contains its true eigenfunctions, so the discrete spectrum reproduces
@@ -72,9 +74,7 @@ basis contains its true eigenfunctions, so the discrete spectrum reproduces
 from __future__ import annotations
 
 import math
-import threading
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, replace
 from functools import lru_cache
 import numpy as np
@@ -87,16 +87,18 @@ __all__ = [
     "GalerkinSystem", "ChannelSpectrum", "SolverError", "ConvergenceError",
     "AdmissibilityError", "NearDegenerateWarning",
     "assemble", "solve_channel", "refine", "rayleigh_quotient",
-    "REFINE_START", "REFINE_CAP",
+    "REFINE_START", "REFINE_CAP", "TARGET_REL_ERR", "CLUSTER_TOL",
 ]
 
 REFINE_START = 32
 REFINE_CAP = 1024
+TARGET_REL_ERR = 1e-8  # default relative convergence target of an eigenvalue
+CLUSTER_TOL = 1e-6  # default relative gap merging eigenvalues across channels
 # largest |diag(B) - 1| an assembly may leave; a larger one raises SolverError
 MASS_IDENTITY_TOL = 1e-12
-# bytes of basis tables kept across calls; a pair above a sixteenth of this
-# is not kept
-BASIS_CACHE_BYTES = 4 << 20
+# bytes of basis tables kept across calls: at most 64 pairs, none above
+# BASIS_CACHE_BYTES // 64
+BASIS_CACHE_BYTES = 16 << 20
 
 
 class SolverError(RuntimeError):
@@ -164,7 +166,6 @@ class ChannelSpectrum:
 # orthonormal symmetric Jacobi basis
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
 def _weight_mass(k: int) -> float:
     # integral of (1 - x^2)^k over [-1, 1], exact rational
     return float(2 ** (2 * k + 1) * math.factorial(k) ** 2
@@ -215,39 +216,27 @@ def _basis_values(k: int, x: np.ndarray, n_max: int):
     return P, dP
 
 
-# (k, N, Q, split) -> (phi, dphi), least recently used first; the lock
-# serves callers on several threads
-_tables: OrderedDict[tuple[int, int, int, bool],
-                     tuple[np.ndarray, np.ndarray]] = OrderedDict()
-_tables_lock = threading.Lock()
-
-
-def _table_bytes() -> int:
-    return sum(phi.nbytes + dphi.nbytes for phi, dphi in _tables.values())
-
-
 def _basis_table(k: int, N: int, Q: int, split: bool):
     """Read-only :func:`_basis_values` of channel ``k``, ``N`` rows, on the
-    ``Q``-node Gauss rule (its nonnegative half on a parity ``split``),
-    from the process-wide cache when it holds them; a new pair is kept if
-    it is at most ``BASIS_CACHE_BYTES / 16``, and the least recently used
-    pairs go until the cache is within ``BASIS_CACHE_BYTES``."""
-    key = (k, N, Q, split)
-    with _tables_lock:
-        pair = _tables.get(key)
-        if pair is not None:
-            _tables.move_to_end(key)
-            return pair
+    ``Q``-node Gauss rule (its nonnegative half on a parity ``split``):
+    from the process-wide cache when the pair is at most
+    ``BASIS_CACHE_BYTES // 64``, else built for this use alone."""
+    # two float64 tables of N rows on the nodes
+    if 16 * N * (Q // 2 if split else Q) <= BASIS_CACHE_BYTES // 64:
+        return _kept_table(k, N, Q, split)
+    return _build_table(k, N, Q, split)
+
+
+def _build_table(k: int, N: int, Q: int, split: bool):
     x = gauss_legendre(Q)[0]
     pair = _basis_values(k, x[Q // 2:] if split else x, N)
     for table in pair:
         table.flags.writeable = False
-    if pair[0].nbytes + pair[1].nbytes <= BASIS_CACHE_BYTES // 16:
-        with _tables_lock:
-            _tables[key] = pair
-            while _table_bytes() > BASIS_CACHE_BYTES:
-                _tables.popitem(last=False)
     return pair
+
+
+# the solver's one cache: (k, N, Q, split) -> (phi, dphi), thread-safe
+_kept_table = lru_cache(maxsize=64)(_build_table)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +366,7 @@ class _Channels:
     is 0 when that is below ``REFINE_START``.
     """
 
-    def __init__(self, p: Profile, target_rel_err: float = 1e-8,
+    def __init__(self, p: Profile, target_rel_err: float = TARGET_REL_ERR,
                  basis_cap: int = REFINE_CAP):
         self.p, self.target_rel_err, self.basis_cap = p, target_rel_err, basis_cap
         self.n_cap, N = 0, REFINE_START
@@ -455,7 +444,7 @@ class _Channels:
             N *= 2
 
 
-def refine(p: Profile, k: int, n_eigs: int, target_rel_err: float = 1e-8,
+def refine(p: Profile, k: int, n_eigs: int, target_rel_err: float = TARGET_REL_ERR,
            basis_cap: int = REFINE_CAP) -> ChannelSpectrum:
     """Double the basis from 32 until every requested eigenvalue's estimate
     meets ``target_rel_err`` (floor 1e-12), or raise :class:`ConvergenceError`

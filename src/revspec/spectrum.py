@@ -39,7 +39,8 @@ from dataclasses import dataclass, replace
 
 from .profile import Profile, require_valid
 from .quadrature import integrate_adaptive
-from .solver import REFINE_CAP, REFINE_START, ChannelSpectrum, _Channels
+from .solver import (CLUSTER_TOL, REFINE_CAP, REFINE_START, TARGET_REL_ERR,
+                     ChannelSpectrum, _Channels)
 
 __all__ = [
     "SpectrumEntry", "SpectrumTable", "BoundsReport",
@@ -234,8 +235,8 @@ _TRACE_FIRST_REQUEST = 8
 _TRACE_REQUEST_GROWTH = 2
 
 
-def enumerate_below(p: Profile, below: float, cluster_tol: float = 1e-6,
-                    target_rel_err: float = 1e-8,
+def enumerate_below(p: Profile, below: float, cluster_tol: float = CLUSTER_TOL,
+                    target_rel_err: float = TARGET_REL_ERR,
                     basis_cap: int = REFINE_CAP) -> SpectrumTable:
     """All distinct Laplace eigenvalues in ``(0, below]`` with multiplicities.
 
@@ -271,14 +272,13 @@ def _enumerate_below(channels: _Channels, below: float,
         raise ValueError(f"basis_cap must be at least {REFINE_START}")
     t0 = trace0_integral(channels.p)
     k_max = math.ceil(below) - 1
-    # budgets only shrink with k, so the worst ones are k = 0 and k = 1;
-    # check them before any solve
-    worst_budget = _channel_budget(below, 0, t0)
-    if k_max >= 1:
-        worst_budget = max(worst_budget, _channel_budget(below, 1, t0))
-    if worst_budget > channels.n_cap:
+    # budgets only shrink with k, so the worst is that of k = 0 or k = 1:
+    # checked before any solve, and before math.ceil could meet an inf
+    worst = max(below * t0, below if k_max >= 1 else 0.0)
+    if worst > channels.n_cap:
+        count = math.ceil(worst) if math.isfinite(worst) else worst
         raise BudgetError(
-            f"cutoff {below:g} needs {worst_budget} eigenvalues in one channel; "
+            f"cutoff {below:g} needs {count:.6g} eigenvalues in one channel; "
             f"the basis cap {channels.basis_cap} supports at most {channels.n_cap}")
 
     found: list[tuple[float, int, int]] = []  # (value, k, j)

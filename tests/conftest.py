@@ -19,9 +19,9 @@ def cold_basis_tables():
     """Each test starts and ends with an empty basis-table cache: a test
     that swaps in another Gauss rule or table builder leaves tables under
     the usual keys that no other test may read."""
-    solver._tables.clear()
+    solver._kept_table.cache_clear()
     yield
-    solver._tables.clear()
+    solver._kept_table.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -231,6 +231,24 @@ def test_spectrum_budget_names_the_given_basis_cap(capsys):
                    "channel; the basis cap 256 supports at most 128\n")
 
 
+def test_a_cutoff_whose_budget_overflows_exits_1_with_one_line(capsys):
+    # trace0 > 1 on this profile, so cutoff times trace0 is inf
+    code, out, err = run(capsys, "spectrum", "--expr", "(1-x^2)*(1-0.5*(1-x^2))",
+                         "--below", "1.7e308")
+    assert code == EXIT_FAILURE
+    assert out == ""
+    assert err == ("solver failure: cutoff 1.7e+308 needs inf eigenvalues in "
+                   "one channel; the basis cap 1024 supports at most 512\n")
+
+
+def test_a_huge_budget_is_printed_readably(capsys):
+    code, out, err = run(capsys, "spectrum", "--builtin", "round", "--below", "1e300")
+    assert code == EXIT_FAILURE
+    assert out == ""
+    assert err == ("solver failure: cutoff 1e+300 needs 1e+300 eigenvalues in "
+                   "one channel; the basis cap 1024 supports at most 512\n")
+
+
 def test_unwritable_output_exits_1_with_one_line(tmp_path, capsys):
     code, _, err = run(capsys, "spectrum", "--builtin", "round", "--below",
                        "3", "--out", str(tmp_path / "missing" / "t"))

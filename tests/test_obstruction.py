@@ -2,6 +2,7 @@ import dataclasses
 import math
 import sys
 
+import numpy as np
 import pytest
 
 import revspec.obstruction as obstruction
@@ -12,7 +13,7 @@ from revspec.obstruction import (
     even_multiplicity_test, full_report, negative_curvature_witness,
     spectral_test, sup_test, trace_flag,
 )
-from revspec.profile import curvature, profile_from_text
+from revspec.profile import curvature, make_profile, profile_from_text
 from revspec.solver import refine
 from revspec.spectrum import enumerate_below
 
@@ -284,3 +285,18 @@ def test_full_report_agrees_with_the_standalone_tests(round_profile,
                       "triggered": lam > ABREU_FREITAS_THRESHOLD})
         _assert_same(dataclasses.asdict(r.even_multiplicity_test),
                      dataclasses.asdict(even_multiplicity_test(p)))
+
+
+def test_the_standalone_spectral_test_agrees_with_the_report(family_reports):
+    """:func:`spectral_test` refines channel 0 for one value, the report
+    reads ``lambda_0^1`` from the deeper solve of its parity window: both
+    meet the one target, so they agree far within it and on the verdict."""
+    x = np.linspace(-1.0, 1.0, 201)
+    bump = profile_from_text("(1 - x^2) * (1 + (1 - x^2)*(0.3*x + 0.2*x^2))")
+    sampled = make_profile(list(zip(x, bump.f(x))), name="sampled-bump")
+    reports, _ = family_reports
+    for p, report in [*reports, (sampled, full_report(sampled))]:
+        alone = spectral_test(p)
+        assert alone.triggered == report.spectral_test.triggered, p.name
+        assert alone.lambda01 == pytest.approx(report.spectral_test.lambda01,
+                                               rel=1e-9), p.name

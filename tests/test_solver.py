@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import math
 import sys
 import threading
@@ -11,7 +12,7 @@ import pytest
 
 import revspec.solver as solver
 from revspec.exprs import parse
-from revspec.families import builtin_profile
+from revspec.families import builtin_profile, reference_family
 from revspec.obstruction import full_report
 from revspec.profile import InvalidProfileError, make_profile, profile_from_text
 from revspec.quadrature import QuadratureError, gauss_legendre, integrate_gl
@@ -455,8 +456,9 @@ def test_split_system_layout(pinched_profile, k, n):
                                          (3, 64, 256, True), (5, 16, 64, False)])
 def test_a_kept_table_is_the_fresh_build_and_read_only(k, n, q, split):
     phi, dphi = solver._basis_table(k, n, q, split)
-    assert (k, n, q, split) in solver._tables
+    assert solver._kept_table.cache_info().currsize == 1
     assert solver._basis_table(k, n, q, split)[0] is phi
+    assert solver._kept_table.cache_info().hits == 1
     x = gauss_legendre(q)[0]
     x = x[q // 2:] if split else x
     fresh = solver._basis_values(k, x, n)
@@ -470,6 +472,23 @@ def test_a_kept_table_is_the_fresh_build_and_read_only(k, n, q, split):
             kept[0, 0] = 0.0
 
 
+def test_a_table_above_the_admission_size_is_built_on_each_use():
+    admission = solver.BASIS_CACHE_BYTES // 64
+    # 128 rows on 128 nonnegative nodes: 256 KiB, the largest kept pair;
+    # twice the nodes: built for each use, read-only all the same
+    kept = solver._basis_table(2, 128, 256, True)
+    assert kept[0].nbytes + kept[1].nbytes == admission
+    assert solver._basis_table(2, 128, 256, True)[0] is kept[0]
+    big = solver._basis_table(2, 128, 512, True)
+    assert big[0].nbytes + big[1].nbytes > admission
+    again = solver._basis_table(2, 128, 512, True)
+    assert again[0] is not big[0]
+    assert again[0].tobytes() == big[0].tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        big[1][0, 0] = 0.0
+    assert solver._kept_table.cache_info().currsize == 1
+
+
 def _reports():
     """``repr`` of the full reports of paper-example and an asymmetric bump,
     on new profile objects."""
@@ -479,61 +498,89 @@ def _reports():
 
 
 def test_reports_do_not_depend_on_the_cache_history(monkeypatch):
+    cache = solver._kept_table
     cold = _reports()
-    assert solver._tables
+    assert cache.cache_info().currsize
     assert _reports() == cold
-    # a deeper enumeration fills the cache to its budget, dropping some of
-    # the reports' tables and keeping others
+    # a deeper enumeration fills the cache, dropping some of the reports'
+    # tables and keeping others
     enumerate_below(builtin_profile("paper-example"), 60)
-    assert solver._table_bytes() > solver.BASIS_CACHE_BYTES - solver.BASIS_CACHE_BYTES // 16
+    info = cache.cache_info()
+    assert info.currsize == info.maxsize < info.misses
     assert _reports() == cold
     monkeypatch.setattr(solver, "BASIS_CACHE_BYTES", 0)
-    solver._tables.clear()
+    cache.cache_clear()
     assert _reports() == cold
-    assert not solver._tables
+    assert cache.cache_info().currsize == 0
 
 
 def test_the_cache_stays_within_its_budget(monkeypatch):
-    budget = 512 << 10
-    monkeypatch.setattr(solver, "BASIS_CACHE_BYTES", budget)
-    built, kept, checked = {}, set(), []
-    basis_values = solver._basis_values
+    """At most ``maxsize`` pairs, none above ``BASIS_CACHE_BYTES // 64``:
+    the cache stays within ``BASIS_CACHE_BYTES``.  A stand-in cache of four
+    pairs shows both halves under eviction."""
+    maxsize = solver._kept_table.cache_parameters()["maxsize"]
+    assert maxsize * (solver.BASIS_CACHE_BYTES // 64) == solver.BASIS_CACHE_BYTES
+    built, admitted, checked = {}, [], []
+    basis_values, build = solver._basis_values, solver._build_table
 
     def recording(k, x, n):
         phi, dphi = basis_values(k, x, n)
         built[k, n, x.size] = phi.nbytes + dphi.nbytes
         return phi, dphi
 
+    def admitting(k, n, q, split):
+        admitted.append((k, n, q // 2 if split else q))
+        return build(k, n, q, split)
+
+    small = functools.lru_cache(maxsize=4)(admitting)
+
     def checking(*args):
         sys = assemble(*args)
-        assert solver._table_bytes() <= budget
-        kept.update(solver._tables)
+        assert small.cache_info().currsize <= 4
         checked.append(sys.quad_points)
         return sys
 
     monkeypatch.setattr(solver, "_basis_values", recording)
+    monkeypatch.setattr(solver, "_kept_table", small)
     monkeypatch.setattr(solver, "assemble", checking)
     enumerate_below(builtin_profile("paper-example"), 30)
     assert checked
     # some pairs were too large to keep, and some were kept and then dropped
-    assert any(size > budget // 16 for size in built.values())
-    assert kept - set(solver._tables)
-    for k, n, q, split in kept:
-        assert built[k, n, q // 2 if split else q] <= budget // 16
+    admission = solver.BASIS_CACHE_BYTES // 64
+    assert any(size > admission for size in built.values())
+    assert small.cache_info().misses > 4
+    assert all(built[key] <= admission for key in admitted)
+
+
+def test_a_warm_sweep_builds_no_kept_table_again():
+    """The capacity guard: a warm report sweep and an enumeration, the
+    traffic of the benchmark's workloads, fit in the cache with room to
+    spare, so a second sweep finds every table it may keep."""
+    cache = solver._kept_table
+    family = reference_family(11, 8)
+    for p in family:
+        full_report(p)
+    assert cache.cache_info().currsize < cache.cache_info().maxsize
+    misses = cache.cache_info().misses
+    for p in family:
+        full_report(p)
+    assert cache.cache_info().misses == misses
+    enumerate_below(builtin_profile("paper-example"), 21)
+    assert cache.cache_info().currsize < cache.cache_info().maxsize
 
 
 def test_threads_share_the_cache(monkeypatch):
-    """Four threads, more than the cores, read and fill a cache small enough
-    to evict on most admissions: every table is its fresh build, and the
-    cache ends within its budget."""
-    monkeypatch.setattr(solver, "BASIS_CACHE_BYTES", 256 << 10)
+    """Four threads, more than the cores, read and fill a stand-in cache
+    small enough to evict on most admissions: every table is its fresh
+    build, and the cache ends within its size."""
+    small = functools.lru_cache(maxsize=4)(solver._build_table)
+    monkeypatch.setattr(solver, "_kept_table", small)
     keys = [(k, n, 4 * n, split) for k in (0, 2, 3) for n in (8, 16, 32)
             for split in (False, True)]
     fresh = {}
     for k, n, q, split in keys:
         x = gauss_legendre(q)[0]
         fresh[k, n, q, split] = solver._basis_values(k, x[q // 2:] if split else x, n)
-    solver._tables.clear()
     errors = []
 
     def work(offset):
@@ -559,16 +606,23 @@ def test_threads_share_the_cache(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert 0 < solver._table_bytes() <= solver.BASIS_CACHE_BYTES
+    info = small.cache_info()
+    assert info.currsize == 4 and info.hits and info.misses > 4
 
 
 def test_tables_are_built_only_through_the_cache():
-    """``_basis_values`` has one caller in ``src/``, ``_basis_table``, and
-    ``assemble`` reads its tables only through ``_basis_table``."""
+    """``_basis_values`` has one caller in ``src/``, the builder
+    ``_build_table``; the one cache wraps that builder, and ``assemble``
+    reads its tables only through ``_basis_table``, which picks the cache
+    or the builder."""
 
     def calls(tree, name):
         return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
                 and getattr(node.func, "id", getattr(node.func, "attr", None)) == name]
+
+    def names(tree, name):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id == name]
 
     def definition(tree, name):
         return next(node for node in ast.walk(tree)
@@ -576,17 +630,25 @@ def test_tables_are_built_only_through_the_cache():
 
     tree = ast.parse(Path(solver.__file__).read_text())
     assert calls(tree, "_basis_values") == \
-        calls(definition(tree, "_basis_table"), "_basis_values")
+        calls(definition(tree, "_build_table"), "_basis_values")
     assert len(calls(tree, "_basis_values")) == 1
     assert calls(tree, "_jacobi_values") == \
         calls(definition(tree, "_basis_values"), "_jacobi_values")
+    # one lru_cache in the module, around the builder
+    assert len(names(tree, "lru_cache")) == 1
+    assert solver._kept_table.__wrapped__ is solver._build_table
+    picker = definition(tree, "_basis_table")
+    assert calls(tree, "_kept_table") == calls(picker, "_kept_table")
+    assert calls(tree, "_build_table") == calls(picker, "_build_table")
+    assert len(calls(picker, "_kept_table")) == len(calls(picker, "_build_table")) == 1
     builder = definition(tree, "assemble")
     assert len(calls(builder, "_basis_table")) == 1
     assert calls(builder, "_basis_values") == calls(builder, "_jacobi_values") == []
     for path in sorted(SRC.rglob("*.py")):
         if path.name != "solver.py":
             text = path.read_text()
-            assert "_basis_values" not in text and "_basis_table" not in text, path.name
+            for name in ("_basis_values", "_basis_table", "_build_table", "_kept_table"):
+                assert name not in text, (path.name, name)
 
 
 # ---------------------------------------------------------------------------
