@@ -71,8 +71,9 @@ class ProfileCurve:
 
     Arrays share one length: ``s`` (0 to ``length``), the generating
     coordinate ``x``, radius ``a`` (exactly 0 at both ends), height ``z``
-    (0 at the south pole), and the analytic derivatives ``da = f'(x)/2``,
-    ``dz = sqrt(1 - da^2)`` used to build ``z``.
+    (0 at the south pole, integrated from ``f'`` between the samples), and
+    ``da = f'(x)/2``, ``dz = sqrt(1 - da^2)`` at the samples, which no
+    revspec function reads.
     """
 
     s: np.ndarray

@@ -47,10 +47,11 @@ XI1 = 2.4048255576957727686
 ABREU_FREITAS_THRESHOLD = XI1 * XI1 / 2.0
 TRACE_FLAG_THRESHOLD = math.pi * math.pi / 16.0
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_STEPS = 64
 # uniform sampling intervals on [-1, 1] of the slope and curvature searches
 _GRID = 4096
+# points per bracket and rounds of the refinement: each round narrows every
+# bracket 32-fold, so 10 take two grid steps below one ulp
+_POINTS, _ROUNDS = 65, 10
 # the slope test's allowance above 2
 _SLOPE_TOL = 1e-9
 # lambda_0^1 above this obstructs embedding
@@ -59,6 +60,7 @@ _SPECTRAL_THRESHOLD = 3.0
 # holds them sits this far (relative) above the value that sizes it
 _DISTINCT = 4
 _MARGIN = 1e-3
+_TRACE_TERMS = 24     # channel-0 eigenvalues in the trace flag's partial sum
 
 
 @dataclass(frozen=True)
@@ -149,26 +151,23 @@ class ObstructionReport:
 # individual tests
 # ---------------------------------------------------------------------------
 
-def _golden_extremum(fn, xs: np.ndarray, i: int,
-                     find_max: bool = True) -> tuple[float, float]:
-    """Golden-section search around grid point ``xs[i]``, in the bracket
-    between its neighbours clipped to ``[-1, 1]``; returns (arg, value)."""
-    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])
-    sign = 1.0 if find_max else -1.0
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = sign * fn(c), sign * fn(d)
-    for _ in range(_GOLDEN_STEPS):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = sign * fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = sign * fn(d)
-    x = 0.5 * (a + b)
-    return x, sign * max(fc, fd)
+def _refine_max(g, centres: np.ndarray) -> tuple[float, float]:
+    """(arg, value) of the largest ``g`` found in the grid cells around
+    ``centres``.  Each round evaluates ``g`` once, on :data:`_POINTS` points
+    across every bracket (clipped to [-1, 1]), then narrows each to the
+    neighbours of its best point.  A bracket's middle point is its centre,
+    so no best value drops, and ``value`` is ``g`` at ``arg``."""
+    offsets = np.linspace(-1.0, 1.0, _POINTS)
+    half = 2.0 / _GRID
+    rows = np.arange(centres.size)
+    for _ in range(_ROUNDS):
+        xs = np.clip(centres[:, None] + half * offsets, -1.0, 1.0)
+        vals = np.asarray(g(xs), dtype=float)
+        best = np.argmax(vals, axis=1)
+        centres, top = xs[rows, best], vals[rows, best]
+        half /= (_POINTS - 1) // 2
+    i = int(np.argmax(top))
+    return float(centres[i]), float(top[i])
 
 
 def sup_test(p: Profile) -> SupTest:
@@ -176,30 +175,23 @@ def sup_test(p: Profile) -> SupTest:
     decisive embeddability verdict.
 
     Uniform grid of spacing ``2/4096`` (about 4.9e-4; endpoints included —
-    the poles attain ``|f'| = 2`` exactly), then golden-section refinement
-    around every grid local maximum, poles included (a maximum just inside
-    a pole lies in its grid cell).  A feature of ``f'`` narrower than the
-    spacing can fall between the samples and go unseen: this is the sup
-    over what the grid resolves, not a proved global bound.  Embeddable iff
-    that max is at most ``2 + 1e-9``; meshing asks this test too.
+    the poles attain ``|f'| = 2`` exactly), then :func:`_refine_max` of
+    every grid local maximum at once, poles included (a maximum just inside
+    a pole lies in its grid cell); ``max_slope`` is ``|f'(argmax_x)|``.  A
+    feature of ``f'`` narrower than the spacing can fall between the
+    samples and go unseen: this is the sup over what the grid resolves, not
+    a proved global bound.  Embeddable iff that max is at most ``2 + 1e-9``;
+    meshing asks this test too.
     """
     require_valid(p, context="sup_test")
     xs = np.linspace(-1.0, 1.0, _GRID + 1)
     slopes = np.abs(np.asarray(p.df(xs), dtype=float))
-    best_i = int(np.argmax(slopes))
-    best_x, best_v = float(xs[best_i]), float(slopes[best_i])
-
-    def slope_at(x: float) -> float:
-        return abs(float(p.df(x)))
-
     padded = np.concatenate(([-np.inf], slopes, [-np.inf]))
-    peaks = np.flatnonzero((slopes >= padded[:-2]) & (slopes >= padded[2:]))
-    for i in peaks:
-        x, v = _golden_extremum(slope_at, xs, i)
-        if v > best_v:
-            best_x, best_v = x, v
-    return SupTest(max_slope=best_v, argmax_x=best_x,
-                   embeddable=bool(best_v <= 2.0 + _SLOPE_TOL))
+    # no neighbour larger: a nan sample is a peak, so nan is not embeddable
+    peaks = np.flatnonzero(~((slopes < padded[:-2]) | (slopes < padded[2:])))
+    x, v = _refine_max(lambda t: np.abs(p.df(t)), xs[peaks])
+    return SupTest(max_slope=v, argmax_x=x,
+                   embeddable=bool(v <= 2.0 + _SLOPE_TOL))
 
 
 def spectral_test(p: Profile) -> SpectralTest:
@@ -254,12 +246,15 @@ def even_multiplicity_test(p: Profile,
     mults = tuple(e.multiplicity for e in head)
     all_even = all(m % 2 == 0 for m in mults)
     lambda_m = head[-1].value
-    reduction = bool(lambda_m < lambda01)
+    # lambda_0^1 as the table holds it: the mean of its cluster, if any
+    held = next((e.value for e in table.entries if (0, 1) in e.channels),
+                lambda01)
+    reduction = bool(lambda_m < held)
     if reduction != all_even:
         raise SpectrumInvariantError(
             f"even-multiplicity formulations disagree: direct parity "
             f"{mults} -> {all_even}, but lambda_{_DISTINCT}={lambda_m!r} vs "
-            f"lambda_0^1={lambda01!r} -> {reduction}; table or solver is "
+            f"lambda_0^1={held!r} -> {reduction}; table or solver is "
             f"inconsistent")
     return EvenMultiplicityTest(multiplicities=mults, all_even=all_even,
                                 reduction_holds=reduction, lambda01=lambda01,
@@ -269,9 +264,10 @@ def even_multiplicity_test(p: Profile,
 def negative_curvature_witness(p: Profile) -> float | None:
     """A point where the Gauss curvature is negative, or None at this resolution.
 
-    Samples ``K = -f''/2`` on a dense grid and refines around the most
-    negative sample by golden-section descent.  Returning None means no
-    witness was *found*; it is not a proof that curvature is nonnegative.
+    Samples ``K = -f''/2`` on the slope test's grid and refines the cell of
+    the most negative sample (:func:`_refine_max` of ``-K``); ``K`` is
+    negative at the returned point.  Returning None means no witness was
+    *found*; it is not a proof that curvature is nonnegative.
     """
     require_valid(p, context="negative_curvature_witness")
     xs = np.linspace(-1.0, 1.0, _GRID + 1)
@@ -279,24 +275,22 @@ def negative_curvature_witness(p: Profile) -> float | None:
     i = int(np.argmin(ks))
     if ks[i] >= 0.0:
         return None
-    x, v = _golden_extremum(lambda t: float(curvature(p, t)), xs, i,
-                            find_max=False)
-    return x if v < 0.0 else float(xs[i])
+    return _refine_max(lambda t: -curvature(p, t), xs[i:i + 1])[0]
 
 
-def trace_flag(p: Profile, j_terms: int = 24) -> TraceFlag:
+def trace_flag(p: Profile) -> TraceFlag:
     """Informational comparison of the invariant-channel trace with ``pi^2/16``.
 
     The trace is taken from its exact integral form; a reciprocal partial
-    sum over ``j_terms`` computed eigenvalues (a strict lower bound of the
+    sum over the first 24 computed eigenvalues (a strict lower bound of the
     same trace) is reported alongside as corroboration.  Never a verdict
     source, and not part of :func:`full_report`.  Its eigenvalues are
     refined to the one target of all solves, ``TARGET_REL_ERR``.
     """
     t0 = trace0_integral(p)
-    cs = _Channels(p)(0, j_terms)
+    cs = _Channels(p)(0, _TRACE_TERMS)
     return TraceFlag(trace0=t0, threshold=TRACE_FLAG_THRESHOLD,
-                     partial_sum=trace_partial_sum(cs, j_terms),
+                     partial_sum=trace_partial_sum(cs, _TRACE_TERMS),
                      suggestive=bool(t0 <= TRACE_FLAG_THRESHOLD))
 
 

@@ -389,8 +389,9 @@ class _MeridianMap:
                 t = np.asarray(t, dtype=float)
                 x = sign * (t * t - 1.0)
                 fv = np.asarray(p.f(x), dtype=float)
+                # 1 + sign*x (= t^2) is exact for the rounded x; t*t is not
                 with np.errstate(divide="ignore", invalid="ignore"):
-                    ratio = fv / (t * t)
+                    ratio = fv / (1.0 + sign * x)
                 # below float resolution x rounds onto the pole itself; use the
                 # exact limit ratio -> (2 - t^2) valid for any profile with the
                 # correct boundary slope (validation has already enforced it)

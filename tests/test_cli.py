@@ -89,6 +89,19 @@ def test_analyze_pinched_exits_not_embeddable(capsys):
     assert doc["obstructions"]["spectral_test"]["triggered"] is True
 
 
+def test_analyze_where_the_multiplicities_turn_even_exits_by_its_verdict(capsys):
+    # squeeze(3.023191452026367, 36): lambda_0^1 shares its table entry
+    # with a channel k >= 1 eigenvalue
+    code, out, err = run(capsys, "analyze", "--expr",
+                         "4.023191452026367*(1 - x^2) / "
+                         "(1 + 3.023191452026367*x^36)")
+    assert code == EXIT_NOT_EMBEDDABLE
+    assert err == ""
+    em = json.loads(out)["obstructions"]["even_multiplicity_test"]
+    assert em["multiplicities"] == [2, 2, 2, 3]
+    assert em["all_even"] is False and em["reduction_holds"] is False
+
+
 def test_analyze_invalid_profile(capsys):
     code, out, err = run(capsys, "analyze", "--expr", "2*(1 - x^2)")
     assert code == EXIT_INVALID_PROFILE
@@ -407,6 +420,15 @@ def test_sweep_reports_sharp_pinches(capsys):
     for r in rows:
         assert r[6] == "2;2;2;2"
         assert (r[8], r[9]) == ("not_embeddable", "")
+
+
+def test_sweep_where_the_multiplicities_turn_even_has_no_error(capsys):
+    code, out, _ = run(capsys, "sweep", "--eps", "3.023191452026367",
+                       "--n", "18")
+    assert code == EXIT_OK
+    row = out.splitlines()[1].split(",")
+    assert row[6] == "2;2;2;3"
+    assert row[9] == ""
 
 
 def test_sweep_captures_per_row_failures(capsys, monkeypatch):

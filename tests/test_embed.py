@@ -512,6 +512,23 @@ def test_obj_export_matches_the_golden_bytes(round_profile):
         assert np.max(np.abs(coords - golden)) <= GOLDEN_ATOL, (g, w)
 
 
+def test_the_golden_vertices_lie_on_the_round_sphere():
+    """The golden file is the round sphere's two rings at s = pi/3 and
+    2 pi/3 and its poles: a = sin s, z = 1 - cos s, 8 points per ring."""
+    lines = GOLDEN.read_bytes().decode("ascii").splitlines()
+    got = np.array([[float(t) for t in ln.split()[1:]]
+                    for ln in lines if ln.startswith("v ")])
+    s = np.array([np.pi / 3.0, 2.0 * np.pi / 3.0])
+    theta = 2.0 * np.pi * np.arange(8) / 8
+    a = np.repeat(np.sin(s), 8)
+    ring = np.column_stack([a * np.tile(np.cos(theta), 2),
+                            a * np.tile(np.sin(theta), 2),
+                            np.repeat(1.0 - np.cos(s), 8)])
+    want = np.vstack([ring, [0.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 2e-13
+
+
 def test_obj_layout(round_curve):
     mesh = make_mesh(round_curve, n_theta=8)
     text = export_obj(mesh).decode("ascii")

@@ -13,7 +13,8 @@ from revspec.obstruction import (
     even_multiplicity_test, full_report, negative_curvature_witness,
     spectral_test, sup_test, trace_flag,
 )
-from revspec.profile import curvature, make_profile, profile_from_text
+from revspec.profile import (curvature, make_profile, profile_from_text,
+                             validate)
 from revspec.solver import refine
 from revspec.spectrum import enumerate_below
 
@@ -65,6 +66,136 @@ def test_sup_refines_inside_the_pole_cells():
 
 
 # ---------------------------------------------------------------------------
+# golden-section reference: the scalar searches the array refinement
+# replaces, one evaluation per step around each candidate grid point
+# ---------------------------------------------------------------------------
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_extremum(fn, xs, i, find_max=True):
+    a, b = float(xs[max(i - 1, 0)]), float(xs[min(i + 1, xs.size - 1)])
+    sign = 1.0 if find_max else -1.0
+    c = b - _GOLDEN * (b - a)
+    d = a + _GOLDEN * (b - a)
+    fc, fd = sign * fn(c), sign * fn(d)
+    for _ in range(64):
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - _GOLDEN * (b - a)
+            fc = sign * fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + _GOLDEN * (b - a)
+            fd = sign * fn(d)
+    return 0.5 * (a + b), sign * max(fc, fd)
+
+
+def golden_sup_test(p):
+    xs = np.linspace(-1.0, 1.0, 4097)
+    slopes = np.abs(p.df(xs))
+    best_i = int(np.argmax(slopes))
+    best_x, best_v = float(xs[best_i]), float(slopes[best_i])
+    padded = np.concatenate(([-np.inf], slopes, [-np.inf]))
+    for i in np.flatnonzero((slopes >= padded[:-2]) & (slopes >= padded[2:])):
+        x, v = golden_extremum(lambda t: abs(float(p.df(t))), xs, i)
+        if v > best_v:
+            best_x, best_v = x, v
+    return best_x, best_v
+
+
+def golden_witness(p):
+    xs = np.linspace(-1.0, 1.0, 4097)
+    ks = curvature(p, xs)
+    i = int(np.argmin(ks))
+    if ks[i] >= 0.0:
+        return None
+    x, v = golden_extremum(lambda t: curvature(p, t), xs, i, find_max=False)
+    return x if v < 0.0 else float(xs[i])
+
+
+@pytest.fixture(scope="module")
+def search_inputs(acceptance_family, round_profile, pinched_profile):
+    """The acceptance family, both builtins, the pole-tangent c-family and
+    a sharp x^144 pinch."""
+    extra = [profile_from_text(f"(1-x^2)*(1+{c}*(1-x^2))", name=f"c={c}")
+             for c in ("0.25", "0.25001", "0.2501")]
+    extra.append(profile_from_text("101*(1-x^2)/(1+100*x^144)", name="x144"))
+    return [*acceptance_family, round_profile, pinched_profile, *extra]
+
+
+def test_the_searches_agree_with_the_golden_section_reference(search_inputs):
+    """The array refinement finds what the scalar searches found: mirror
+    images of one maximum are the same place here."""
+    for p in search_inputs:
+        st = sup_test(p)
+        x, v = golden_sup_test(p)
+        assert st.embeddable == (v <= 2.0 + 1e-9), p.name
+        assert st.max_slope == pytest.approx(v, rel=1e-12), p.name
+        assert abs(st.argmax_x) == pytest.approx(abs(x), abs=1e-6), p.name
+        w, ref = negative_curvature_witness(p), golden_witness(p)
+        assert (w is None) == (ref is None), p.name
+        if ref is not None:
+            assert w == pytest.approx(ref, abs=1e-6), p.name
+
+
+def test_the_reported_points_are_evaluated_points(search_inputs):
+    for p in search_inputs:
+        st = sup_test(p)
+        assert abs(p.df(st.argmax_x)) == st.max_slope, p.name
+        w = negative_curvature_witness(p)
+        assert w is None or curvature(p, w) < 0.0, p.name
+
+
+def _straight_stretch_profile():
+    """401 samples of 1 - x^2 outside |x| <= 1/2 and of a tent inside:
+    |f'| is constant on long runs, so most grid points are peaks."""
+    x = np.linspace(-1.0, 1.0, 401)
+    f = np.where(np.abs(x) > 0.5, 1.0 - x * x, 0.75 + (0.5 - np.abs(x)))
+    f[0] = f[-1] = 0.0
+    return make_profile(list(zip(x, f)), name="straight-stretch")
+
+
+@pytest.mark.parametrize("which,peaks", [("sine", 311), ("straight", 825)])
+def test_the_searches_cost_does_not_grow_with_the_peaks(which, peaks):
+    p = (profile_from_text("(1-x^2)*(1+0.0001*sin(1000*x)*(1-x^2))")
+         if which == "sine" else _straight_stretch_profile())
+    calls = {"df": 0, "d2f": 0}
+
+    def counted(name):
+        fn = getattr(p, name)
+
+        def spy(x):
+            calls[name] += 1
+            return fn(x)
+        return spy
+
+    q = dataclasses.replace(p, df=counted("df"), d2f=counted("d2f"))
+    validate(q)
+    calls.update(df=0, d2f=0)
+    slopes = np.abs(p.df(np.linspace(-1.0, 1.0, 4097)))
+    padded = np.concatenate(([-np.inf], slopes, [-np.inf]))
+    assert np.count_nonzero((slopes >= padded[:-2])
+                            & (slopes >= padded[2:])) == peaks
+    sup_test(q)
+    assert calls["df"] <= 1 + obstruction._ROUNDS
+    negative_curvature_witness(q)
+    assert calls["d2f"] <= 1 + obstruction._ROUNDS
+
+
+def test_a_nan_slope_sample_is_not_embeddable(round_profile):
+    """A slope the grid cannot evaluate is no evidence of embeddability."""
+    def df(x):
+        x = np.asarray(x, dtype=float)
+        out = np.asarray(round_profile.df(x), dtype=float)
+        return np.where(x == 0.5, np.nan, out)
+
+    st = sup_test(dataclasses.replace(round_profile, df=df))
+    assert math.isnan(st.max_slope)
+    assert not st.embeddable
+
+
+# ---------------------------------------------------------------------------
 # spectral obstructions
 # ---------------------------------------------------------------------------
 
@@ -111,6 +242,22 @@ def test_the_window_holds_the_first_four_distinct_eigenvalues(small_family):
         assert t.explanation == "", p.name
         assert t.multiplicities == tuple(e.multiplicity for e in head), p.name
         assert t.lambda_m == pytest.approx(head[-1].value, rel=1e-10), p.name
+
+
+# eps where the first four multiplicities of squeeze(eps, 36) turn even:
+# lambda_0^1 lies within cluster_tol of a channel k >= 1 eigenvalue, and the
+# table holds both as one entry, their mean
+PARITY_FLIP_EPS = 3.023191452026367
+
+
+def test_the_reduction_reads_lambda01_as_the_table_holds_it():
+    t = even_multiplicity_test(squeeze_profile(PARITY_FLIP_EPS, 36))
+    assert t.multiplicities == (2, 2, 2, 3)
+    assert not t.all_even and not t.reduction_holds
+    held = [e for e in t.table.entries if (0, 1) in e.channels]
+    assert held[0].value == t.lambda_m
+    # the reported lambda_0^1 is the raw solve, above the merged mean
+    assert t.lambda01 > t.lambda_m
 
 
 # squeeze-grid points with a large lambda_0^1: a window sized by it would
