@@ -70,18 +70,14 @@ class ProfileCurve:
     """Generating curve of the surface of revolution on a uniform s-grid.
 
     Arrays share one length: ``s`` (0 to ``length``), the generating
-    coordinate ``x``, radius ``a`` (exactly 0 at both ends), height ``z``
-    (0 at the south pole, integrated from ``f'`` between the samples), and
-    ``da = f'(x)/2``, ``dz = sqrt(1 - da^2)`` at the samples, which no
-    revspec function reads.
+    coordinate ``x``, radius ``a`` (exactly 0 at both ends) and height ``z``
+    (0 at the south pole, integrated from ``f'`` between the samples).
     """
 
     s: np.ndarray
     x: np.ndarray
     a: np.ndarray
     z: np.ndarray
-    da: np.ndarray
-    dz: np.ndarray
     length: float
 
 
@@ -156,8 +152,7 @@ def embed_profile_curve(p: Profile, n_samples: int = 256) -> ProfileCurve:
         return np.sqrt(np.clip(v, 0.0, None))
 
     z = CumulativeIntegral(dz_of_s, s).cum
-    dz = np.sqrt(np.clip(rad, 0.0, None))
-    return ProfileCurve(s=s, x=x, a=a, z=z, da=da, dz=dz, length=float(L))
+    return ProfileCurve(s=s, x=x, a=a, z=z, length=float(L))
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +164,46 @@ def embed_profile_curve(p: Profile, n_samples: int = 256) -> ProfileCurve:
 _AREA_BLOCK_FACES = 1 << 16
 
 
+def _circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``cos`` and ``sin`` of ``2 pi j / n`` for ``j < n``, exactly mirrored.
+
+    Each ``j`` is folded onto an angle ``2 pi m / n`` of the first quadrant
+    (of the upper half circle for odd ``n``) by the reflections
+    ``c[n-j] = c[j]``, ``s[n-j] = -s[j]`` and, for even ``n``,
+    ``c[n/2-j] = -c[j]``, ``s[n/2-j] = s[j]``; for ``n`` divisible by 4
+    also ``s[j] = c[n/4-j]``, with ``c[n/4] = 0``.  Mirrored entries differ
+    only in sign and every zero is ``+0.0``.  For ``n <= 1024`` an entry is
+    within 1.4e-15 of ``np.cos`` or ``np.sin`` of ``2 pi j / n`` and within
+    7e-16 of the exact value.
+    """
+    j = np.arange(n)
+    m = np.minimum(j, n - j)
+    s_sign = np.where(j > m, -1.0, 1.0)
+    c_sign = np.ones(n)
+    if n % 2 == 0:
+        far = 4 * m > n
+        m[far] = n // 2 - m[far]
+        c_sign[far] = -1.0
+    angle = 2.0 * np.pi * np.arange(m.max() + 1) / n
+    c = np.cos(angle)
+    if n % 4 == 0:
+        c[-1] = 0.0
+        s = c[::-1]
+    else:
+        s = np.sin(angle)
+    return c_sign * c[m], s_sign * s[m]
+
+
 def make_mesh(curve: ProfileCurve, n_theta: int = 64) -> EmbeddingMesh:
     """Revolve the curve: one vertex ring per interior sample, pole fans.
 
     ``n_theta >= 8`` vertices per ring.  Faces are oriented outward
     (positive enclosed volume), strips between rings are split quads.
-    Vertex count is ``n_theta * (len(s) - 2) + 2``.
+    Vertex count is ``n_theta * (len(s) - 2) + 2``.  A ring's ``x`` and
+    ``y`` are its radius times the exactly mirrored circle table of
+    :func:`_circle`, so they share ``n_theta/4 + 1`` magnitudes when 4
+    divides ``n_theta``, and each is within ``1.4e-15 * a`` of the
+    product with ``np.cos`` or ``np.sin``.
     """
     if n_theta < 8:
         raise ValueError("n_theta must be at least 8")
@@ -188,8 +217,7 @@ def make_mesh(curve: ProfileCurve, n_theta: int = 64) -> EmbeddingMesh:
     if np.any(curve.a[1:-1] <= 0.0):
         raise MeshError("curve radius collapses between the poles")
 
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = _circle(n_theta)
     rings = n - 2
     ring_a, ring_z = curve.a[1:-1, None], curve.z[1:-1, None]
     verts = np.empty((n_theta * rings + 2, 3))
@@ -299,9 +327,9 @@ def induced_metric_residual(obj: ProfileCurve | EmbeddingMesh,
     """Residual of the realized first fundamental form against the metric.
 
     Derivatives of the sampled ``a`` and ``z`` are taken by 4th-order
-    central differences on the uniform s-grid (deliberately ignoring the
-    analytic derivatives stored on the curve, so construction errors cannot
-    cancel), on interior samples two steps from the poles.  The meridian
+    central differences on the uniform s-grid (independent of the ``f'``
+    the curve was built from, so construction errors cannot cancel), on
+    interior samples two steps from the poles.  The meridian
     residual compares ``(a')^2 + (z')^2`` to 1; the angular residual
     compares ``a^2`` to ``f(x)`` relatively.
     """
@@ -347,14 +375,20 @@ _OBJ_BLOCK_ROWS = 1024
 def _vertex_lines(v: np.ndarray) -> bytes:
     """``v`` lines of a block of vertices.
 
-    Each distinct coordinate, told apart by its bit pattern so that ``-0.0``
-    still prints as ``-0``, is formatted once by CPython's ``%.17g``, and
-    the texts are gathered into the lines.
+    Each distinct magnitude, told apart by its bit pattern with the sign bit
+    cleared, is formatted once by CPython's ``%.17g``.  A negative value's
+    text is ``-`` and its magnitude's text (so ``-0.0`` prints as ``-0``),
+    except a nan's, which ``%.17g`` prints without a sign whatever its sign
+    bit.  The texts are gathered into the lines.
     """
     bits = np.ascontiguousarray(v, dtype=np.float64).view(np.int64).ravel()
-    distinct, which = np.unique(bits, return_inverse=True)
+    mag = bits & 0x7FFF_FFFF_FFFF_FFFF
+    distinct, which = np.unique(mag, return_inverse=True)
     texts = (b"%.17g " * distinct.size
-             % tuple(distinct.view(np.float64).tolist())).split(b" ")
+             % tuple(distinct.view(np.float64).tolist())).split(b" ")[:-1]
+    texts += [b"-" + text for text in texts]
+    # magnitudes above the infinity's bit pattern are nans
+    which += distinct.size * ((bits < 0) & (mag <= 0x7FF0_0000_0000_0000))
     return b"v %s %s %s\n" * v.shape[0] % itemgetter(*which.tolist())(texts)
 
 
@@ -404,9 +438,11 @@ def export_obj(mesh: EmbeddingMesh) -> bytes:
 
     The text is the bytes of formatting line by line with ``"%.17g"`` and
     ``"%d"``, made in blocks of ``_OBJ_BLOCK_ROWS`` rows: within a vertex
-    block each distinct coordinate is formatted once, and face indices are
-    written digit by digit with numpy.  A face indexing outside the vertices
-    raises ``ValueError``.
+    block each distinct magnitude is formatted once and a negative value
+    prints as ``-`` and its magnitude's text, and face indices are written
+    digit by digit with numpy.  A ring of :func:`make_mesh` holds at most
+    ``n_theta/4 + 2`` magnitudes when 4 divides ``n_theta``.  A face
+    indexing outside the vertices raises ``ValueError``.
 
     Byte-identical across runs on the same machine and installation.  Across
     CPUs, BLAS builds and numpy/scipy versions the vertex coordinates may

@@ -174,46 +174,53 @@ def _weight_mass(k: int) -> float:
 
 def _jacobi_values(k: int, n_max: int, x: np.ndarray):
     """Values and derivatives of the orthonormal Jacobi family for weight
-    ``(1 - x^2)^k`` at the points ``x``; both arrays have shape
-    (n_max, len(x)), one contiguous row per degree.
+    ``(1 - x^2)^k`` at the points ``x``: one array of shape
+    (2, n_max, len(x)), values then derivatives, one contiguous row per
+    degree.
 
     Three-term recurrence with the squared off-diagonal entries
     ``beta_n = n (n + 2k) / ((2n + 2k - 1)(2n + 2k + 1))`` (Legendre at
-    ``k = 0``); the derivative recurrence is the differentiated one.
+    ``k = 0``); the derivative recurrence is the differentiated one,
+    ``((x P'_n + P_n) - sqrt(beta_n) P'_{n-1}) / sqrt(beta_{n+1})``.  Both
+    rows of a degree are made by the same few ufunc calls.
     """
-    P = np.empty((n_max, x.size))
-    dP = np.empty((n_max, x.size))
-    P[0] = 1.0 / math.sqrt(_weight_mass(k))
-    dP[0] = 0.0
+    PP = np.empty((2, n_max, x.size))
+    PP[0, 0] = 1.0 / math.sqrt(_weight_mass(k))
+    PP[1, 0] = 0.0
     if n_max == 1:
-        return P, dP
+        return PP
     sb = np.empty(n_max + 1)
     for n in range(1, n_max + 1):
         sb[n] = math.sqrt(n * (n + 2 * k)
                           / ((2 * n + 2 * k - 1.0) * (2 * n + 2 * k + 1.0)))
-    P[1] = x * P[0] / sb[1]
-    dP[1] = P[0] / sb[1]
+    PP[0, 1] = x * PP[0, 0] / sb[1]
+    PP[1, 1] = PP[0, 0] / sb[1]
+    back = np.empty((2, x.size))
     for n in range(1, n_max - 1):
-        P[n + 1] = (x * P[n] - sb[n] * P[n - 1]) / sb[n + 1]
-        dP[n + 1] = (P[n] + x * dP[n] - sb[n] * dP[n - 1]) / sb[n + 1]
-    return P, dP
+        nxt = PP[:, n + 1]
+        np.multiply(x, PP[:, n], out=nxt)
+        nxt[1] += PP[0, n]
+        np.multiply(sb[n], PP[:, n - 1], out=back)
+        nxt -= back
+        nxt /= sb[n + 1]
+    return PP
 
 
 def _basis_values(k: int, x: np.ndarray, n_max: int):
     """Weighted basis ``phi_n = (1-x^2)^(k/2) P_n`` and its derivative,
-    one row per ``n``."""
-    P, dP = _jacobi_values(k, n_max, x)
-    if k == 0:
-        return P, dP
-    om = 1.0 - x * x
-    w = om ** (0.5 * k)
-    dw = -k * x * w / om
-    # in place, with no full-size temporary: the bits of w*P and dw*P + w*dP
-    dP *= w
-    for n in range(n_max):
-        dP[n] += dw * P[n]
-    P *= w
-    return P, dP
+    one row per ``n``, as two C-contiguous tables of one (2, n_max, len(x))
+    array."""
+    PP = _jacobi_values(k, n_max, x)
+    if k > 0:
+        om = 1.0 - x * x
+        w = om ** (0.5 * k)
+        dw = -k * x * w / om
+        # the bits of w*P and w*dP + dw*P; the one table-sized temporary is
+        # no larger than those assemble makes from the tables
+        dwP = dw * PP[0]
+        PP *= w
+        PP[1] += dwP
+    return PP[0], PP[1]
 
 
 def _basis_table(k: int, N: int, Q: int, split: bool):

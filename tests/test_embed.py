@@ -31,10 +31,29 @@ GOLDEN_ATOL = 1e-14
 # the arithmetic is the same, so results must be equal, not close
 # ---------------------------------------------------------------------------
 
+def loop_circle(n):
+    """cos and sin of 2 pi j/n, j < n, one j at a time: a first-quadrant
+    angle (upper half circle for odd n) is read from np.cos and np.sin, and
+    every other angle is the reflection of one before it."""
+    theta = 2.0 * np.pi * np.arange(n) / n
+    cos, sin = np.cos(theta), np.sin(theta)
+    c, s = np.empty(n), np.empty(n)
+    for j in range(n):
+        if 2 * j > n:                       # lower half: mirror of n - j
+            c[j], s[j] = c[n - j], -s[n - j]
+        elif n % 2 == 0 and 4 * j > n:      # second quadrant: mirror of n/2 - j
+            c[j], s[j] = -c[n // 2 - j], s[n // 2 - j]
+        elif n % 4 == 0:                    # sine is the complement's cosine
+            c[j] = 0.0 if 4 * j == n else cos[j]
+            s[j] = 0.0 if j == 0 else cos[n // 4 - j]
+        else:
+            c[j], s[j] = cos[j], sin[j]
+    return c, s
+
+
 def loop_make_mesh(curve, n_theta):
     n = curve.s.size
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    ct, st = np.cos(theta), np.sin(theta)
+    ct, st = loop_circle(n_theta)
     rings = n - 2
     verts = np.empty((n_theta * rings + 2, 3))
     for r in range(rings):
@@ -113,8 +132,7 @@ def loop_curve_csv_text(curve):
 
 def subsample(c, step):
     return ProfileCurve(s=c.s[::step], x=c.x[::step], a=c.a[::step],
-                        z=c.z[::step], da=c.da[::step], dz=c.dz[::step],
-                        length=c.length)
+                        z=c.z[::step], length=c.length)
 
 
 def enclosed_volume6(mesh):
@@ -143,7 +161,10 @@ def test_round_curve_is_the_unit_circle_arc(round_curve):
     assert np.max(np.abs(c.x + np.cos(c.s))) < 1e-9
     assert np.max(np.abs(c.a - np.sin(c.s))) < 1e-9
     assert np.max(np.abs(c.z - (1 - np.cos(c.s)))) < 1e-9
-    assert np.max(np.abs(c.dz - np.abs(np.sin(c.s)))) < 1e-9
+    # z' = sin s, by 4th-order central differences on the interior
+    h = c.s[1] - c.s[0]
+    dz = (c.z[:-4] - 8.0 * c.z[1:-3] + 8.0 * c.z[3:-1] - c.z[4:]) / (12.0 * h)
+    assert np.max(np.abs(dz - np.sin(c.s[2:-2]))) < 1e-9
 
 
 def test_curve_endpoints_are_exact(round_curve):
@@ -189,8 +210,12 @@ def test_grazing_slope_clamps_with_warning():
     assert sup_test(p).embeddable
     with pytest.warns(GrazingClampWarning):
         c = embed_profile_curve(p, n_samples=1024)
-    assert float(np.min(c.dz)) == 0.0
     assert np.all(np.isfinite(c.z))
+    # the clamped integrand leaves z flat next to the poles, and its slope
+    # by central differences stays within [0, 1] everywhere
+    assert float(np.min(np.diff(c.z))) == 0.0
+    dz = (c.z[2:] - c.z[:-2]) / (2.0 * (c.s[1] - c.s[0]))
+    assert np.all((dz >= 0.0) & (dz <= 1.0))
 
 
 def test_an_excess_beyond_the_slope_allowance_is_refused():
@@ -265,7 +290,10 @@ def test_sampled_round_profile_meshes_without_grazing():
     with warnings.catch_warnings():
         warnings.simplefilter("error", GrazingClampWarning)
         curve = embed_profile_curve(p, n_samples=64)
-    assert curve.dz[0] == curve.dz[-1] == 0.0
+    # z' vanishes at the poles: 2nd-order one-sided differences stay below h^2
+    h = curve.s[1] - curve.s[0]
+    slopes = np.gradient(curve.z, h, edge_order=2)[[0, -1]]
+    assert np.all(np.abs(slopes) < h * h)
 
 
 def test_invalid_profile_rejected():
@@ -350,19 +378,17 @@ def test_mesh_argument_checks(round_curve):
         make_mesh(round_curve, n_theta=4)
     two = ProfileCurve(s=round_curve.s[:2], x=round_curve.x[:2],
                        a=round_curve.a[:2], z=round_curve.z[:2],
-                       da=round_curve.da[:2], dz=round_curve.dz[:2],
                        length=round_curve.length)
     with pytest.raises(MeshError, match="3 samples"):
         make_mesh(two)
     stuck = ProfileCurve(s=np.zeros_like(round_curve.s), x=round_curve.x,
-                         a=round_curve.a, z=round_curve.z, da=round_curve.da,
-                         dz=round_curve.dz, length=round_curve.length)
+                         a=round_curve.a, z=round_curve.z,
+                         length=round_curve.length)
     with pytest.raises(MeshError, match="backwards"):
         make_mesh(stuck)
     pinched_mid = ProfileCurve(s=round_curve.s, x=round_curve.x,
                                a=np.zeros_like(round_curve.a),
-                               z=round_curve.z, da=round_curve.da,
-                               dz=round_curve.dz, length=round_curve.length)
+                               z=round_curve.z, length=round_curve.length)
     with pytest.raises(MeshError, match="collapses"):
         make_mesh(pinched_mid)
 
@@ -407,6 +433,46 @@ def test_a_downward_curve_gets_its_faces_flipped(round_curve):
     # same connectivity as the upward curve, every triangle wound the other way
     assert np.array_equal(down.faces, up.faces[:, ::-1])
     assert enclosed_volume6(up) > 0 and enclosed_volume6(down) > 0
+
+
+@pytest.mark.parametrize("n", [8, 9, 12, 96, 97, 1024])
+def test_the_circle_table_is_exactly_mirrored(n):
+    c, s = embed._circle(n)
+    theta = 2.0 * np.pi * np.arange(n) / n
+    assert np.max(np.abs(c - np.cos(theta))) <= 1e-15
+    assert np.max(np.abs(s - np.sin(theta))) <= 1e-15
+    j = np.arange(1, n)
+    assert np.array_equal(c[n - j], c[j]) and np.array_equal(s[n - j], -s[j])
+    if n % 2 == 0:
+        j = np.arange(n // 2 + 1)
+        assert np.array_equal(c[n // 2 - j], -c[j])
+        assert np.array_equal(s[n // 2 - j], s[j])
+    if n % 4 == 0:
+        j = np.arange(n // 4 + 1)
+        assert np.array_equal(s[j], c[n // 4 - j])
+        assert np.unique(np.abs(np.concatenate([c, s]))).size == n // 4 + 1
+    # every zero is +0.0, so a ring's x and y print no "-0"
+    zeros = np.concatenate([c[c == 0.0], s[s == 0.0]])
+    assert zeros.size == (4 if n % 4 == 0 else 2 if n % 2 == 0 else 1)
+    assert not np.any(np.signbit(zeros))
+
+
+def test_the_circle_table_equals_the_loop_reference():
+    for n in range(8, 1025):
+        got, want = embed._circle(n), loop_circle(n)
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got, want)), n
+        theta = 2.0 * np.pi * np.arange(n) / n
+        assert np.max(np.abs(got[0] - np.cos(theta))) <= 1.4e-15, n
+        assert np.max(np.abs(got[1] - np.sin(theta))) <= 1.4e-15, n
+
+
+def test_a_ring_holds_a_quarter_of_its_width_in_magnitudes(round_profile):
+    """x and y of a ring share n/4 + 1 magnitudes; with z, at most
+    n/4 + 2 texts per ring go through %.17g."""
+    mesh = make_mesh(embed_profile_curve(round_profile, n_samples=384), n_theta=96)
+    rings = mesh.vertices[:-2].reshape(-1, 96 * 3)
+    mags = rings.view(np.int64) & 0x7FFF_FFFF_FFFF_FFFF
+    assert max(np.unique(ring).size for ring in mags) <= 96 // 4 + 2
 
 
 def test_mesh_area_approaches_the_fixed_total(round_profile, round_curve):
@@ -474,7 +540,7 @@ def test_residual_detects_a_corrupted_height(round_curve, round_profile):
     bad = ProfileCurve(
         s=round_curve.s, x=round_curve.x, a=round_curve.a,
         z=round_curve.z + 0.01 * np.sin(np.pi * round_curve.s / round_curve.length),
-        da=round_curve.da, dz=round_curve.dz, length=round_curve.length)
+        length=round_curve.length)
     res = induced_metric_residual(bad, round_profile)
     assert res.sup_ds > 1e-3
 
@@ -482,7 +548,6 @@ def test_residual_detects_a_corrupted_height(round_curve, round_profile):
 def test_residual_requires_a_uniform_grid(round_curve, round_profile):
     warped = ProfileCurve(s=round_curve.s ** 2 / round_curve.length,
                           x=round_curve.x, a=round_curve.a, z=round_curve.z,
-                          da=round_curve.da, dz=round_curve.dz,
                           length=round_curve.length)
     with pytest.raises(ValueError, match="uniform"):
         induced_metric_residual(warped, round_profile)
@@ -622,6 +687,27 @@ def test_obj_writes_nan_and_inf_as_before():
     assert got == loop_export_obj(mesh)
     assert got.split(b"\n")[:3] == [b"v nan inf -inf", b"v nan nan 0",
                                      b"v inf nan -0"]
+
+
+def test_vertex_lines_print_both_signs_of_a_magnitude_as_the_loop_does():
+    payload_nan = np.array([0x7FF0_0000_DEAD_BEEF], dtype=np.uint64).view(np.float64)[0]
+    pool = np.array([0.0, np.nan, payload_nan, np.inf, 5e-324, 2.5e-310,
+                     np.finfo(float).tiny, 1 / 3, 2.0, 1e300, 0.1])
+    pool = np.concatenate([pool, -pool])        # -0.0, -nan, -inf and the rest
+    rng = np.random.default_rng(25)
+    for rows in (1, 7, _OBJ_BLOCK_ROWS):
+        verts = rng.choice(pool, size=(rows, 3))
+        verts[0] = pool[:3] if rows == 1 else (-pool[rows % 11], pool[rows % 11], -0.0)
+        lines = embed._vertex_lines(verts)
+        assert lines + b"f 1 1 1\n" == loop_export_obj(hand_mesh(verts, [(0, 0, 0)]))
+    # each value between its negatives
+    half = pool[:11, None]
+    mesh = hand_mesh(np.hstack([-half, half, -half]), [(0, 1, 2)])
+    got = export_obj(mesh)
+    assert got == loop_export_obj(mesh)
+    assert got.split(b"\n")[:5] == [
+        b"v -0 0 -0", b"v nan nan nan", b"v nan nan nan", b"v -inf inf -inf",
+        b"v -4.9406564584124654e-324 4.9406564584124654e-324 -4.9406564584124654e-324"]
 
 
 def test_obj_blocks_join_to_the_export(round_profile):

@@ -472,6 +472,54 @@ def test_a_kept_table_is_the_fresh_build_and_read_only(k, n, q, split):
             kept[0, 0] = 0.0
 
 
+def loop_jacobi_values(k, n_max, x):
+    """The Jacobi recurrence row by row, values and derivatives apart."""
+    P = np.empty((n_max, x.size))
+    dP = np.empty((n_max, x.size))
+    P[0] = 1.0 / math.sqrt(solver._weight_mass(k))
+    dP[0] = 0.0
+    if n_max == 1:
+        return P, dP
+    sb = np.empty(n_max + 1)
+    for n in range(1, n_max + 1):
+        sb[n] = math.sqrt(n * (n + 2 * k)
+                          / ((2 * n + 2 * k - 1.0) * (2 * n + 2 * k + 1.0)))
+    P[1] = x * P[0] / sb[1]
+    dP[1] = P[0] / sb[1]
+    for n in range(1, n_max - 1):
+        P[n + 1] = (x * P[n] - sb[n] * P[n - 1]) / sb[n + 1]
+        dP[n + 1] = (P[n] + x * dP[n] - sb[n] * dP[n - 1]) / sb[n + 1]
+    return P, dP
+
+
+def loop_basis_values(k, x, n_max):
+    """The weights applied to the row-by-row recurrence, one row at a time."""
+    P, dP = loop_jacobi_values(k, n_max, x)
+    if k == 0:
+        return P, dP
+    om = 1.0 - x * x
+    w = om ** (0.5 * k)
+    dw = -k * x * w / om
+    dP *= w
+    for n in range(n_max):
+        dP[n] += dw * P[n]
+    P *= w
+    return P, dP
+
+
+@pytest.mark.parametrize("k,n,q", [(0, 1, 16), (7, 2, 16), (0, 8, 32), (1, 9, 64),
+                                   (2, 33, 100), (5, 128, 512), (1, 128, 1024)])
+def test_the_stacked_recurrence_is_the_row_by_row_one_bit_for_bit(k, n, q):
+    x = gauss_legendre(q)[0]
+    stacked = solver._jacobi_values(k, n, x)
+    assert stacked.shape == (2, n, q) and stacked.flags.c_contiguous
+    tables = solver._basis_values(k, x, n)
+    for got, want in zip((*stacked, *tables),
+                         (*loop_jacobi_values(k, n, x), *loop_basis_values(k, x, n))):
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+
 def test_a_table_above_the_admission_size_is_built_on_each_use():
     admission = solver.BASIS_CACHE_BYTES // 64
     # 128 rows on 128 nonnegative nodes: 256 KiB, the largest kept pair;
