@@ -34,8 +34,8 @@ from .obstruction import (ABREU_FREITAS_THRESHOLD, XI1, ObstructionReport,
                           negative_curvature_witness, spectral_test, sup_test)
 from .embed import (EmbeddingMesh, GrazingClampWarning, MeshError,
                     MetricResiduals, NotEmbeddableError, ProfileCurve,
-                    curve_csv_text, embed_profile_curve, euler_characteristic,
-                    export_obj, induced_metric_residual, make_mesh, mesh_area)
+                    embed_profile_curve, euler_characteristic, export_obj,
+                    induced_metric_residual, make_mesh, mesh_area)
 
 __version__ = "0.1.0"
 
@@ -63,6 +63,6 @@ __all__ = [
     "ProfileCurve", "EmbeddingMesh", "MetricResiduals",
     "NotEmbeddableError", "MeshError", "GrazingClampWarning",
     "embed_profile_curve", "make_mesh", "mesh_area", "euler_characteristic",
-    "induced_metric_residual", "export_obj", "curve_csv_text",
+    "induced_metric_residual", "export_obj",
     "__version__",
 ]

@@ -42,7 +42,7 @@ __all__ = [
     "ProfileCurve", "EmbeddingMesh", "MetricResiduals",
     "NotEmbeddableError", "MeshError", "GrazingClampWarning",
     "embed_profile_curve", "make_mesh", "mesh_area", "euler_characteristic",
-    "induced_metric_residual", "export_obj", "curve_csv_text",
+    "induced_metric_residual", "export_obj",
 ]
 
 
@@ -450,9 +450,3 @@ def export_obj(mesh: EmbeddingMesh) -> bytes:
     format are exact everywhere.
     """
     return b"".join(_obj_blocks(mesh))
-
-
-def curve_csv_text(curve: ProfileCurve) -> str:
-    """Curve samples as CSV (columns s, a, z) for plotting."""
-    rows = np.column_stack([curve.s, curve.a, curve.z])
-    return "s,a,z\n" + "%.17g,%.17g,%.17g\n" * rows.shape[0] % tuple(rows.ravel().tolist())

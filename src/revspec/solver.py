@@ -48,8 +48,9 @@ zeros between the parities.
 Because trial spaces are nested in ``N``, eigenvalues decrease monotonically
 with ``N`` and sit above the true values; the convergence estimate attached
 to each eigenvalue is the relative change against the half-size solve.
-Refinement doubles ``N`` from 32 until the requested estimates are met or
-a cap is hit, in one store per top-level call that keeps the eigenvalues
+Refinement doubles ``N`` from 32 until the requested values (a number of
+them, or those up to the first one above a cutoff) meet their target or a
+cap is hit, in one store per top-level call that keeps the eigenvalues
 of every ``(k, N)`` it has solved: each size is the next one's half-size
 reference, and no size is solved twice, however often a channel is asked.
 
@@ -60,7 +61,7 @@ split)``, in a :func:`functools.lru_cache` of 64 pairs.  A kept pair is
 read-only and bit for bit the fresh build.  A pair above
 ``BASIS_CACHE_BYTES // 64`` (256 KiB: ``N > 64`` at ``Q = 4N``) is built
 on each use, so the cache holds at most ``BASIS_CACHE_BYTES``, 16 MiB, a
-loose bound: the benchmark's report sweep keeps 34 pairs (2.8 MB), a
+loose bound: the benchmark's report sweep keeps 31 pairs (2.0 MB), a
 paper-example enumeration below 21 keeps 36 (2.2 MB), and the deepest one
 measured holds at most 3.9 MB.  The mass diagonal is checked on every
 assembly, against that call's weights.  Eigenvalues are not kept from one
@@ -75,6 +76,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
 import numpy as np
@@ -250,7 +252,8 @@ _kept_table = lru_cache(maxsize=64)(_build_table)
 # assembly and eigensolve
 # ---------------------------------------------------------------------------
 
-def assemble(p: Profile, k: int, basis_size: int) -> GalerkinSystem:
+def assemble(p: Profile, k: int, basis_size: int, *,
+             _f_kept: dict | None = None) -> GalerkinSystem:
     """Stiffness matrix of channel ``k`` in the weighted basis.
 
     Requires a validated profile, ``k >= 0`` and ``basis_size >= 8``.  Node
@@ -262,7 +265,8 @@ def assemble(p: Profile, k: int, basis_size: int) -> GalerkinSystem:
     it raises :class:`SolverError`; the check reads this call's weights, so
     it is made on every call, cached basis tables or not.  A
     mirror-symmetric profile is assembled by parity (``parity_split``): the
-    entries between even and odd ``n`` are exact zeros.
+    entries between even and odd ``n`` are exact zeros.  ``_f_kept``, the
+    channel store's ``Q -> f`` on the nodes, evaluates ``f`` once per rule.
     """
     require_valid(p, context="assemble")
     if k < 0:
@@ -274,7 +278,10 @@ def assemble(p: Profile, k: int, basis_size: int) -> GalerkinSystem:
     while Q < N + k:
         Q *= 2
     xq, wq = gauss_legendre(Q)
-    fq = np.asarray(p.f(xq), dtype=float)
+    kept = {} if _f_kept is None else _f_kept
+    if Q not in kept:
+        kept[Q] = np.asarray(p.f(xq), dtype=float)
+    fq = kept[Q]
     if np.any(~np.isfinite(fq)) or np.any(fq <= 0.0):
         raise SolverError(f"{_where(p, k, N)}, {Q} nodes: profile not "
                           f"positive and finite on the quadrature nodes")
@@ -328,10 +335,10 @@ def eigh(a: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh(a)
 
 
-def _raw_eigenvalues(p: Profile, k: int, N: int) -> np.ndarray:
-    """Channel ``k``'s eigenvalues at basis size ``N``, channel 0's zero
-    mode removed by index after a magnitude check."""
-    sys = assemble(p, k, N)
+def _raw_eigenvalues(p: Profile, k: int, N: int, f_kept: dict) -> np.ndarray:
+    """Channel ``k``'s eigenvalues at basis size ``N`` (``f_kept``: see
+    :func:`assemble`), channel 0's zero mode removed after a magnitude check."""
+    sys = assemble(p, k, N, _f_kept=f_kept)
     vals = np.sort(np.concatenate(
         [eigh(sys.stiffness[s, s]) for s in _parity_blocks(sys.parity_split, N)]))
     if k != 0:
@@ -364,11 +371,11 @@ def solve_channel(p: Profile, k: int, n_eigs: int,
 class _Channels:
     """One profile's channel solves for one top-level call (a report, an
     enumeration, a :func:`refine`), refined to one target within one cap.
-    ``channels(k, n)`` serves the first ``n`` values of channel ``k`` from
-    the spectrum it holds for ``k`` when that has as many (a deeper solve
-    meets the target on them too), and otherwise refines the channel to
-    ``n`` values and holds that spectrum instead.  :meth:`_eigenvalues`,
-    the one solve point, keeps the whole eigenvalue array of each ``(k, N)``.
+    ``channels(k, n[, below])`` serves what :meth:`refine` would, from the
+    spectrum it holds for ``k`` when that has those values (a deeper solve
+    meets the target on them too), else refines and holds that instead.
+    :meth:`_eigenvalues`, the one solve point, keeps the whole eigenvalue
+    array of each ``(k, N)``, and ``f`` on the nodes of each rule.
     ``n_cap``, the most values a refinement can serve within ``basis_cap``,
     is 0 when that is below ``REFINE_START``.
     """
@@ -381,17 +388,19 @@ class _Channels:
             self.n_cap, N = N // 2, 2 * N
         self._solved: dict[tuple[int, int], np.ndarray] = {}
         self._held: dict[int, ChannelSpectrum] = {}
+        self._f_kept: dict[int, np.ndarray] = {}
 
-    def __call__(self, k: int, n: int) -> ChannelSpectrum:
+    def __call__(self, k: int, n: int, below: float = math.inf) -> ChannelSpectrum:
         cs = self._held.get(k)
-        if cs is None or len(cs.eigenvalues) < n:
-            cs = self._held[k] = self.refine(k, n)
-        return replace(cs, eigenvalues=cs.eigenvalues[:n],
-                       convergence_estimates=cs.convergence_estimates[:n])
+        if cs is None or (len(cs.eigenvalues) < n and cs.eigenvalues[-1] <= below):
+            cs = self._held[k] = self.refine(k, n, below)
+        count = min(n, bisect_right(cs.eigenvalues, below) + 1)
+        return replace(cs, eigenvalues=cs.eigenvalues[:count],
+                       convergence_estimates=cs.convergence_estimates[:count])
 
     def _eigenvalues(self, k: int, N: int) -> np.ndarray:
         if (k, N) not in self._solved:
-            self._solved[k, N] = _raw_eigenvalues(self.p, k, N)
+            self._solved[k, N] = _raw_eigenvalues(self.p, k, N, self._f_kept)
         return self._solved[k, N]
 
     def _spectrum(self, k: int, n_eigs: int, N: int) -> ChannelSpectrum:
@@ -425,11 +434,13 @@ class _Channels:
                                convergence_estimates=tuple(est.tolist()),
                                ritz_values=ritz)
 
-    def refine(self, k: int, n: int) -> ChannelSpectrum:
-        """The one refinement loop, :func:`refine` on this store.  Each
-        size's estimates compare against the whole basis-``N/2`` array,
-        which the size before solved, so a request that revisits held sizes
-        gets a fresh refinement's result bit for bit."""
+    def refine(self, k: int, n: int, below: float = math.inf) -> ChannelSpectrum:
+        """The one refinement loop, :func:`refine` on this store: the first
+        ``n`` values, or, if fewer, those up to and including the first one
+        above ``below`` in the basis' trustworthy half.  Each size's
+        estimates compare against the whole basis-``N/2`` array, which the
+        size before solved, so a request that revisits held sizes gets a
+        fresh refinement's result bit for bit."""
         if self.target_rel_err < 1e-12:
             raise ValueError("target_rel_err below the 1e-12 floor is not resolvable")
         N = REFINE_START
@@ -438,10 +449,14 @@ class _Channels:
         if n > self.n_cap:
             raise ValueError(f"n_eigs={n} needs a basis of {N}, "
                              f"above basis_cap={self.basis_cap}")
+        if below < math.inf:  # the solves find the count, from the smallest size
+            N = REFINE_START
         while True:
-            best = self._spectrum(k, n, N)
-            if max(best.convergence_estimates) <= self.target_rel_err:
-                return best
+            count = min(n, bisect_right(self._eigenvalues(k, N), below, 0, N // 2) + 1)
+            if count <= N // 2:
+                best = self._spectrum(k, count, N)
+                if max(best.convergence_estimates) <= self.target_rel_err:
+                    return best
             if 2 * N > self.basis_cap:
                 raise ConvergenceError(
                     f"{_where(self.p, k, N)}: estimates "

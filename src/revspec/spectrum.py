@@ -4,11 +4,14 @@ The full Laplace spectrum of a profile metric is the union of its channel
 spectra, with the ``+-k`` pairing doubling every contribution from ``k >= 1``.
 :func:`enumerate_below` turns refined channel solves into the ascending table
 of *distinct* eigenvalues with multiplicities and channel attributions, and
-certifies completeness below a cutoff using the per-channel lower bounds
+certifies completeness below a cutoff ``Lambda``.  A channel's count ``m``
+rests on its value ``m + 1``, converged and above ``Lambda``: the ``m``
+values at or below are Rayleigh-Ritz upper bounds, and the true
+eigenvalues are ordered.  The per-channel lower bounds
 
     lambda_0^m > 2m / int (1-x^2)/f,      lambda_k^m > m |k|   (k != 0),
 
-which convert a target ``Lambda`` into an a-priori solve budget per channel.
+cap the values a channel may take: its a-priori budget for ``Lambda``.
 
 Which channels can contribute at all follows from min-max.  For ``k >= 1``
 the forms ``q_k(u) = int f u'^2 + k^2 int u^2/f`` share one form domain and
@@ -25,7 +28,8 @@ eigenvalue of its index, and ``m = #{v_j <= Lambda} < M``, a hidden true
 ``mu_{m+1} <= Lambda`` would force ``T >= S_M - 1/v_{m+1} + 1/Lambda`` with
 ``S_M = sum 1/v_j``.  So ``T - S_M < 1/Lambda - 1/v_{m+1}`` proves that the
 channel has exactly ``m`` eigenvalues at or below ``Lambda``, whether or not
-``v_{m+1..M}`` have converged.  Caveat: the upper-bound property assumes the
+``v_{m+1..M}`` have converged; :func:`enumerate_below` checks every count
+against it where it holds.  Caveat: the upper-bound property assumes the
 stiffness form is integrated exactly, which for a non-polynomial ``f`` holds
 only up to quadrature error.  The first invariant eigenvalue is also bounded
 above by ``(3/2) int f``, with equality only for the round sphere.
@@ -227,14 +231,6 @@ def bounds_report(p: Profile) -> BoundsReport:
 # enumeration with a completeness certificate
 # ---------------------------------------------------------------------------
 
-# A channel k >= 1 whose a-priori budget exceeds this many eigenvalues is
-# first asked for this many, to be counted by the trace certificate ...
-_TRACE_FIRST_REQUEST = 8
-# ... and each refused certificate multiplies the request by this, up to
-# the budget
-_TRACE_REQUEST_GROWTH = 2
-
-
 def enumerate_below(p: Profile, below: float, cluster_tol: float = CLUSTER_TOL,
                     target_rel_err: float = TARGET_REL_ERR,
                     basis_cap: int = REFINE_CAP) -> SpectrumTable:
@@ -243,15 +239,14 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = CLUSTER_TOL,
     Channels are solved in the order ``k = 0, 1, 2, ...`` and the walk
     stops after the first ``k >= 1`` with no eigenvalue at or below
     ``below``: by min-max no higher channel has one (module docstring).
-    Channel 0, and any channel whose a-priori budget is at most 8
-    eigenvalues, is solved to that budget, just deep enough that its lower
-    bound puts its last requested eigenvalue past ``below``; a channel
-    whose computed values do not clear the bar raises :class:`BudgetError`,
-    since the bound has then been broken.  Any other channel is first asked
-    for 8 eigenvalues, and its count is taken from the trace certificate
-    when that holds; each refusal doubles the request, up to the a-priori
-    budget, which is the fallback; the Ritz values past the request need
-    not meet ``target_rel_err``.  Contributions within relative
+    Each channel is refined once, until its values up to and including the
+    first one above ``below`` meet ``target_rel_err``; its count is the
+    number before that one.  The channel's a-priori budget caps the values
+    it may take: a channel whose budget of values all lie at or below
+    ``below`` raises :class:`BudgetError`, since its lower bound has then
+    been broken.  For ``k >= 1`` the trace certificate is checked on the
+    same solve's Ritz values: where it holds and counts otherwise,
+    :class:`SpectrumInvariantError` is raised.  Contributions within relative
     ``cluster_tol`` of a cluster's first member merge into one entry whose
     value is the cluster mean; an entry drawing on several channels is the
     degeneracy signal, visible in its attribution list.  The result passes
@@ -313,25 +308,21 @@ def _enumerate_below(channels: _Channels, below: float,
 
 def _channel_below(channels: _Channels, k: int, below: float,
                    t0: float) -> ChannelSpectrum:
-    """Channel ``k``'s spectrum cut to its eigenvalues at or below ``below``:
-    by the trace certificate for ``k >= 1`` while the request is below the
-    a-priori budget, else by the budget itself (see :func:`enumerate_below`)."""
+    """Channel ``k``'s spectrum cut to its eigenvalues at or below ``below``,
+    as :func:`enumerate_below` counts them."""
     budget = _channel_budget(below, k, t0)
-    n = budget if k == 0 else min(budget, _TRACE_FIRST_REQUEST)
-    while n < budget:
-        cs = channels(k, n)
-        m = _trace_count(cs, below)
-        if m is not None:
-            break
-        n = min(_TRACE_REQUEST_GROWTH * n, budget)
-    else:
-        cs = channels(k, budget)
-        if cs.eigenvalues[-1] <= below:
-            raise BudgetError(
-                f"channel {k} did not clear {below:g} within its budget of "
-                f"{budget} eigenvalues — lower-bound logic violated, solve "
-                f"untrustworthy")
-        m = bisect_right(cs.eigenvalues, below)
+    cs = channels(k, budget, below)
+    m = bisect_right(cs.eigenvalues, below)
+    if m == len(cs.eigenvalues):
+        raise BudgetError(
+            f"channel {k} did not clear {below:g} within its budget of "
+            f"{budget} eigenvalues — lower-bound logic violated, solve "
+            f"untrustworthy")
+    certified = _trace_count(cs, below) if k else None
+    if certified not in (None, m):
+        raise SpectrumInvariantError(
+            f"channel {k}: {m} eigenvalues at or below {below:g} by the first "
+            f"converged value above it, {certified} by the trace certificate")
     return replace(cs, eigenvalues=cs.eigenvalues[:m],
                    convergence_estimates=cs.convergence_estimates[:m])
 

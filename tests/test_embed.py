@@ -11,7 +11,7 @@ from revspec import embed, obstruction
 from revspec.embed import (
     _AREA_BLOCK_FACES, _OBJ_BLOCK_ROWS, EmbeddingMesh, GrazingClampWarning,
     MeshError, NotEmbeddableError,
-    ProfileCurve, curve_csv_text, embed_profile_curve, euler_characteristic,
+    ProfileCurve, embed_profile_curve, euler_characteristic,
     export_obj, induced_metric_residual, make_mesh, mesh_area,
 )
 from revspec.families import random_bump_profile, squeeze_profile
@@ -121,13 +121,6 @@ def hand_mesh(vertices, faces):
     return EmbeddingMesh(vertices=np.asarray(vertices, dtype=float),
                          faces=np.asarray(faces, dtype=np.int64),
                          curve=None, n_theta=0)
-
-
-def loop_curve_csv_text(curve):
-    lines = ["s,a,z"]
-    lines.extend(f"{s:.17g},{a:.17g},{z:.17g}"
-                 for s, a, z in zip(curve.s, curve.a, curve.z))
-    return "\n".join(lines) + "\n"
 
 
 def subsample(c, step):
@@ -723,20 +716,3 @@ def test_obj_blocks_check_the_mesh_before_the_first_block():
     # cmd_mesh opens its file only after this call returns
     with pytest.raises(ValueError, match="face 0 indexes vertex 3"):
         embed._obj_blocks(hand_mesh(np.eye(3), [(0, 1, 3)]))
-
-
-def test_curve_csv(round_curve):
-    lines = curve_csv_text(round_curve).splitlines()
-    assert lines[0] == "s,a,z"
-    assert len(lines) == 1 + round_curve.s.size
-    s, a, z = (float(tok) for tok in lines[-1].split(","))
-    assert s == pytest.approx(np.pi, abs=1e-10)
-    assert a == 0.0
-    assert z == pytest.approx(2.0, abs=1e-9)
-
-
-def test_curve_csv_equals_the_loop_reference(round_curve):
-    odd = round_curve.a.copy()
-    odd[1:5] = (-0.0, 5e-324, 1e300, -1e-300)
-    curve = dataclasses.replace(round_curve, a=odd)
-    assert curve_csv_text(curve) == loop_curve_csv_text(curve)

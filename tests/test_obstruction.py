@@ -373,9 +373,9 @@ def _count_refines(monkeypatch) -> list[int]:
     store's ``refine``."""
     channels, loop = [], solver._Channels.refine
 
-    def spy(self, k, n):
+    def spy(self, k, *args):
         channels.append(k)
-        return loop(self, k, n)
+        return loop(self, k, *args)
 
     monkeypatch.setattr(solver._Channels, "refine", spy)
     return channels

@@ -286,9 +286,9 @@ def test_an_unresolved_zero_mode_names_where(pinched_profile, monkeypatch):
 def test_refine_solves_each_basis_size_once(pinched_profile, monkeypatch):
     sizes = []
 
-    def counting(p, k, basis_size):
+    def counting(p, k, basis_size, **kwargs):
         sizes.append(basis_size)
-        return assemble(p, k, basis_size)
+        return assemble(p, k, basis_size, **kwargs)
 
     monkeypatch.setattr(solver, "assemble", counting)
     cs = refine(pinched_profile, 2, 12)
@@ -582,8 +582,8 @@ def test_the_cache_stays_within_its_budget(monkeypatch):
 
     small = functools.lru_cache(maxsize=4)(admitting)
 
-    def checking(*args):
-        sys = assemble(*args)
+    def checking(*args, **kwargs):
+        sys = assemble(*args, **kwargs)
         assert small.cache_info().currsize <= 4
         checked.append(sys.quad_points)
         return sys

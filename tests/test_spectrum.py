@@ -1,4 +1,5 @@
 import ast
+import importlib
 import itertools
 import math
 from bisect import bisect_right
@@ -10,17 +11,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import revspec
 import revspec.obstruction as obstruction
 import revspec.solver as solver
 import revspec.spectrum as spectrum
 from revspec.profile import (ArclengthProfile, make_profile, momentum_transform,
                              normalize_area)
-from revspec.solver import ChannelSpectrum, ConvergenceError, refine
+from revspec.solver import TARGET_REL_ERR, ChannelSpectrum, ConvergenceError, refine
 from revspec.spectrum import (
     BudgetError, SpectrumEntry, SpectrumInvariantError, SpectrumTable,
     bounds_report, channel_lower_bound, check_invariants, enumerate_below,
     lambda01_upper_bound, trace0_integral, trace_partial_sum,
 )
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +78,8 @@ def _record_refinements(monkeypatch, record) -> None:
     refinement loop."""
     loop = solver._Channels.refine
 
-    def recording(self, k, n):
-        cs = loop(self, k, n)
+    def recording(self, k, n, *below):
+        cs = loop(self, k, n, *below)
         record(self, k, n, cs)
         return cs
 
@@ -87,9 +91,9 @@ def _record_solves(monkeypatch) -> list[tuple[int, int]]:
     ``_raw_eigenvalues``, which assembles."""
     solves, solve = [], solver._raw_eigenvalues
 
-    def spy(p, k, N):
+    def spy(p, k, N, f_kept):
         solves.append((k, N))
-        return solve(p, k, N)
+        return solve(p, k, N, f_kept)
 
     monkeypatch.setattr(solver, "_raw_eigenvalues", spy)
     return solves
@@ -103,10 +107,11 @@ def test_channel_budgets_push_the_next_bound_past_the_cutoff(
     channel with no value at or below the cutoff (or ``ceil(below)-1``, if
     that comes first), and every channel in ``k0+1 .. ceil(below)-1``
     indeed has its first eigenvalue above it; a higher channel has its
-    first bound at or above the cutoff.  Each solved channel's count rests
-    on a proof: its last request ``n`` leaves the lower bound of index
-    ``n + 1`` above the cutoff (always so for channel 0), or the trace
-    certificate holds on its Ritz values."""
+    first bound at or above the cutoff.  Each solved channel's count ``m``
+    rests on one fact: its value ``m + 1`` has converged and lies above
+    the cutoff, within the channel's a-priori budget (the true eigenvalues
+    are ordered, so every later one lies above it too).  Where the trace
+    certificate holds on the same Ritz values, it counts the same ``m``."""
     p = round_profile if which == "round" else pinched_profile
     last = {}
     _record_refinements(monkeypatch,
@@ -123,14 +128,14 @@ def test_channel_budgets_push_the_next_bound_past_the_cutoff(
         assert refine(p, k, 1).eigenvalues[0] > below
     for k in range(math.ceil(below), math.ceil(below) + 3):
         assert channel_lower_bound(p, k, 1) >= below
-    assert channel_lower_bound(p, 0, len(last[0].eigenvalues) + 1) > below
     for k, cs in last.items():
-        if channel_lower_bound(p, k, len(cs.eigenvalues) + 1) > below:
-            continue
-        v = cs.ritz_values
-        m = sum(x <= below for x in v)
-        assert m == counts[k] <= len(cs.eigenvalues) < len(v)
-        assert 1.0 / k - sum(1.0 / x for x in v) < 1.0 / below - 1.0 / v[m]
+        m = counts[k]
+        assert len(cs.eigenvalues) == m + 1
+        assert cs.eigenvalues[m] > below
+        assert cs.convergence_estimates[m] <= TARGET_REL_ERR
+        assert m + 1 <= spectrum._channel_budget(below, k, trace0_integral(p))
+        if k:
+            assert spectrum._trace_count(cs, below) in (None, m)
 
 
 def test_bounds_report_layout(round_profile):
@@ -265,9 +270,9 @@ def test_each_basis_size_is_assembled_once_per_call(call, round_profile,
            else (lambda: obstruction.full_report(p)))
     assembled, assemble = [], solver.assemble
 
-    def spy(p, k, N):
+    def spy(p, k, N, **kwargs):
         assembled.append((k, N))
-        return assemble(p, k, N)
+        return assemble(p, k, N, **kwargs)
 
     monkeypatch.setattr(solver, "assemble", spy)
     runs = []
@@ -280,8 +285,25 @@ def test_each_basis_size_is_assembled_once_per_call(call, round_profile,
     # nothing is kept from one call to the next
     assert runs[0] == runs[1]
     if "437" in call:
-        # 174 solves when every request refined afresh, 88 of them distinct
-        assert len(assembled) == 88
+        # 88 when each channel was solved to its whole a-priori budget
+        assert len(assembled) == 44
+
+
+def test_a_large_cutoff_solves_no_channel_past_its_first_value_above_it(
+        round_profile, monkeypatch):
+    """Round, below 437: channel 1 holds 20 values at or below the cutoff
+    (``j (j + 1)``), so its count needs 21 converged values, which N = 64
+    serves; its a-priori budget of 437 values alone would take N = 1024.
+    The table is the round sphere's, ``l (l + 1)`` of multiplicity
+    ``2l + 1``."""
+    solves = _record_solves(monkeypatch)
+    table = enumerate_below(round_profile, 437.0)
+    assert max(N for k, N in solves if k == 1) <= 64
+    assert max(N for _, N in solves) <= 64
+    assert [e.multiplicity for e in table.entries] == \
+        [2 * l + 1 for l in range(1, 21)]
+    assert table.values() == pytest.approx(
+        [l * (l + 1) for l in range(1, 21)], rel=1e-12)
 
 
 def _outcome(solve):
@@ -333,6 +355,30 @@ def test_a_store_gives_what_a_fresh_refinement_gives(pinched_profile, target,
         if isinstance(expected, ChannelSpectrum):
             deepest[k] = depth
     assert outcomes == kinds
+
+
+@pytest.mark.parametrize("cap", [1024, 128])
+def test_a_store_counts_below_a_cutoff_as_a_fresh_store_does(pinched_profile,
+                                                            cap):
+    """Requests with a cutoff, mixed with plain ones: the store's loop
+    gives what the loop of a fresh store gives, field for field, failures
+    included, and the store serves the values up to and including the first
+    one above the cutoff, at most ``n``, each meeting the target."""
+    requests = [(1, 20, 5.0), (1, 4), (1, 30, 12.0), (0, 40, 30.0), (0, 2),
+                (4, 10, 40.0), (1, 70, 60.0), (0, 3, 1e-3), (2, 3, 400.0)]
+    store = solver._Channels(pinched_profile, basis_cap=cap)
+    served = solver._Channels(pinched_profile, basis_cap=cap)
+    for k, n, *below in requests:
+        fresh = _outcome(lambda: solver._Channels(
+            pinched_profile, basis_cap=cap).refine(k, n, *below))
+        assert _outcome(lambda: store.refine(k, n, *below)) == fresh
+        cs = _outcome(lambda: served(k, n, *below))
+        if not isinstance(cs, ChannelSpectrum):
+            assert cs == fresh
+            continue
+        m = bisect_right(cs.eigenvalues, below[0] if below else math.inf)
+        assert len(cs.eigenvalues) == min(n, m + 1)
+        assert max(cs.convergence_estimates) <= TARGET_REL_ERR
 
 
 def test_round_table_below_13(round_profile):
@@ -392,17 +438,16 @@ def test_budget_error_names_the_given_basis_cap(round_profile):
 
 
 def test_a_channel_that_does_not_clear_its_budget_is_asked_once(round_profile):
-    """The budget already puts the last requested eigenvalue past the
-    cutoff, so a channel that stops short has broken the lower bound: it is
-    reported at once, not re-requested deeper.  Channel 1 (budget 13) is
-    first asked for 8 values, whose trace certificate fails (T - S_16 =
-    1/17 against 1/13 - 1/20), and then for its budget."""
+    """The budget already puts the last eigenvalue it allows past the
+    cutoff, so a channel whose values stop short has broken the lower
+    bound: it is reported at once, not re-requested deeper.  Each channel
+    is asked once, for its budget with the cutoff as the stop."""
     requests = []
 
     class Store(spectrum._Channels):
-        def __call__(self, k, n):
-            requests.append((k, n))
-            cs = super().__call__(k, n)
+        def __call__(self, k, n, *below):
+            requests.append((k, n, *below))
+            cs = super().__call__(k, n, *below)
             if k != 2:
                 return cs
             return replace(cs, eigenvalues=tuple(v / 100 for v in cs.eigenvalues))
@@ -410,7 +455,7 @@ def test_a_channel_that_does_not_clear_its_budget_is_asked_once(round_profile):
     with pytest.raises(BudgetError, match="channel 2 did not clear 13 "
                                           "within its budget of 7 eigenvalues"):
         spectrum._enumerate_below(Store(round_profile), 13.0, 1e-6)
-    assert requests == [(0, 13), (1, 8), (1, 13), (2, 7)]
+    assert requests == [(0, 13, 13.0), (1, 13, 13.0), (2, 7, 13.0)]
 
 
 def test_budget_error_is_immediate_even_for_absurd_cutoffs(round_profile):
@@ -500,26 +545,114 @@ def test_the_trace_certificate_refuses_a_missing_eigenvalue(drop):
     assert spectrum._trace_count(cs, 21.0) is None
 
 
-def test_a_refused_certificate_doubles_the_request_then_falls_back(
-        round_profile, pinched_profile):
-    """Round, below 21: channel 1 (budget 21, four values below) is asked
-    for 8, refused (M = 16 Ritz values), asked for 16, refused again, and
-    solved to its budget.  Paper example, below 21: channel 1 (budget 21,
-    one value below) is certified by its first request."""
-    requests = []
+def test_each_channel_is_refined_once_to_its_first_value_above_the_cutoff(
+        round_profile, pinched_profile, monkeypatch):
+    """Round, below 21: each channel is asked once, for its a-priori budget
+    with the cutoff as the stop, and is served its values up to the first
+    one above 21 from the sizes 16 and 32 alone.  Channel 1 (budget 21,
+    four values below) gets five values, where the budget alone asked for
+    21.  The trace certificate, checked on the same Ritz values, refuses
+    it (T - S_16 = 1/17 against 1/21 - 1/30).  Paper example, below 21:
+    channel 1 (one value below) is served two values, and the certificate
+    counts the same one."""
+    requests, last = [], {}
 
     class Store(spectrum._Channels):
-        def __call__(self, k, n):
-            requests.append((k, n))
-            return super().__call__(k, n)
+        def __call__(self, k, n, *below):
+            requests.append((k, n, *below))
+            return super().__call__(k, n, *below)
 
+    _record_refinements(monkeypatch,
+                        lambda store, k, n, cs: last.__setitem__(k, cs))
+    solves = _record_solves(monkeypatch)
     table = spectrum._enumerate_below(Store(round_profile), 21.0, 1e-6)
     assert [e.multiplicity for e in table.entries] == [3, 5, 7, 9]
-    assert [n for k, n in requests if k == 1] == [8, 16, 21]
+    t0 = trace0_integral(round_profile)
+    assert requests == [(k, spectrum._channel_budget(21.0, k, t0), 21.0)
+                        for k in range(6)]
+    assert sorted(solves) == [(k, N) for k in range(6) for N in (16, 32)]
+    assert {k: len(cs.eigenvalues) for k, cs in last.items()} == \
+        {0: 5, 1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
+    assert spectrum._trace_count(last[1], 21.0) is None
     requests.clear()
     table = spectrum._enumerate_below(Store(pinched_profile), 21.0, 1e-6)
-    assert [n for k, n in requests if k == 1] == [8]
+    assert [n for k, n, _ in requests if k == 1] == [21]
+    assert len(last[1].eigenvalues) == 2
+    assert spectrum._trace_count(last[1], 21.0) == 1
     assert sum(1 for e in table.entries for k, _ in e.channels if k == 1) == 1
+
+
+def test_a_trace_count_that_disagrees_with_the_count_raises(round_profile):
+    """The trace certificate cross-checks the count on the same Ritz
+    values.  Round, below 13: channel 2 counts 6 and 12; a Ritz list made
+    to hold one more value at or below 13 (12.5 in place of its last) is
+    certified at three, and the disagreement is raised."""
+
+    class Store(spectrum._Channels):
+        def __call__(self, k, n, *below):
+            cs = super().__call__(k, n, *below)
+            if k != 2:
+                return cs
+            return replace(cs, ritz_values=tuple(
+                sorted(cs.ritz_values[:-1] + (12.5,))))
+
+    with pytest.raises(SpectrumInvariantError,
+                       match="channel 2: 2 eigenvalues at or below 13 by the "
+                             "first converged value above it, 3 by the trace "
+                             "certificate"):
+        spectrum._enumerate_below(Store(round_profile), 13.0, 1e-6)
+    spectrum._enumerate_below(spectrum._Channels(round_profile), 13.0, 1e-6)
+
+
+def _loop_channel_below(channels, k, below, t0):
+    """The count as it was made before it stopped at the first converged
+    value above the cutoff: channel 0, and a channel whose a-priori budget
+    is at most 8 values, is solved to its budget; any other is asked for
+    8, counted by the trace certificate, and asked for twice as many on
+    each refusal, up to its budget, which is the fallback."""
+    budget = spectrum._channel_budget(below, k, t0)
+    n = budget if k == 0 else min(budget, 8)
+    while n < budget:
+        cs = channels(k, n)
+        m = spectrum._trace_count(cs, below)
+        if m is not None:
+            break
+        n = min(2 * n, budget)
+    else:
+        cs = channels(k, budget)
+        assert cs.eigenvalues[-1] > below
+        m = bisect_right(cs.eigenvalues, below)
+    return replace(cs, eigenvalues=cs.eigenvalues[:m],
+                   convergence_estimates=cs.convergence_estimates[:m])
+
+
+def test_reports_match_the_budget_schedule_on_92_profiles(acceptance_family,
+                                                          monkeypatch):
+    """The benchmark's ``family_inputs`` of seeds 11, 77 and 5 (expression,
+    sample and arclength members) and the 50-member acceptance family: the
+    reports are those of the loop reference, verdicts, multiplicities and
+    channel attributions alike; values agree within 1e-12 relative, or
+    1e-9 on sample-backed members, whose spline ``f`` converges slower."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    members = [(inp.kind, workloads.make_profile(revspec, inp))
+               for seed in (11, 77, 5) for inp in workloads.family_inputs(seed)]
+    members += [("expression", p) for p in acceptance_family]
+    assert len(members) == 92
+    reports = [obstruction.full_report(p) for _, p in members]
+    monkeypatch.setattr(spectrum, "_channel_below", _loop_channel_below)
+    for (kind, p), new in zip(members, reports):
+        old = obstruction.full_report(p)
+        rel = 1e-9 if kind == "samples" else 1e-12
+        assert (new.verdict, new.spectral_verdict) == \
+            (old.verdict, old.spectral_verdict), p.name
+        a, b = new.even_multiplicity_test, old.even_multiplicity_test
+        assert (a.multiplicities, a.all_even, a.reduction_holds) == \
+            (b.multiplicities, b.all_even, b.reduction_holds), p.name
+        assert [(e.multiplicity, e.channels) for e in a.table.entries] == \
+            [(e.multiplicity, e.channels) for e in b.table.entries], p.name
+        assert a.table.values() == pytest.approx(b.table.values(), rel=rel)
+        assert a.lambda01 == pytest.approx(b.lambda01, rel=rel)
 
 
 # ---------------------------------------------------------------------------
