@@ -257,7 +257,7 @@ def load_profile(args: argparse.Namespace) -> Profile:
 
     Raises :class:`ProfileDefinitionError` when the source defines no
     profile, whatever the cause (bad expression text, or file values that
-    numpy and scipy cannot use as numbers), and :class:`InvalidProfileError`
+    are not finite numbers), and :class:`InvalidProfileError`
     when the profile fails validation.
     """
     try:

@@ -445,7 +445,7 @@ def export_obj(mesh: EmbeddingMesh) -> bytes:
     indexing outside the vertices raises ``ValueError``.
 
     Byte-identical across runs on the same machine and installation.  Across
-    CPUs, BLAS builds and numpy/scipy versions the vertex coordinates may
+    CPUs, BLAS builds and numpy versions the vertex coordinates may
     differ in the last few ULPs; the layout, the ``f`` lines and the number
     format are exact everywhere.
     """

@@ -19,7 +19,8 @@ variable.  This module holds both representations and the transforms between
 them:
 
 * :func:`make_profile` builds a :class:`Profile` from an expression tree or
-  from samples (clamped cubic spline with the exact endpoint slopes),
+  from samples: the clamped C^2 cubic spline with the exact endpoint
+  slopes, solved in LAPACK ``dgtsv``'s order (:func:`_clamped_spline`),
 * :func:`validate` checks the boundary conditions and interior positivity
   and returns a :class:`ValidationReport`,
 * :func:`arclength_recover` integrates ``ds = dx / sqrt(f)``; the endpoint
@@ -204,10 +205,15 @@ def make_profile(defn, name: str = "") -> Profile:
     """Build a profile from an expression tree or from ``(x, f)`` samples.
 
     Expression profiles get exact symbolic first and second derivatives.
-    Sample profiles (at least 16 points, strictly increasing, spanning
-    [-1, 1]) are interpolated by a cubic spline clamped to the known
-    endpoint slopes +2 and -2, following the boundary conditions that any
-    valid profile must satisfy anyway.
+    Sample profiles (at least 16 finite points, strictly increasing,
+    spanning [-1, 1]) are interpolated by the clamped C^2 cubic spline with
+    the known endpoint slopes +2 and -2, the boundary conditions that any
+    valid profile must satisfy anyway.  Its knot slopes solve one
+    tridiagonal system, eliminated in reference LAPACK ``dgtsv``'s order,
+    row interchanges included, so f, f' and f'' are the floats of
+    ``scipy.interpolate.CubicSpline`` and its derivatives, bit for bit.  A
+    non-finite sample, or slopes that overflow, raise
+    :class:`ProfileDefinitionError` naming the first such sample.
     """
     if defn is None:
         raise ProfileDefinitionError("empty profile definition")
@@ -255,20 +261,107 @@ def _profile_from_samples(defn, name: str) -> Profile:
         raise ProfileDefinitionError(
             f"need at least 16 samples, got {arr.shape[0]}")
     x, y = arr[:, 0], arr[:, 1]
+    for label, v in (("x", x), ("f", y)):
+        bad = np.flatnonzero(~np.isfinite(v))
+        if bad.size:
+            raise ProfileDefinitionError(
+                f"sample {bad[0]}: {label} = {float(v[bad[0]])!r} is not finite")
     if np.any(np.diff(x) <= 0):
         raise ProfileDefinitionError("sample abscissae must be strictly increasing")
     if abs(x[0] + 1.0) > 1e-9 or abs(x[-1] - 1.0) > 1e-9:
         raise ProfileDefinitionError("samples must cover [-1, 1] endpoint to endpoint")
-    # scipy.interpolate takes most of the import time; only sampled
-    # profiles need it, so it loads here alone
-    from scipy.interpolate import CubicSpline
-    # samples near the float range overflow; the spline then refuses them
-    with np.errstate(all="ignore"):
-        spline = CubicSpline(x, y, bc_type=((1, BC_SLOPE), (1, -BC_SLOPE)))
-    f, df, d2f = (_pointwise(g) for g in
-                  (spline, spline.derivative(1), spline.derivative(2)))
+    f, df, d2f = (_pointwise(g) for g in _clamped_spline(x, y))
     return Profile(f=f, df=df, d2f=d2f, source="samples", name=name,
                    knots=tuple(float(v) for v in x))
+
+
+def _clamped_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, ...]:
+    """f, f' and f'' of the clamped C^2 cubic spline through ``(x, y)`` with
+    end slopes +2 and -2 (de Boor, *A Practical Guide to Splines*, ch. IV).
+
+    The floats are those of ``scipy.interpolate.CubicSpline(x, y,
+    bc_type=((1, 2), (1, -2)))`` and its derivatives, bit for bit: scipy's
+    system for the knot slopes (:func:`_dgtsv`), its Hermite coefficients
+    and ``PPoly``'s evaluation (:func:`_power_sum`).
+    """
+    h = np.diff(x)
+    with np.errstate(all="ignore"):    # samples near the float range overflow
+        d = np.diff(y) / h
+        rhs = 3 * (h[1:] * d[:-1] + h[:-1] * d[1:])
+        m = np.array(_dgtsv(h[1:].tolist() + [0.0],
+                            [1.0] + (2 * (h[:-1] + h[1:])).tolist() + [1.0],
+                            [0.0] + h[:-1].tolist(),
+                            [BC_SLOPE] + rhs.tolist() + [-BC_SLOPE]))
+        bad = np.flatnonzero(~np.isfinite(m))
+        if bad.size:
+            raise ProfileDefinitionError(
+                f"samples too large: the spline's slope at sample {bad[0]} "
+                f"(x = {float(x[bad[0]])!r}) is not finite")
+        t = (m[:-1] + m[1:] - 2 * d) / h
+        c0, c1, c2 = t / h, (d - m[:-1]) / h - t, m[:-1]
+        pieces = ((c0, c1, c2, y[:-1]), (3 * c0, 2 * c1, c2), (6 * c0, 2 * c1))
+    return tuple(_power_sum(x, rows) for rows in pieces)
+
+
+def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
+    """The solution of the tridiagonal system with sub-, main and
+    super-diagonals ``dl``, ``d`` and ``du`` and right-hand side ``b``, in
+    the operation order of reference LAPACK ``dgtsv`` for one right-hand
+    side (Anderson et al., *LAPACK Users' Guide*, 3rd ed., 1999): Gaussian
+    elimination with partial pivoting, whose row interchanges fill a second
+    superdiagonal (kept in ``dl``), then back substitution.  The lists are
+    overwritten.  The spline's rows are unit rows at the ends and strictly
+    diagonally dominant inside, so no pivot is zero."""
+    n = len(d)
+    for i in range(n - 1):
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:
+            fact = d[i] / dl[i]
+            d[i] = dl[i]
+            temp = d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    b[n - 1] = b[n - 1] / d[n - 1]
+    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
+    for i in range(n - 3, -1, -1):
+        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
+    return b
+
+
+def _power_sum(x: np.ndarray, rows: tuple) -> Callable:
+    """The piecewise polynomial with breakpoints ``x`` and coefficient
+    ``rows`` (highest degree first, one column per piece), evaluated as
+    ``scipy.interpolate.PPoly`` does: the piece is the last one whose left
+    end is at or below the point (the first and last pieces extend past
+    ``x[0]`` and ``x[-1]``, and ``x[-1]`` belongs to the last), and with
+    ``s`` the offset from that left end the terms are summed from the
+    constant up, each coefficient times ``s``'s power formed by repeated
+    multiplication.  This is not Horner's rule; its roundings differ."""
+    inner, left = x[1:-1].copy(), x[:-1].copy()
+    const, rows = 0.0 + rows[-1], rows[-2::-1]
+
+    def g(t):
+        t = np.asarray(t, dtype=float)
+        i = np.searchsorted(inner, t, side="right")
+        s = t - left.take(i)
+        out, z = const.take(i), s
+        with np.errstate(all="ignore"):
+            for j, row in enumerate(rows):
+                if j:
+                    z = z * s
+                term = row.take(i)
+                term *= z
+                out += term
+        return out
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ of platform.  JSON holds no nan or infinity: since schema 3, a validation
 check's value, target or tolerance that is not finite is written as
 ``null``.
 
-Across CPUs, BLAS builds, BLAS thread counts and numpy/scipy versions,
+Across CPUs, BLAS builds, BLAS thread counts and numpy versions,
 float fields may differ in their last digits: a few ULPs for mesh vertices,
 somewhat more for eigenvalues, which come from BLAS and LAPACK.  The thread
 count alone moves ``paper-example`` eigenvalues by up to about 6e-14

@@ -552,11 +552,17 @@ def test_arclength_analysis_and_expression_meshes_load_no_scipy(tmp_path):
     path = tmp_path / "a.json"
     path.write_text(json.dumps({"kind": "arclength-expression",
                                 "a": "0.5*sin(2*s)", "length": np.pi / 2}))
+    xs = np.linspace(-1.0, 1.0, 41)
+    samples = tmp_path / "samples.json"
+    samples.write_text(json.dumps(
+        {"kind": "samples", "x": list(xs), "f": list(1 - xs ** 2)}))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for argv in (["analyze", "--profile", str(path)],
-                 ["mesh", "--builtin", "round", "--out", str(tmp_path / "r.obj")]):
+                 ["mesh", "--builtin", "round", "--out", str(tmp_path / "r.obj")],
+                 ["analyze", "--profile", str(samples)],
+                 ["mesh", "--profile", str(samples), "--out", str(tmp_path / "s.obj")]):
         script = ("import sys\n"
                   "from revspec.cli import main\n"
                   f"code = main({argv!r})\n"
@@ -583,6 +589,38 @@ def test_profile_file_rejections(tmp_path, capsys, payload, snippet):
     code, _, err = run(capsys, "analyze", "--profile", str(path))
     assert code == EXIT_INVALID_PROFILE
     assert snippet in err
+
+
+def _spike_file(tmp_path, value, at=20, axis="f"):
+    """40 uniform samples of f = 0, with ``value`` as sample ``at`` of
+    ``axis``; Python's JSON writes and reads NaN and Infinity."""
+    xs, fs = list(np.linspace(-1.0, 1.0, 40)), [0.0] * 40
+    (xs if axis == "x" else fs)[at] = value
+    path = tmp_path / "spike.json"
+    path.write_text(json.dumps({"kind": "samples", "x": xs, "f": fs}))
+    return str(path)
+
+
+@pytest.mark.parametrize("value,at,axis,message", [
+    (float("nan"), 5, "x", "sample 5: x = nan is not finite"),
+    (float("inf"), 20, "f", "sample 20: f = inf is not finite"),
+    (float("nan"), 20, "f", "sample 20: f = nan is not finite"),
+    (1e308, 20, "f", "samples too large: the spline's slope at sample 0 "
+                     "(x = -1.0) is not finite"),
+])
+def test_non_finite_samples_are_one_profile_error(tmp_path, capsys, value, at,
+                                                 axis, message):
+    code, _, err = run(capsys, "analyze", "--profile",
+                       _spike_file(tmp_path, value, at, axis))
+    assert code == EXIT_INVALID_PROFILE
+    assert err.splitlines() == [f"profile error: {message}"]
+
+
+def test_a_large_finite_spike_fails_validation(tmp_path, capsys):
+    code, _, err = run(capsys, "analyze", "--profile", _spike_file(tmp_path, 1e200))
+    assert code == EXIT_INVALID_PROFILE
+    assert len(err.splitlines()) == 1
+    assert err.startswith("validation failed: ")
 
 
 def test_profile_file_nested_too_deeply_for_the_json_decoder(tmp_path, capsys):

@@ -78,6 +78,61 @@ def test_bad_sample_sets_rejected(samples, snippet):
         make_profile(samples)
 
 
+def _spike(value):
+    """40 uniform samples, all 0 but sample 20."""
+    return list(zip(np.linspace(-1.0, 1.0, 40), [0.0] * 20 + [value] + [0.0] * 19))
+
+
+@pytest.mark.parametrize("samples,message", [
+    ([(np.nan if i == 5 else x, 0.0) for i, x in enumerate(np.linspace(-1, 1, 40))],
+     "sample 5: x = nan is not finite"),
+    (_spike(np.inf), "sample 20: f = inf is not finite"),
+    (_spike(np.nan), "sample 20: f = nan is not finite"),
+    # finite, but its slopes overflow in the solve
+    (_spike(1e308), "samples too large: the spline's slope at sample 0 "
+                    "(x = -1.0) is not finite"),
+])
+def test_non_finite_samples_are_named(samples, message):
+    with pytest.raises(ProfileDefinitionError) as exc_info:
+        make_profile(samples)
+    assert str(exc_info.value) == message
+
+
+def test_a_large_finite_spike_builds_and_fails_validation():
+    assert not validate(make_profile(_spike(1e200))).passed
+
+
+def _spline_knots():
+    rng = np.random.default_rng(20261020)
+    for n in (16, 201, 225, 2001):
+        yield f"uniform-{n}", np.linspace(-1.0, 1.0, n)
+        yield f"chebyshev-{n}", -np.cos(np.pi * np.arange(n) / (n - 1))
+        yield f"random-{n}", np.concatenate(
+            ([-1.0], np.sort(rng.uniform(-1.0, 1.0, n - 2)), [1.0]))
+    # the clamped first row has pivot 1, and h_1 = 1.499 sits below it:
+    # the first elimination step interchanges rows
+    yield "interchange", np.concatenate(([-1.0, -0.999], np.linspace(0.5, 1.0, 16)))
+
+
+SPLINE_KNOTS = dict(_spline_knots())
+
+
+@pytest.mark.parametrize("name", SPLINE_KNOTS)
+def test_sample_spline_is_scipys_bit_for_bit(name):
+    # the reference only: no module of the package imports scipy
+    from scipy.interpolate import CubicSpline
+    x = SPLINE_KNOTS[name]
+    rng = np.random.default_rng(x.size)
+    y = (1.0 - x * x) * (1.0 + 0.1 * rng.standard_normal(x.size))
+    p = make_profile(list(zip(x, y)))
+    ref = CubicSpline(x, y, bc_type=((1, 2.0), (1, -2.0)))
+    at = np.concatenate((x, [-1.5, -1.0, 1.0, 1.5], np.linspace(-1.0, 1.0, 100_001)))
+    for ours, theirs in ((p.f, ref), (p.df, ref.derivative(1)),
+                         (p.d2f, ref.derivative(2))):
+        assert np.array_equal(ours(at), theirs(at))
+        assert [ours(v) for v in (-1.5, 1.0)] == [float(theirs(v)) for v in (-1.5, 1.0)]
+
+
 def test_validation_grid_is_sorted_and_interior():
     g = validation_grid()
     assert g.size == 1024

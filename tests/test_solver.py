@@ -355,6 +355,22 @@ def test_no_module_imports_scipy_linalg():
                            for n in names), f"{path.name}:{node.lineno}"
 
 
+def test_no_module_imports_scipy():
+    """numpy is the one numerical dependency: no module under ``src/``
+    imports ``scipy`` or any of its submodules, at its top or in a
+    function (the sample spline is the package's own)."""
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "scipy" for n in names), \
+                f"{path.name}:{node.lineno}"
+
+
 def test_refine_rejects_unresolvable_targets(round_profile):
     with pytest.raises(ValueError, match="floor"):
         refine(round_profile, 0, 1, target_rel_err=1e-13)
