@@ -637,7 +637,8 @@ def momentum_transform(ap: ArclengthProfile) -> Profile:
     # Lobatto points
     c = coeffs[:max(keep, 2)]
     miss_north, miss_south = 1.0 - c.sum(), 1.0 - c[::2].sum() + c[1::2].sum()
-    pin = (miss_north + miss_south * (-1.0) ** np.arange(c.size)) / (c.size - 1)
+    alternating = 1.0 - 2.0 * (np.arange(c.size) & 1)    # (-1)^j, exactly
+    pin = (miss_north + miss_south * alternating) / (c.size - 1)
     pin[[0, -1]] *= 0.5
     # numpy.polynomial is not loaded by numpy itself; only this path needs it
     from numpy.polynomial import Chebyshev

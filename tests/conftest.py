@@ -1,10 +1,13 @@
+import importlib
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, settings
 
 import revspec.solver as solver
 from revspec.families import builtin_profile, reference_family
+from revspec.profile import profile_from_text
 
 settings.register_profile(
     "suite", deadline=None, derandomize=True,
@@ -59,3 +62,13 @@ def family_reports(acceptance_family):
     start = time.perf_counter()
     reports = [(p, full_report(p)) for p in acceptance_family]
     return reports, time.perf_counter() - start
+
+
+@pytest.fixture
+def bench_squeezes(monkeypatch):
+    """paper-example and the other squeeze members of the benchmark's
+    ``family_inputs(11)``: even expression profiles."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    workloads = importlib.import_module("workloads")
+    inputs = workloads.family_inputs(11)[:len(workloads.SQUEEZE_GRID)]
+    return [profile_from_text(inp.text, name=inp.name) for inp in inputs]

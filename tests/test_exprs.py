@@ -1,6 +1,7 @@
 """Expression language: parsing, printing, evaluation, differentiation."""
 
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, strategies as st
 from revspec.exprs import (MAX_DEPTH, Add, Call, Const, Div, EvalDomainError,
                            Mul, Neg, NonIntegerExponentError, Pow, Sub,
                            UnknownIdentifierError, Var, ExprSyntaxError,
-                           differentiate, evaluate, parse, to_string)
+                           _compile, _run, differentiate, evaluate, parse,
+                           to_string)
 from revspec.profile import profile_from_text, require_valid
 
 
@@ -257,6 +259,10 @@ def _walk(e, x):
         base = _walk(e.base, x)
         if e.exponent < 0 and np.any(np.asarray(base) == 0.0):
             raise EvalDomainError("zero base with negative exponent", to_string(e))
+        if isinstance(base, np.ndarray) and not -1 <= e.exponent <= 2:
+            # integer powers of arrays: |u|^n, with u's sign for odd n
+            power = np.abs(base) ** e.exponent
+            return np.copysign(power, base) if e.exponent % 2 else power
         try:
             return base ** e.exponent
         except OverflowError:  # a Python float: a power of constants alone
@@ -344,6 +350,7 @@ def test_a_shared_failing_subtree_is_named_at_its_first_position(text):
     ("(1 - x^2)*(1 + 0*(1e200)^2)", "1e+200^2"),
     ("2^2000*x + 1/(x - 1)", "2.0^2000"),
     ("-(1e200^3) + x", "1e+200^3"),
+    ("2^2000", "2.0^2000"),
 ])
 def test_an_overflowing_power_of_constants_is_named(text, subexpression):
     """Python floats raise where numpy would give inf: a named domain
@@ -422,3 +429,64 @@ def test_a_very_deep_tree_compiles_without_recursion():
 def test_an_unknown_node_is_a_type_error():
     with pytest.raises(TypeError, match="not an expression node"):
         evaluate(Call("tan", Var("x")), 0.5)
+
+
+# --- integer powers ---------------------------------------------------------
+
+_MIRROR_GRID = np.linspace(-1.0, 1.0, 4097)
+
+
+@pytest.mark.parametrize("n", [-7, -3, -2, 3, 4, 5, 8, 35, 36, 144])
+def test_an_integer_power_is_mirror_exact(n):
+    """``x^n`` at ``-x`` is ``(-1)^n`` times its value at ``x``, bit for bit."""
+    xs = _MIRROR_GRID[_MIRROR_GRID != 0.0] if n < 0 else _MIRROR_GRID
+    e = parse(f"x^{n}")
+    assert evaluate(e, -xs).tobytes() == ((-1.0) ** n * evaluate(e, xs)).tobytes()
+
+
+@pytest.mark.parametrize("n", [-7, -3, -2, 3, 4, 5, 35, 36, 144])
+def test_an_integer_power_keeps_the_special_values_of_pow(n):
+    """Signed zeros, infinities, nan, overflow and underflow come out as
+    ``operator.pow`` gives them, for array and scalar ``x``."""
+    xs = np.array([0.0, -0.0, math.inf, -math.inf, math.nan,
+                   1e200, -1e200, 1e-200, -1e-200])
+    if n < 0:
+        xs = xs[xs != 0.0]
+    e = parse(f"x^{n}")
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for x in [*xs, xs]:
+            expected = operator.pow(np.asarray(x), n)
+            assert np.asarray(evaluate(e, x)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("x", [0.0, -0.0, np.array([-1.0, -0.0, 1.0])])
+def test_a_zero_base_with_a_negative_exponent_still_raises(x):
+    with pytest.raises(EvalDomainError, match="^zero base with negative exponent"):
+        evaluate(parse("x^-2"), x)
+
+
+def test_numpy_power_never_sees_a_negative_base():
+    """numpy's SIMD ``power`` takes nonnegative bases only, so the program
+    hands it ``|u|``; this holds whichever kernel the host has."""
+    bases = []
+
+    class Spy(np.ndarray):
+        """Records the base of every ``np.power`` call on it."""
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            def plain(a):
+                return a.view(np.ndarray) if isinstance(a, Spy) else a
+
+            inputs = tuple(plain(a) for a in inputs)
+            if ufunc is np.power:
+                bases.append(np.array(inputs[0]))
+            if "out" in kwargs:
+                kwargs["out"] = tuple(plain(a) for a in kwargs["out"])
+            result = getattr(ufunc, method)(*inputs, **kwargs)
+            return result.view(Spy) if isinstance(result, np.ndarray) else result
+
+    e = parse("(1 - x^2)*(1 + x^36 + (x - 2)^-3)")
+    out = _run(_compile(e), _MIRROR_GRID.view(Spy))
+    assert len(bases) == 2    # x^36 and (x-2)^-3; x^2 squares
+    assert not any(np.signbit(base).any() for base in bases)
+    assert np.asarray(out).tobytes() == evaluate(e, _MIRROR_GRID).tobytes()

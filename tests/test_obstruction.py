@@ -55,6 +55,12 @@ def test_sup_borderline(borderline_profile):
     assert not st.embeddable
 
 
+def test_an_even_profile_has_a_mirror_exact_slope_maximum(bench_squeezes):
+    for p in bench_squeezes:
+        a = sup_test(p).argmax_x
+        assert abs(p.df(a)) == abs(p.df(-a)), p.name
+
+
 def test_sup_refines_inside_the_pole_cells():
     # |f'| = 2|x| (1 + 2c(1 - x^2)) peaks at 2 + (4c - 1)^2/(12c) where
     # 1 - |x| = (4c - 1)/(12c), 1.3e-4 from each pole: inside the last grid

@@ -453,6 +453,16 @@ def test_spline_through_symmetric_samples(monkeypatch):
     assert_same_table(table, full, 1e-12)
 
 
+def test_even_expressions_are_mirror_exact_on_every_rule(bench_squeezes):
+    """f of an even expression equals its mirror bit for bit on each Gauss
+    rule the solver uses, so its split needs no allowance; the 8-ulp one
+    is for sample and transformed profiles."""
+    for p in bench_squeezes:
+        for q in (64, 128, 256, 512, 1024):
+            fq = p.f(gauss_legendre(q)[0])
+            assert fq.tobytes() == fq[::-1].tobytes(), (p.name, q)
+
+
 @pytest.mark.parametrize("k,n", [(0, 32), (1, 33), (4, 64)])
 def test_split_system_layout(pinched_profile, k, n):
     sys = assemble(pinched_profile, k, n)
