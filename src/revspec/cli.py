@@ -141,23 +141,19 @@ def build_parser() -> argparse.ArgumentParser:
                         default=REFINE_CAP,
                         help="largest Galerkin basis size (default %(default)s)")
 
-    def add_cluster_tol(sp):
-        sp.add_argument("--cluster-tol", type=_number(float, 0, 1e-2, True),
-                        default=CLUSTER_TOL,
-                        help="relative gap merging eigenvalues across channels "
-                             "(default %(default)s)")
-
     sp = sub.add_parser("analyze", help="validation, bounds, embeddability report")
     sp.set_defaults(run=cmd_analyze)
     add_source(sp)
-    add_cluster_tol(sp)
     sp.add_argument("--out", metavar="PATH", help="output path")
 
     sp = sub.add_parser("spectrum", help="all eigenvalues below a cutoff")
     sp.set_defaults(run=cmd_spectrum)
     add_source(sp)
     add_solver(sp)
-    add_cluster_tol(sp)
+    sp.add_argument("--cluster-tol", type=_number(float, 0, 1e-2, True),
+                    default=CLUSTER_TOL,
+                    help="relative gap merging eigenvalues across channels "
+                         "(default %(default)s)")
     sp.add_argument("--below", type=_number(float, 0, low_open=True),
                     required=True, metavar="LAMBDA",
                     help="enumerate the spectrum in (0, LAMBDA]")
@@ -180,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("sweep", help="scan the pinch family into a CSV")
     sp.set_defaults(run=cmd_sweep)
-    add_cluster_tol(sp)
     sp.add_argument("--out", metavar="PATH", help="output path (.csv)")
     sp.add_argument("--eps", type=_numbers(float, 0), default="0,0.5,1,2,4,9",
                     metavar="LIST",
@@ -293,7 +288,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         _emit(args, json_text({"profile": exc.report.to_json_dict(),
                                "verdict": "invalid_profile"}))
         raise
-    report = full_report(p, cluster_tol=args.cluster_tol)
+    report = full_report(p)
     payload = {
         "profile": {"name": p.name, "source": p.source},
         "validation": validate(p).to_json_dict(),
@@ -352,12 +347,12 @@ _SWEEP_HEADER = ("eps,n,exponent,c,max_slope,lambda01,multiplicities,"
                  "verdict,spectral_verdict,error")
 
 
-def _sweep_row(eps: float, n: int, cluster_tol: float) -> str:
+def _sweep_row(eps: float, n: int) -> str:
     c = 1.0 + eps
     base = f"{fmt17(eps)},{n},{2 * n},{fmt17(c)}"
     try:
         p = squeeze_profile(eps, n=2 * n)
-        report = full_report(p, cluster_tol=cluster_tol)
+        report = full_report(p)
         mults = ";".join(str(m) for m in
                          report.even_multiplicity_test.multiplicities)
         return (f"{base},{fmt17(report.sup_test.max_slope)},"
@@ -369,7 +364,7 @@ def _sweep_row(eps: float, n: int, cluster_tol: float) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    rows = [_SWEEP_HEADER] + [_sweep_row(eps, n, args.cluster_tol)
+    rows = [_SWEEP_HEADER] + [_sweep_row(eps, n)
                               for n in args.n for eps in args.eps]
     _emit(args, "\n".join(rows) + "\n", suffix=".csv")
     return EXIT_OK

@@ -29,9 +29,10 @@ Design notes:
   vectorized over numpy arrays, so each is computed once per call, with
   the tree's own operations and operand order: the values are those of a
   node-by-node walk, bit for bit.
-* An integer power ``u^n`` of an array, with ``n`` outside -1..2, is
-  computed as ``|u|^n`` with the sign of ``u`` put back for odd ``n``.
-  numpy runs its SIMD ``power`` only on chunks whose bases are all
+* An integer power ``u^n`` of a non-constant ``u``, with ``n`` outside
+  -1..2, is computed as ``|u|^n`` with the sign of ``u`` put back for odd
+  ``n``; a scalar ``x`` runs as a one-element array, so it meets the same
+  kernels.  numpy runs its SIMD ``power`` only on chunks whose bases are all
   nonnegative and calls libm ``pow`` element by element elsewhere: on an
   AVX-512 host a raw ``x^36`` over ``[-1, 1]`` costs about 20 times
   ``|x|^36``.  ``(-u)^n = (-1)^n |u|^n`` exactly, so a rational tree
@@ -416,10 +417,8 @@ def _power(u, n: int):
     if not isinstance(u, np.ndarray):
         return u ** n
     out = np.abs(u)
-    # a 0-d operand gives a numpy scalar, which cannot be written in place
-    inplace = out if u.ndim else None
-    out = np.power(out, n, out=inplace)
-    return np.copysign(out, u, out=inplace) if n & 1 else out
+    np.power(out, n, out=out)
+    return np.copysign(out, u, out=out) if n & 1 else out
 
 
 _OPERATORS = {Neg: operator.neg, Add: operator.add, Sub: operator.sub,
@@ -560,10 +559,12 @@ def evaluate(e: Expr, x):
     subtrees change no bit of the result.  An array's integer powers
     ``u^n`` (``n`` outside -1..2) raise ``|u|`` and restore the sign for
     odd ``n``, on numpy's vectorized path: ``u^n`` at ``-u`` is ``(-1)^n``
-    times its value at ``u``, bit for bit.  Returns a float for scalar
-    input and an array matching ``x`` otherwise.  Overflow and invalid
-    operations give inf/nan quietly, not a numpy warning: the callers'
-    finiteness checks report them as one failure.
+    times its value at ``u``, bit for bit.  A scalar runs as a one-element
+    array, on the same ufunc loops, so it gives the bits an array holding
+    it gives.  Returns a float for scalar input and an array matching
+    ``x`` otherwise.  Overflow and invalid operations give inf/nan
+    quietly, not a numpy warning: the callers' finiteness checks report
+    them as one failure.
     """
     try:
         program = e._program
@@ -573,10 +574,10 @@ def evaluate(e: Expr, x):
         object.__setattr__(e, "_program", program)
     arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        res = _run(program, arr)
-    if arr.ndim == 0:
-        return float(res)
+        res = _run(program, arr.reshape(1) if arr.ndim == 0 else arr)
     out = np.asarray(res, dtype=float)
+    if arr.ndim == 0:
+        return out.item(0)
     if out.shape != arr.shape:
         out = np.broadcast_to(out, arr.shape).copy()
     return out

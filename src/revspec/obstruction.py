@@ -7,8 +7,8 @@ are one-sided obstructions:
 
 * ``lambda_0^1 > 3``  =>  not embeddable (:func:`spectral_test`);
 * first four distinct eigenvalues all of even multiplicity  =>  not
-  embeddable (:func:`even_multiplicity_test`), equivalent to
-  ``lambda_4 < lambda_0^1`` — both formulations are computed and must agree;
+  embeddable (:func:`even_multiplicity_test`), read from the channel
+  structure in one comparison, or reported as undecided;
 * ``lambda_0^1 >= xi_1^2 / 2``  (xi_1 the first zero of the Bessel function
   J0)  =>  not embeddable — an external result (Abreu–Freitas), labeled as
   such in reports and kept out of the internal consistency checks.
@@ -30,9 +30,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import Profile, curvature, require_valid
-from .solver import CLUSTER_TOL
-from .spectrum import (SpectrumInvariantError, SpectrumTable, _Channels,
-                       _enumerate_below, trace0_integral, trace_partial_sum)
+from .solver import TARGET_REL_ERR
+from .spectrum import (SpectrumTable, _Channels, _enumerate_below,
+                       trace0_integral, trace_partial_sum)
 
 __all__ = [
     "XI1", "ABREU_FREITAS_THRESHOLD", "TRACE_FLAG_THRESHOLD",
@@ -56,10 +56,13 @@ _POINTS, _ROUNDS = 65, 10
 _SLOPE_TOL = 1e-9
 # lambda_0^1 above this obstructs embedding
 _SPECTRAL_THRESHOLD = 3.0
-# the corollary reads the first four distinct eigenvalues; the window that
-# holds them sits this far (relative) above the value that sizes it
+# the corollary reads the first four distinct eigenvalues; the window of the
+# report's table sits this far (relative) above the value that sizes it
 _DISTINCT = 4
 _MARGIN = 1e-3
+# relative gap below which two eigenvalues are not told apart: in the parity
+# decision, and in merging the report's table
+_RESOLUTION = 10 * TARGET_REL_ERR
 _TRACE_TERMS = 24     # channel-0 eigenvalues in the trace flag's partial sum
 
 
@@ -79,19 +82,18 @@ class SpectralTest:
 
 @dataclass(frozen=True)
 class EvenMultiplicityTest:
-    """Parity of the first distinct multiplicities, both ways.
+    """Parity of the first four distinct multiplicities.
 
-    ``multiplicities`` lists the first (up to) four distinct
-    multiplicities inside the certified part of the table; ``all_even`` is
-    the direct parity answer, ``reduction_holds`` the equivalent
-    ``lambda_4 < lambda_0^1`` comparison.  ``explanation`` is non-empty only
-    when the table could not certify four distinct eigenvalues, in which
-    case ``all_even`` is conservatively false.
+    ``all_even`` is the decision of :func:`even_multiplicity_test`, proved
+    at the solver's resolution.  ``explanation`` is non-empty only when the
+    resolution cannot decide it, and then ``all_even`` is false.
+    ``multiplicities`` and ``lambda_m`` are the first (up to) four distinct
+    multiplicities and the fourth value inside the certified part of
+    ``table``, a display of the spectrum around the decision.
     """
 
     multiplicities: tuple[int, ...]
     all_even: bool
-    reduction_holds: bool
     lambda01: float
     lambda_m: float | None
     table: SpectrumTable
@@ -136,7 +138,6 @@ class ObstructionReport:
             "even_multiplicity_test": {
                 "multiplicities": list(em.multiplicities),
                 "all_even": em.all_even,
-                "reduction_holds": em.reduction_holds,
                 "lambda01": em.lambda01,
                 "lambda_m": em.lambda_m,
                 "explanation": em.explanation},
@@ -197,10 +198,8 @@ def sup_test(p: Profile) -> SupTest:
 def spectral_test(p: Profile) -> SpectralTest:
     """First invariant eigenvalue against 3; exceeding it obstructs
     embedding.  :func:`full_report` also compares it with the external
-    ``ABREU_FREITAS_THRESHOLD`` (its ``abreu_freitas_test``).  This test
-    refines channel 0 for one value, the report up to its first value above
-    the parity window: where that takes a larger basis their last digits
-    differ (at most 7.3e-16 relative, on 7 of the 92 profiles measured)."""
+    ``ABREU_FREITAS_THRESHOLD`` (its ``abreu_freitas_test``).  Both refine
+    channel 0 for one value, so they read the same ``lambda_0^1``."""
     require_valid(p, context="spectral_test")
     return _threshold_test(_Channels(p)(0, 1).eigenvalues[0], _SPECTRAL_THRESHOLD)
 
@@ -210,55 +209,54 @@ def _threshold_test(lambda01: float, threshold: float) -> SpectralTest:
                         triggered=bool(lambda01 > threshold))
 
 
-def even_multiplicity_test(p: Profile,
-                           cluster_tol: float = CLUSTER_TOL) -> EvenMultiplicityTest:
-    """Parity of the first four distinct multiplicities, cross-checked.
+def even_multiplicity_test(p: Profile) -> EvenMultiplicityTest:
+    """Whether the first four distinct multiplicities are all even.
 
-    Enumerates below ``W = min(lambda_1^4, lambda_4^1) (1 + 1e-3)``, a
-    window that holds four distinct eigenvalues for two proved reasons:
-    channel 1 is a Sturm-Liouville problem, so its spectrum is simple, and
-    ``lambda_1^1 < ... < lambda_4^1``, because the form of ``L_k`` grows
-    with ``k^2``.  So the first four distinct eigenvalues lie below ``W``,
-    where the table is complete, and ``lambda_0^1`` is read afterwards from
-    the same store of channel solves.  The ``lambda_4 < lambda_0^1``
-    reduction is evaluated on the same table and must agree with the direct
-    parity reading — disagreement raises, since the equivalence is a
-    theorem.  A ``cluster_tol`` large enough to merge some of the four
-    leaves parity undecidable, reported as not-all-even.
+    Channel 0's eigenvalues are simple (Sturm-Liouville) and each ``k >= 1``
+    value counts twice, for ``k`` and ``-k``: the four are all even exactly
+    when ``lambda_0^1`` lies above the fourth distinct ``k >= 1`` value.
+    ``lambda_k^j`` grows in ``k`` (the form of ``L_k`` grows with ``k^2``)
+    and in ``j``, so only the eight with ``k j <= 4`` can be among the first
+    four.  Sorted as ``v_1 <= ... <= v_8``, with ``R = 10 TARGET_REL_ERR``:
+    ``lambda_0^1 < v_4 (1 - R)`` proves "not all even";
+    ``lambda_0^1 > v_4 (1 + R)``, with ``v_1 .. v_4`` pairwise more than
+    ``R`` apart, proves "all even"; anything else is undecided, so
+    ``all_even`` is false and ``explanation`` says why.  ``lambda_0^1`` is
+    refined for one value first, as :func:`spectral_test` does.  The table
+    enumerates below ``min(lambda_1^4, lambda_4^1) (1 + 1e-3)``, which holds
+    the first four distinct values; its solves give the eight, and its
+    entries, merged at R, only the multiplicities shown.
     """
     require_valid(p, context="even_multiplicity_test")
     channels = _Channels(p)
+    lambda01 = channels(0, 1).eigenvalues[0]
     below = min(channels(1, _DISTINCT).eigenvalues[-1],
                 channels(_DISTINCT, 1).eigenvalues[0]) * (1.0 + _MARGIN)
-    table = _enumerate_below(channels, below, cluster_tol)
-    lambda01 = channels(0, 1).eigenvalues[0]
-    certified = [e for e in table.entries if e.value <= table.cutoff]
-    if len(certified) < _DISTINCT:
-        return EvenMultiplicityTest(
-            multiplicities=tuple(e.multiplicity for e in certified),
-            all_even=False, reduction_holds=False, lambda01=lambda01,
-            lambda_m=None, table=table,
-            explanation=(
-                f"only {len(certified)} distinct eigenvalues certified below "
-                f"{table.cutoff:.6g}; need {_DISTINCT} — parity undecidable, "
-                f"reported as not-all-even"))
-    head = certified[:_DISTINCT]
-    mults = tuple(e.multiplicity for e in head)
-    all_even = all(m % 2 == 0 for m in mults)
-    lambda_m = head[-1].value
-    # lambda_0^1 as the table holds it: the mean of its cluster, if any
-    held = next((e.value for e in table.entries if (0, 1) in e.channels),
-                lambda01)
-    reduction = bool(lambda_m < held)
-    if reduction != all_even:
-        raise SpectrumInvariantError(
-            f"even-multiplicity formulations disagree: direct parity "
-            f"{mults} -> {all_even}, but lambda_{_DISTINCT}={lambda_m!r} vs "
-            f"lambda_0^1={held!r} -> {reduction}; table or solver is "
-            f"inconsistent")
-    return EvenMultiplicityTest(multiplicities=mults, all_even=all_even,
-                                reduction_holds=reduction, lambda01=lambda01,
-                                lambda_m=lambda_m, table=table)
+    table = _enumerate_below(channels, below, _RESOLUTION)
+    # the table's solves, cut after the first value above the window: the
+    # values they leave out lie above v_4
+    v = sorted(lam for k in range(1, _DISTINCT + 1)
+               for lam in channels(k, _DISTINCT // k, below).eigenvalues)
+    v_m = v[_DISTINCT - 1]
+    all_even, why = False, ""
+    if lambda01 > v_m * (1.0 + _RESOLUTION):
+        all_even = all(b > a * (1.0 + _RESOLUTION)
+                       for a, b in zip(v, v[1:_DISTINCT]))
+        if not all_even:
+            why = (f"two of the first {_DISTINCT} eigenvalues of channels "
+                   f"k >= 1, {v[:_DISTINCT]}, lie within {_RESOLUTION:g} "
+                   f"relative of each other")
+    elif not lambda01 < v_m * (1.0 - _RESOLUTION):
+        why = (f"lambda_0^1 = {lambda01!r} lies within {_RESOLUTION:g} "
+               f"relative of {v_m!r}, the fourth eigenvalue of channels k >= 1")
+    explanation = (f"{why}: parity undecided at the solver's resolution, "
+                   f"reported as not-all-even") if why else ""
+    head = [e for e in table.entries if e.value <= table.cutoff][:_DISTINCT]
+    return EvenMultiplicityTest(
+        multiplicities=tuple(e.multiplicity for e in head), all_even=all_even,
+        lambda01=lambda01,
+        lambda_m=head[-1].value if len(head) == _DISTINCT else None,
+        table=table, explanation=explanation)
 
 
 def negative_curvature_witness(p: Profile) -> float | None:
@@ -294,7 +292,7 @@ def trace_flag(p: Profile) -> TraceFlag:
                      suggestive=bool(t0 <= TRACE_FLAG_THRESHOLD))
 
 
-def full_report(p: Profile, cluster_tol: float = CLUSTER_TOL) -> ObstructionReport:
+def full_report(p: Profile) -> ObstructionReport:
     """Run every test, derive verdicts, and cross-check proved implications.
 
     ``verdict`` comes from the decisive slope test alone.
@@ -307,12 +305,12 @@ def full_report(p: Profile, cluster_tol: float = CLUSTER_TOL) -> ObstructionRepo
     geometric discovery.  The external Abreu–Freitas comparison is reported
     but takes part in no verdict and no consistency check.  Both threshold
     tests read ``lambda_0^1`` from the even-multiplicity test, whose one
-    store of channel solves refines channel 0 once per report and solves
-    no basis size twice.
+    store of channel solves serves the whole report and solves no basis
+    size twice.
     """
     require_valid(p, context="full_report")
     sup = sup_test(p)
-    even = even_multiplicity_test(p, cluster_tol=cluster_tol)
+    even = even_multiplicity_test(p)
     spec = _threshold_test(even.lambda01, _SPECTRAL_THRESHOLD)
     af = _threshold_test(even.lambda01, ABREU_FREITAS_THRESHOLD)
     witness = negative_curvature_witness(p)

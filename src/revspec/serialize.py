@@ -7,7 +7,9 @@ significant digits is fixed), JSON is sorted-key with two-space indent and
 a ``schema`` version, and all text is written with LF endings regardless
 of platform.  JSON holds no nan or infinity: since schema 3, a validation
 check's value, target or tolerance that is not finite is written as
-``null``.
+``null``.  Since schema 4, ``analyze``'s even-multiplicity test has no
+``reduction_holds`` key: parity is one decision, and an undecided one is
+named in its ``explanation``.
 
 Across CPUs, BLAS builds, BLAS thread counts and numpy versions,
 float fields may differ in their last digits: a few ULPs for mesh vertices,
@@ -26,7 +28,7 @@ from pathlib import Path
 
 __all__ = ["SCHEMA_VERSION", "fmt17", "json_text", "write_text", "write_blocks"]
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 def fmt17(x: float) -> str:

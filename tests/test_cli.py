@@ -73,7 +73,7 @@ def test_analyze_round(capsys):
     code, out, _ = run(capsys, "analyze", "--builtin", "round")
     assert code == EXIT_OK
     doc = json.loads(out)
-    assert doc["schema"] == 3
+    assert doc["schema"] == 4
     assert "trace_flag" not in doc["obstructions"]
     assert doc["validation"]["passed"] is True
     assert doc["obstructions"]["verdict"] == "embeddable"
@@ -90,16 +90,30 @@ def test_analyze_pinched_exits_not_embeddable(capsys):
 
 
 def test_analyze_where_the_multiplicities_turn_even_exits_by_its_verdict(capsys):
-    # squeeze(3.023191452026367, 36): lambda_0^1 shares its table entry
-    # with a channel k >= 1 eigenvalue
+    # squeeze(3.023191452026367, 36): lambda_0^1 lies 5.4e-7 relative above
+    # lambda_4^1, the fourth eigenvalue of channels k >= 1
     code, out, err = run(capsys, "analyze", "--expr",
                          "4.023191452026367*(1 - x^2) / "
                          "(1 + 3.023191452026367*x^36)")
     assert code == EXIT_NOT_EMBEDDABLE
     assert err == ""
     em = json.loads(out)["obstructions"]["even_multiplicity_test"]
-    assert em["multiplicities"] == [2, 2, 2, 3]
-    assert em["all_even"] is False and em["reduction_holds"] is False
+    assert em["multiplicities"] == [2, 2, 2, 2]
+    assert em["all_even"] is True and em["explanation"] == ""
+    assert "reduction_holds" not in em
+
+
+def test_analyze_where_parity_is_undecided_explains_it(capsys):
+    # squeeze(3.0231899981553854, 36): lambda_0^1 lies 4.0e-10 relative
+    # from lambda_4^1, below the solver's resolution
+    code, out, err = run(capsys, "analyze", "--expr",
+                         "4.023189998155385*(1 - x^2) / "
+                         "(1 + 3.0231899981553854*x^36)")
+    assert code == EXIT_NOT_EMBEDDABLE
+    assert err == ""
+    em = json.loads(out)["obstructions"]["even_multiplicity_test"]
+    assert em["all_even"] is False
+    assert "parity undecided" in em["explanation"]
 
 
 def test_analyze_invalid_profile(capsys):
@@ -427,12 +441,12 @@ def test_sweep_where_the_multiplicities_turn_even_has_no_error(capsys):
                        "--n", "18")
     assert code == EXIT_OK
     row = out.splitlines()[1].split(",")
-    assert row[6] == "2;2;2;3"
+    assert row[6] == "2;2;2;2"
     assert row[9] == ""
 
 
 def test_sweep_captures_per_row_failures(capsys, monkeypatch):
-    def explode(p, cluster_tol):
+    def explode(p):
         raise SolverError("synthetic failure, for the error column")
     monkeypatch.setattr(cli, "full_report", explode)
     code, out, _ = run(capsys, "sweep", "--eps", "0", "--n", "4")
@@ -460,6 +474,7 @@ def test_sweep_usage_errors():
     usage_error("sweep", "--eps", "0,banana")
     usage_error("sweep", "--eps", "-1")
     usage_error("sweep", "--n", "0")
+    usage_error("sweep", "--cluster-tol", "1e-6")
 
 
 # ---------------------------------------------------------------------------
@@ -645,6 +660,7 @@ def test_profile_source_usage_errors():
     usage_error("analyze")                                   # no source
     usage_error("analyze", "--builtin", "banana")
     usage_error("analyze", "--builtin", "round", "--expr", "1 - x^2")
+    usage_error("analyze", "--builtin", "round", "--cluster-tol", "1e-6")
     usage_error("nonsense")
 
 
@@ -662,14 +678,14 @@ def test_each_command_lists_only_the_flags_it_reads(capsys):
                                          capsys.readouterr().out)) - {"--help"}
     source = {"--builtin", "--expr", "--profile"}
     assert listed == {
-        "analyze": source | {"--cluster-tol", "--out"},
+        "analyze": source | {"--out"},
         "spectrum": source | {"--tol", "--basis-cap", "--cluster-tol",
                               "--out", "--format", "--below"},
         "mesh": source | {"--out", "--n-theta", "--n-samples"},
-        "sweep": {"--cluster-tol", "--out", "--eps", "--n"},
+        "sweep": {"--out", "--eps", "--n"},
         "verify": {"--tol", "--basis-cap"},
     }
-    assert sum(len(flags) for flags in listed.values()) == 26
+    assert sum(len(flags) for flags in listed.values()) == 24
 
 
 @pytest.mark.parametrize("argv", [
@@ -693,7 +709,7 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("analyze", "--builtin", "round", "--cluster-tol", "0.5"),
+    ("spectrum", "--builtin", "round", "--below", "3", "--cluster-tol", "0.5"),
     ("spectrum", "--builtin", "round", "--below", "inf"),
     ("spectrum", "--builtin", "round", "--below", "3", "--basis-cap", "16"),
     ("sweep", "--eps", "inf"),
@@ -725,7 +741,7 @@ def test_docstring_and_readme_state_one_exit_code_table():
     (OSError("disk full"), "i/o failure"),
 ])
 def test_run_failures_exit_1_with_one_line(capsys, monkeypatch, exc, prefix):
-    def explode(p, cluster_tol):
+    def explode(p):
         raise exc
     monkeypatch.setattr(cli, "full_report", explode)
     code, out, err = run(capsys, "analyze", "--builtin", "round")

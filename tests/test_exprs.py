@@ -279,9 +279,10 @@ def _walk(e, x):
 def _reference(e, x):
     arr = np.asarray(x, dtype=float)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        res = _walk(e, arr)
+        # a scalar walks as a one-element array, on the array's ufunc loops
+        res = _walk(e, arr.reshape(1) if arr.ndim == 0 else arr)
     if arr.ndim == 0:
-        return float(res)
+        return np.asarray(res, dtype=float).item(0)
     return np.broadcast_to(np.asarray(res, dtype=float), arr.shape).copy()
 
 
@@ -457,6 +458,16 @@ def test_an_integer_power_keeps_the_special_values_of_pow(n):
         for x in [*xs, xs]:
             expected = operator.pow(np.asarray(x), n)
             assert np.asarray(evaluate(e, x)).tobytes() == expected.tobytes()
+
+
+def test_a_scalar_gives_the_bits_of_an_array_holding_it():
+    """A scalar runs as a one-element array, so a positive base's power
+    meets the array's SIMD kernel, not a numpy scalar's libm ``pow``."""
+    e = parse("(1-x^2)*(1+0.1*cos(x))^5")
+    xs = np.linspace(-1.0, 1.0, 4001)
+    for g in (e, differentiate(e)):
+        scalars = np.array([evaluate(g, float(x)) for x in xs])
+        assert scalars.tobytes() == evaluate(g, xs).tobytes()
 
 
 @pytest.mark.parametrize("x", [0.0, -0.0, np.array([-1.0, -0.0, 1.0])])

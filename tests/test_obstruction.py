@@ -222,7 +222,6 @@ def test_even_multiplicities_round(round_profile):
     t = even_multiplicity_test(round_profile)
     assert t.multiplicities == (3, 5, 7, 9)
     assert not t.all_even
-    assert not t.reduction_holds
     assert t.lambda_m == pytest.approx(20.0, rel=1e-8)
     assert t.explanation == ""
 
@@ -230,7 +229,7 @@ def test_even_multiplicities_round(round_profile):
 def test_even_multiplicities_pinched(pinched_profile):
     t = even_multiplicity_test(pinched_profile)
     assert t.multiplicities == (2, 2, 2, 2)
-    assert t.all_even and t.reduction_holds
+    assert t.all_even
     assert t.lambda_m == pytest.approx(5.66338545, rel=1e-6)
     assert t.lambda_m < t.lambda01
 
@@ -250,20 +249,35 @@ def test_the_window_holds_the_first_four_distinct_eigenvalues(small_family):
         assert t.lambda_m == pytest.approx(head[-1].value, rel=1e-10), p.name
 
 
-# eps where the first four multiplicities of squeeze(eps, 36) turn even:
-# lambda_0^1 lies within cluster_tol of a channel k >= 1 eigenvalue, and the
-# table holds both as one entry, their mean
+# eps where lambda_0^1 of squeeze(eps, 36) lies just above lambda_4^1, the
+# fourth eigenvalue of channels k >= 1: 5.4e-7 relative, 54 times the
+# solver's target, so the first four multiplicities are even
 PARITY_FLIP_EPS = 3.023191452026367
+# and where the two lie 4.0e-10 relative apart, below the solver's resolution
+UNDECIDED_EPS = 3.0231899981553854
 
 
-def test_the_reduction_reads_lambda01_as_the_table_holds_it():
-    t = even_multiplicity_test(squeeze_profile(PARITY_FLIP_EPS, 36))
-    assert t.multiplicities == (2, 2, 2, 3)
-    assert not t.all_even and not t.reduction_holds
-    held = [e for e in t.table.entries if (0, 1) in e.channels]
-    assert held[0].value == t.lambda_m
-    # the reported lambda_0^1 is the raw solve, above the merged mean
-    assert t.lambda01 > t.lambda_m
+def _gap_to_lambda41(p, lambda01):
+    lambda41 = refine(p, 4, 1).eigenvalues[0]
+    return (lambda01 - lambda41) / lambda41
+
+
+def test_the_parity_flip_squeeze_reads_all_even():
+    p = squeeze_profile(PARITY_FLIP_EPS, 36)
+    t = even_multiplicity_test(p)
+    assert t.multiplicities == (2, 2, 2, 2)
+    assert t.all_even and t.explanation == ""
+    assert t.lambda01 == spectral_test(p).lambda01
+    assert 5e-7 < _gap_to_lambda41(p, t.lambda01) < 6e-7
+
+
+def test_an_undecided_parity_is_not_all_even_and_says_why():
+    p = squeeze_profile(UNDECIDED_EPS, 36)
+    t = even_multiplicity_test(p)
+    assert abs(_gap_to_lambda41(p, t.lambda01)) < 1e-9
+    assert not t.all_even
+    assert "parity undecided" in t.explanation
+    assert any(m % 2 for m in t.multiplicities)
 
 
 # squeeze-grid points with a large lambda_0^1: a window sized by it would
@@ -374,17 +388,23 @@ def _record_calls(monkeypatch, original, record) -> list:
     return calls
 
 
-def _count_refines(monkeypatch) -> list[int]:
-    """Channels of every run of the one refinement loop, the channel
-    store's ``refine``."""
-    channels, loop = [], solver._Channels.refine
+def _count_refines(monkeypatch) -> tuple[list, list]:
+    """``(k, n)`` of every run of the one refinement loop, the channel
+    store's ``refine``, and ``(k, N)`` of every solve."""
+    runs, loop = [], solver._Channels.refine
+    solves, solve = [], solver._raw_eigenvalues
 
-    def spy(self, k, *args):
-        channels.append(k)
-        return loop(self, k, *args)
+    def spy(self, k, n, *args):
+        runs.append((k, n))
+        return loop(self, k, n, *args)
+
+    def solve_spy(p, k, N, *args):
+        solves.append((k, N))
+        return solve(p, k, N, *args)
 
     monkeypatch.setattr(solver._Channels, "refine", spy)
-    return channels
+    monkeypatch.setattr(solver, "_raw_eigenvalues", solve_spy)
+    return runs, solves
 
 
 def test_full_report_is_composed_of_the_public_tests(pinched_profile,
@@ -399,13 +419,22 @@ def test_full_report_is_composed_of_the_public_tests(pinched_profile,
         assert calls[name][0] is pinched_profile, name
 
 
-@pytest.mark.parametrize("which", ["round", "pinched"])
-def test_full_report_refines_channel_0_once(which, round_profile,
-                                            pinched_profile, monkeypatch):
+@pytest.mark.parametrize("which,runs_k0", [("round", 2), ("pinched", 1)],
+                         ids=["round", "pinched"])
+def test_full_report_solves_each_channel_0_basis_once(which, runs_k0,
+                                                      round_profile,
+                                                      pinched_profile,
+                                                      monkeypatch):
+    """Channel 0 is refined first, for lambda_0^1 alone as
+    :func:`spectral_test` does.  Where lambda_0^1 lies inside the table's
+    window (the round sphere's 2), the table refines it once more, from
+    the same store; no basis is solved twice."""
     p = round_profile if which == "round" else pinched_profile
-    channels = _count_refines(monkeypatch)
+    runs, solves = _count_refines(monkeypatch)
     full_report(p)
-    assert channels.count(0) == 1
+    assert runs[0] == (0, 1)
+    assert [k for k, _ in runs].count(0) == runs_k0
+    assert len(solves) == len(set(solves))
 
 
 def _assert_same(a, b, path="report"):

@@ -626,33 +626,47 @@ def _loop_channel_below(channels, k, below, t0):
                    convergence_estimates=cs.convergence_estimates[:m])
 
 
-def test_reports_match_the_budget_schedule_on_92_profiles(acceptance_family,
-                                                          monkeypatch):
-    """The benchmark's ``family_inputs`` of seeds 11, 77 and 5 (expression,
-    sample and arclength members) and the 50-member acceptance family: the
-    reports are those of the loop reference, verdicts, multiplicities and
-    channel attributions alike; values agree within 1e-12 relative, or
-    1e-9 on sample-backed members, whose spline ``f`` converges slower."""
+@pytest.fixture
+def ninety_two(acceptance_family, monkeypatch):
+    """``(kind, profile)`` of the benchmark's ``family_inputs`` of seeds 11,
+    77 and 5 (expression, sample and arclength members) and of the
+    50-member acceptance family."""
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
     members = [(inp.kind, workloads.make_profile(revspec, inp))
                for seed in (11, 77, 5) for inp in workloads.family_inputs(seed)]
     members += [("expression", p) for p in acceptance_family]
     assert len(members) == 92
-    reports = [obstruction.full_report(p) for _, p in members]
+    return members
+
+
+def test_reports_match_the_budget_schedule_on_92_profiles(ninety_two,
+                                                          monkeypatch):
+    """On the 92 profiles, the reports are those of the loop reference,
+    verdicts, multiplicities and channel attributions alike; values agree
+    within 1e-12 relative, or 1e-9 on sample-backed members, whose spline
+    ``f`` converges slower."""
+    reports = [obstruction.full_report(p) for _, p in ninety_two]
     monkeypatch.setattr(spectrum, "_channel_below", _loop_channel_below)
-    for (kind, p), new in zip(members, reports):
+    for (kind, p), new in zip(ninety_two, reports):
         old = obstruction.full_report(p)
         rel = 1e-9 if kind == "samples" else 1e-12
         assert (new.verdict, new.spectral_verdict) == \
             (old.verdict, old.spectral_verdict), p.name
         a, b = new.even_multiplicity_test, old.even_multiplicity_test
-        assert (a.multiplicities, a.all_even, a.reduction_holds) == \
-            (b.multiplicities, b.all_even, b.reduction_holds), p.name
+        assert (a.multiplicities, a.all_even) == \
+            (b.multiplicities, b.all_even), p.name
         assert [(e.multiplicity, e.channels) for e in a.table.entries] == \
             [(e.multiplicity, e.channels) for e in b.table.entries], p.name
         assert a.table.values() == pytest.approx(b.table.values(), rel=rel)
         assert a.lambda01 == pytest.approx(b.lambda01, rel=rel)
+
+
+def test_the_report_reads_the_spectral_tests_lambda01_bit_for_bit(ninety_two):
+    for _, p in ninety_two:
+        report = obstruction.full_report(p)
+        assert report.spectral_test.lambda01 == \
+            obstruction.spectral_test(p).lambda01, p.name
 
 
 # ---------------------------------------------------------------------------
