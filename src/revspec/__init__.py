@@ -22,8 +22,8 @@ from .profile import (ArclengthProfile, InvalidProfileError, Profile,
 from .families import (BUILTIN_EXPRESSIONS, builtin_profile,
                        random_bump_profile, squeeze_profile, reference_family)
 from .solver import (AdmissibilityError, ChannelSpectrum, ConvergenceError,
-                     GalerkinSystem, NearDegenerateWarning, SolverError,
-                     assemble, rayleigh_quotient, refine, solve_channel)
+                     GalerkinSystem, SolverError, assemble,
+                     rayleigh_quotient, refine, solve_channel)
 from .spectrum import (BoundsReport, BudgetError, SpectrumEntry,
                        SpectrumInvariantError, SpectrumTable, bounds_report,
                        channel_lower_bound, check_invariants, enumerate_below,
@@ -50,7 +50,7 @@ __all__ = [
     "BUILTIN_EXPRESSIONS", "builtin_profile", "squeeze_profile",
     "random_bump_profile", "reference_family",
     "GalerkinSystem", "ChannelSpectrum", "SolverError", "ConvergenceError",
-    "AdmissibilityError", "NearDegenerateWarning",
+    "AdmissibilityError",
     "assemble", "solve_channel", "refine", "rayleigh_quotient",
     "SpectrumEntry", "SpectrumTable", "BoundsReport",
     "SpectrumInvariantError", "BudgetError",

@@ -55,7 +55,7 @@ from .obstruction import full_report
 from .embed import (NotEmbeddableError, _obj_blocks, embed_profile_curve,
                     euler_characteristic, induced_metric_residual, make_mesh,
                     mesh_area)
-from .solver import (CLUSTER_TOL, REFINE_CAP, REFINE_START, TARGET_REL_ERR,
+from .solver import (REFINE_CAP, REFINE_START, TARGET_REL_ERR, _TARGET_RANGE,
                      SolverError, rayleigh_quotient, refine)
 from .spectrum import (BudgetError, SpectrumInvariantError, bounds_report,
                        channel_lower_bound, enumerate_below,
@@ -135,7 +135,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="profile description JSON file")
 
     def add_solver(sp):
-        sp.add_argument("--tol", type=_number(float, 1e-12), default=TARGET_REL_ERR,
+        sp.add_argument("--tol", type=_number(float, *_TARGET_RANGE),
+                        default=TARGET_REL_ERR,
                         help="relative eigenvalue tolerance (default %(default)s)")
         sp.add_argument("--basis-cap", type=_number(int, REFINE_START),
                         default=REFINE_CAP,
@@ -150,10 +151,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(run=cmd_spectrum)
     add_source(sp)
     add_solver(sp)
-    sp.add_argument("--cluster-tol", type=_number(float, 0, 1e-2, True),
-                    default=CLUSTER_TOL,
-                    help="relative gap merging eigenvalues across channels "
-                         "(default %(default)s)")
     sp.add_argument("--below", type=_number(float, 0, low_open=True),
                     required=True, metavar="LAMBDA",
                     help="enumerate the spectrum in (0, LAMBDA]")
@@ -304,8 +301,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     p = load_profile(args)
-    table = enumerate_below(p, args.below, cluster_tol=args.cluster_tol,
-                            target_rel_err=args.tol, basis_cap=args.basis_cap)
+    table = enumerate_below(p, args.below, target_rel_err=args.tol,
+                            basis_cap=args.basis_cap)
     doc = json_text({"profile": {"name": p.name},
                      "requested_below": args.below,
                      "table": table.to_json_dict()})

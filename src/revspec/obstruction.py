@@ -8,7 +8,8 @@ are one-sided obstructions:
 * ``lambda_0^1 > 3``  =>  not embeddable (:func:`spectral_test`);
 * first four distinct eigenvalues all of even multiplicity  =>  not
   embeddable (:func:`even_multiplicity_test`), read from the channel
-  structure in one comparison, or reported as undecided;
+  structure in one comparison at the resolution every table merges at, or
+  reported as undecided;
 * ``lambda_0^1 >= xi_1^2 / 2``  (xi_1 the first zero of the Bessel function
   J0)  =>  not embeddable — an external result (Abreu–Freitas), labeled as
   such in reports and kept out of the internal consistency checks.
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profile import Profile, curvature, require_valid
-from .solver import TARGET_REL_ERR
 from .spectrum import (SpectrumTable, _Channels, _enumerate_below,
                        trace0_integral, trace_partial_sum)
 
@@ -60,9 +60,6 @@ _SPECTRAL_THRESHOLD = 3.0
 # report's table sits this far (relative) above the value that sizes it
 _DISTINCT = 4
 _MARGIN = 1e-3
-# relative gap below which two eigenvalues are not told apart: in the parity
-# decision, and in merging the report's table
-_RESOLUTION = 10 * TARGET_REL_ERR
 _TRACE_TERMS = 24     # channel-0 eigenvalues in the trace flag's partial sum
 
 
@@ -217,7 +214,8 @@ def even_multiplicity_test(p: Profile) -> EvenMultiplicityTest:
     when ``lambda_0^1`` lies above the fourth distinct ``k >= 1`` value.
     ``lambda_k^j`` grows in ``k`` (the form of ``L_k`` grows with ``k^2``)
     and in ``j``, so only the eight with ``k j <= 4`` can be among the first
-    four.  Sorted as ``v_1 <= ... <= v_8``, with ``R = 10 TARGET_REL_ERR``:
+    four.  Sorted as ``v_1 <= ... <= v_8``, with ``R`` the resolution the
+    table merges at (``cluster_tol``, 1e-7 at the default target):
     ``lambda_0^1 < v_4 (1 - R)`` proves "not all even";
     ``lambda_0^1 > v_4 (1 + R)``, with ``v_1 .. v_4`` pairwise more than
     ``R`` apart, proves "all even"; anything else is undecided, so
@@ -225,29 +223,30 @@ def even_multiplicity_test(p: Profile) -> EvenMultiplicityTest:
     refined for one value first, as :func:`spectral_test` does.  The table
     enumerates below ``min(lambda_1^4, lambda_4^1) (1 + 1e-3)``, which holds
     the first four distinct values; its solves give the eight, and its
-    entries, merged at R, only the multiplicities shown.
+    entries only the multiplicities shown.
     """
     require_valid(p, context="even_multiplicity_test")
     channels = _Channels(p)
     lambda01 = channels(0, 1).eigenvalues[0]
     below = min(channels(1, _DISTINCT).eigenvalues[-1],
                 channels(_DISTINCT, 1).eigenvalues[0]) * (1.0 + _MARGIN)
-    table = _enumerate_below(channels, below, _RESOLUTION)
+    table = _enumerate_below(channels, below)
+    resolution = table.cluster_tol
     # the table's solves, cut after the first value above the window: the
     # values they leave out lie above v_4
     v = sorted(lam for k in range(1, _DISTINCT + 1)
                for lam in channels(k, _DISTINCT // k, below).eigenvalues)
     v_m = v[_DISTINCT - 1]
     all_even, why = False, ""
-    if lambda01 > v_m * (1.0 + _RESOLUTION):
-        all_even = all(b > a * (1.0 + _RESOLUTION)
+    if lambda01 > v_m * (1.0 + resolution):
+        all_even = all(b > a * (1.0 + resolution)
                        for a, b in zip(v, v[1:_DISTINCT]))
         if not all_even:
             why = (f"two of the first {_DISTINCT} eigenvalues of channels "
-                   f"k >= 1, {v[:_DISTINCT]}, lie within {_RESOLUTION:g} "
+                   f"k >= 1, {v[:_DISTINCT]}, lie within {resolution:g} "
                    f"relative of each other")
-    elif not lambda01 < v_m * (1.0 - _RESOLUTION):
-        why = (f"lambda_0^1 = {lambda01!r} lies within {_RESOLUTION:g} "
+    elif not lambda01 < v_m * (1.0 - resolution):
+        why = (f"lambda_0^1 = {lambda01!r} lies within {resolution:g} "
                f"relative of {v_m!r}, the fourth eigenvalue of channels k >= 1")
     explanation = (f"{why}: parity undecided at the solver's resolution, "
                    f"reported as not-all-even") if why else ""

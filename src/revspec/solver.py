@@ -53,6 +53,9 @@ them, or those up to the first one above a cutoff) meet their target or a
 cap is hit, in one store per top-level call that keeps the eigenvalues
 of every ``(k, N)`` it has solved: each size is the next one's half-size
 reference, and no size is solved twice, however often a channel is asked.
+The target lies in ``[1e-12, 1e-3)``; ten times it is the one resolution
+at which :func:`~revspec.spectrum.enumerate_below` tells values apart, so
+two values of one channel closer than that show as one table entry.
 
 The basis tables ``phi`` and ``phi'`` on the nodes depend only on the
 channel, the basis size, the rule and the parity split, never on the
@@ -75,7 +78,6 @@ basis contains its true eigenfunctions, so the discrete spectrum reproduces
 from __future__ import annotations
 
 import math
-import warnings
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -87,15 +89,17 @@ from .quadrature import gauss_legendre, integrate_adaptive
 
 __all__ = [
     "GalerkinSystem", "ChannelSpectrum", "SolverError", "ConvergenceError",
-    "AdmissibilityError", "NearDegenerateWarning",
+    "AdmissibilityError",
     "assemble", "solve_channel", "refine", "rayleigh_quotient",
-    "REFINE_START", "REFINE_CAP", "TARGET_REL_ERR", "CLUSTER_TOL",
+    "REFINE_START", "REFINE_CAP", "TARGET_REL_ERR",
 ]
 
 REFINE_START = 32
 REFINE_CAP = 1024
 TARGET_REL_ERR = 1e-8  # default relative convergence target of an eigenvalue
-CLUSTER_TOL = 1e-6  # default relative gap merging eigenvalues across channels
+# the targets a store accepts, [low, high): below 1e-12 is not resolvable,
+# and 1e-3 keeps the tables' resolution, ten times the target, below 1e-2
+_TARGET_RANGE = (1e-12, 1e-3)
 # largest |diag(B) - 1| an assembly may leave; a larger one raises SolverError
 MASS_IDENTITY_TOL = 1e-12
 # bytes of basis tables kept across calls: at most 64 pairs, none above
@@ -122,10 +126,6 @@ class ConvergenceError(SolverError):
 
 class AdmissibilityError(ValueError):
     """Trial function violates the admissibility conditions of its channel."""
-
-
-class NearDegenerateWarning(UserWarning):
-    """Two eigenvalues in one channel are closer than the solver resolves."""
 
 
 @dataclass(frozen=True)
@@ -419,12 +419,6 @@ class _Channels:
                 raise SolverError(
                     f"{_where(p, k, N)}: eigenvalues fell below the j*k lower "
                     f"bound; discretization is inconsistent")
-        gaps = np.diff(lam)
-        if np.any(gaps < 1e-9 * lam[1:]):
-            warnings.warn(
-                f"channel {k}: eigenvalue gap below 1e-9 relative at basis {N}; "
-                f"values in this cluster are not individually resolved",
-                NearDegenerateWarning, stacklevel=3)
         est = np.full(n_eigs, np.inf)
         m = min(n_eigs, ref.size)
         est[:m] = np.abs(lam[:m] - ref[:m]) / np.abs(lam[:m])
@@ -441,8 +435,11 @@ class _Channels:
         estimates compare against the whole basis-``N/2`` array, which the
         size before solved, so a request that revisits held sizes gets a
         fresh refinement's result bit for bit."""
-        if self.target_rel_err < 1e-12:
-            raise ValueError("target_rel_err below the 1e-12 floor is not resolvable")
+        low, high = _TARGET_RANGE
+        if not low <= self.target_rel_err < high:
+            raise ValueError(f"target_rel_err must lie in [{low:g}, {high:g}): "
+                             f"below the floor is not resolvable, and the "
+                             f"ceiling keeps the tables' resolution below 1e-2")
         N = REFINE_START
         while N < 2 * n:
             N *= 2
@@ -469,9 +466,9 @@ class _Channels:
 def refine(p: Profile, k: int, n_eigs: int, target_rel_err: float = TARGET_REL_ERR,
            basis_cap: int = REFINE_CAP) -> ChannelSpectrum:
     """Double the basis from 32 until every requested eigenvalue's estimate
-    meets ``target_rel_err`` (floor 1e-12), or raise :class:`ConvergenceError`
-    carrying the best spectrum when the cap is reached.  Runs the loop of
-    :class:`_Channels` on a store of its own."""
+    meets ``target_rel_err``, in ``[1e-12, 1e-3)``, or raise
+    :class:`ConvergenceError` carrying the best spectrum when the cap is
+    reached.  Runs the loop of :class:`_Channels` on a store of its own."""
     return _Channels(p, target_rel_err, basis_cap).refine(k, n_eigs)
 
 

@@ -4,10 +4,13 @@ The full Laplace spectrum of a profile metric is the union of its channel
 spectra, with the ``+-k`` pairing doubling every contribution from ``k >= 1``.
 :func:`enumerate_below` turns refined channel solves into the ascending table
 of *distinct* eigenvalues with multiplicities and channel attributions, and
-certifies completeness below a cutoff ``Lambda``.  A channel's count ``m``
-rests on its value ``m + 1``, converged and above ``Lambda``: the ``m``
-values at or below are Rayleigh-Ritz upper bounds, and the true
-eigenvalues are ordered.  The per-channel lower bounds
+certifies completeness below a cutoff ``Lambda``.  Two values are distinct
+when they differ by more than ``R``, ten times the solves' relative target
+(1e-7 at the default): every table, the report's included, merges at that
+one resolution and records it.  A channel's count ``m`` rests on its value
+``m + 1``, converged and above ``Lambda``: the ``m`` values at or below are
+Rayleigh-Ritz upper bounds, and the true eigenvalues are ordered.  The
+per-channel lower bounds
 
     lambda_0^m > 2m / int (1-x^2)/f,      lambda_k^m > m |k|   (k != 0),
 
@@ -43,7 +46,7 @@ from dataclasses import dataclass, replace
 
 from .profile import Profile, require_valid
 from .quadrature import integrate_adaptive
-from .solver import (CLUSTER_TOL, REFINE_CAP, REFINE_START, TARGET_REL_ERR,
+from .solver import (REFINE_CAP, REFINE_START, TARGET_REL_ERR,
                      ChannelSpectrum, _Channels)
 
 __all__ = [
@@ -86,7 +89,9 @@ class SpectrumTable:
     estimate among the merged solves, so nothing that could wander across
     the boundary under the reported numerical error is certified.  Entries
     above ``cutoff`` (but below the requested bound) still appear; they are
-    simply outside the certificate.
+    simply outside the certificate.  ``cluster_tol`` is the resolution the
+    contributions were merged at, ten times the solves' target: values
+    within it of each other are one entry.
     """
 
     entries: tuple[SpectrumEntry, ...]
@@ -231,7 +236,7 @@ def bounds_report(p: Profile) -> BoundsReport:
 # enumeration with a completeness certificate
 # ---------------------------------------------------------------------------
 
-def enumerate_below(p: Profile, below: float, cluster_tol: float = CLUSTER_TOL,
+def enumerate_below(p: Profile, below: float,
                     target_rel_err: float = TARGET_REL_ERR,
                     basis_cap: int = REFINE_CAP) -> SpectrumTable:
     """All distinct Laplace eigenvalues in ``(0, below]`` with multiplicities.
@@ -246,23 +251,22 @@ def enumerate_below(p: Profile, below: float, cluster_tol: float = CLUSTER_TOL,
     ``below`` raises :class:`BudgetError`, since its lower bound has then
     been broken.  For ``k >= 1`` the trace certificate is checked on the
     same solve's Ritz values: where it holds and counts otherwise,
-    :class:`SpectrumInvariantError` is raised.  Contributions within relative
-    ``cluster_tol`` of a cluster's first member merge into one entry whose
-    value is the cluster mean; an entry drawing on several channels is the
-    degeneracy signal, visible in its attribution list.  The result passes
-    :func:`check_invariants` before being returned.
+    :class:`SpectrumInvariantError` is raised.  Contributions within
+    relative ``R = 10 target_rel_err`` of a cluster's first member merge
+    into one entry whose value is the cluster mean: values that close are
+    not told apart at the solver's resolution, and the table records ``R``
+    as its ``cluster_tol``.  An entry drawing on several channels is the
+    degeneracy signal, and one drawing on two values of one channel a pair
+    closer than ``R``, both visible in its attribution list.  The result
+    passes :func:`check_invariants` before being returned.
     """
     require_valid(p, context="enumerate_below")
-    return _enumerate_below(_Channels(p, target_rel_err, basis_cap), below,
-                            cluster_tol)
+    return _enumerate_below(_Channels(p, target_rel_err, basis_cap), below)
 
 
-def _enumerate_below(channels: _Channels, below: float,
-                     cluster_tol: float) -> SpectrumTable:
+def _enumerate_below(channels: _Channels, below: float) -> SpectrumTable:
     if not (below > 0 and math.isfinite(below)):
         raise ValueError("cutoff must be positive and finite")
-    if cluster_tol <= 0 or cluster_tol >= 1e-2:
-        raise ValueError("cluster_tol must lie in (0, 1e-2)")
     if not channels.n_cap:
         raise ValueError(f"basis_cap must be at least {REFINE_START}")
     t0 = trace0_integral(channels.p)
@@ -286,9 +290,10 @@ def _enumerate_below(channels: _Channels, below: float,
             break
 
     found.sort()
+    resolution = 10.0 * channels.target_rel_err
     clusters: list[list[tuple[float, int, int]]] = []
     for item in found:
-        if clusters and item[0] <= clusters[-1][0][0] * (1.0 + cluster_tol):
+        if clusters and item[0] <= clusters[-1][0][0] * (1.0 + resolution):
             clusters[-1].append(item)
         else:
             clusters.append([item])
@@ -299,9 +304,7 @@ def _enumerate_below(channels: _Channels, below: float,
         entries.append(SpectrumEntry(
             value=float(sum(v for v, _, _ in cl) / len(cl)),
             multiplicity=mult, channels=tuple(ks)))
-    table = SpectrumTable(entries=tuple(entries),
-                          cutoff=below * (1.0 - worst_est),
-                          cluster_tol=cluster_tol)
+    table = SpectrumTable(tuple(entries), below * (1.0 - worst_est), resolution)
     check_invariants(table, p=channels.p)
     return table
 

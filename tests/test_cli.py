@@ -207,13 +207,21 @@ def test_spectrum_output_is_deterministic(tmp_path, capsys):
     assert pair[0] == pair[1]
 
 
+def _fresh_interpreter(*args):
+    """``python args`` on this checkout's ``src`` with the interpreter's
+    default warning filters: what a shell user sees on stderr."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=300)
+
+
 def test_spectrum_of_a_builtin_leaves_scipy_interpolate_unloaded():
     # a fresh interpreter per run: this test process has loaded everything
     # already; round below 120 solves channels past k = 3N = 96, where a
     # fixed 4N-node rule would leave the mass matrix off the identity
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     for builtin, below in (("paper-example", "21"), ("round", "120")):
         script = ("import sys\n"
                   "from revspec.cli import main\n"
@@ -222,8 +230,7 @@ def test_spectrum_of_a_builtin_leaves_scipy_interpolate_unloaded():
                   "loaded = [m for m in ('scipy', 'scipy.interpolate', "
                   "'scipy.linalg', 'scipy.special') if m in sys.modules]\n"
                   "sys.stderr.write(repr((code, loaded)))\n")
-        proc = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, text=True, timeout=300)
+        proc = _fresh_interpreter("-c", script)
         assert json.loads(proc.stdout)["table"]["entries"]
         assert proc.stderr.splitlines()[-1] == "(0, [])", (builtin, below)
 
@@ -240,6 +247,36 @@ def test_round_spectrum_through_channel_436(capsys):
     for l, (_, value, multiplicity, _) in enumerate(rows, start=1):
         assert float(value) == pytest.approx(l * (l + 1), rel=1e-10)
         assert int(multiplicity) == 2 * l + 1
+
+
+def test_spectrum_where_the_multiplicities_turn_even_reads_as_analyze(capsys):
+    # squeeze(3.023191452026367, 36): lambda_4^1 and lambda_0^1, 5.4e-7
+    # relative apart, are two entries, as the report's table has them
+    code, out, _ = run(capsys, "spectrum", "--expr",
+                       "4.023191452026367*(1 - x^2) / "
+                       "(1 + 3.023191452026367*x^36)",
+                       "--below", "9", "--format", "csv")
+    assert code == EXIT_OK
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [int(r[2]) for r in rows] == [2, 2, 2, 2, 1]
+    assert [r[3] for r in rows[3:]] == ["4:1", "0:1"]
+
+
+NECK = "(1-x^2)*(x^2+1e-3)/(1+1e-3)"
+
+
+def test_a_near_degenerate_pair_of_one_channel_is_one_entry_and_one_line():
+    # the neck's lambda_1^1 and lambda_1^2 lie closer than the tables'
+    # resolution: one entry of multiplicity 4, and no warning on stderr
+    proc = _fresh_interpreter("-m", "revspec.cli", "spectrum", "--expr", NECK,
+                              "--below", "10", "--format", "csv")
+    assert proc.returncode == EXIT_OK
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("certified complete below")
+    assert proc.stdout.splitlines()[8].split(",")[2:] == ["4", "1:1;1:2"]
+    proc = _fresh_interpreter("-m", "revspec.cli", "analyze", "--expr", NECK)
+    assert proc.returncode == EXIT_FAILURE
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
 
 
 def test_spectrum_usage_errors():
@@ -679,13 +716,13 @@ def test_each_command_lists_only_the_flags_it_reads(capsys):
     source = {"--builtin", "--expr", "--profile"}
     assert listed == {
         "analyze": source | {"--out"},
-        "spectrum": source | {"--tol", "--basis-cap", "--cluster-tol",
-                              "--out", "--format", "--below"},
+        "spectrum": source | {"--tol", "--basis-cap", "--out", "--format",
+                              "--below"},
         "mesh": source | {"--out", "--n-theta", "--n-samples"},
         "sweep": {"--out", "--eps", "--n"},
         "verify": {"--tol", "--basis-cap"},
     }
-    assert sum(len(flags) for flags in listed.values()) == 24
+    assert sum(len(flags) for flags in listed.values()) == 23
 
 
 @pytest.mark.parametrize("argv", [
@@ -696,6 +733,7 @@ def test_each_command_lists_only_the_flags_it_reads(capsys):
     ("mesh", "--builtin", "round", "--out", "x.obj", "--basis-cap", "1024"),
     ("mesh", "--builtin", "round", "--out", "x.obj", "--cluster-tol", "1e-6"),
     ("mesh", "--builtin", "round", "--out", "x.obj", "--format", "json"),
+    ("spectrum", "--builtin", "round", "--below", "3", "--cluster-tol", "0.5"),
     ("sweep", "--tol", "1e-8"),
     ("sweep", "--basis-cap", "1024"),
     ("sweep", "--format", "csv"),
@@ -709,11 +747,13 @@ def test_flags_a_command_does_not_read_are_usage_errors(argv):
 
 
 @pytest.mark.parametrize("argv", [
-    ("spectrum", "--builtin", "round", "--below", "3", "--cluster-tol", "0.5"),
+    ("spectrum", "--builtin", "round", "--below", "3", "--tol", "1e-3"),
+    ("spectrum", "--builtin", "round", "--below", "3", "--tol", "0.5"),
     ("spectrum", "--builtin", "round", "--below", "inf"),
     ("spectrum", "--builtin", "round", "--below", "3", "--basis-cap", "16"),
     ("sweep", "--eps", "inf"),
     ("verify", "--tol", "nan"),
+    ("verify", "--tol", "0.5"),
 ])
 def test_values_the_library_would_refuse_are_usage_errors(argv):
     usage_error(*argv)

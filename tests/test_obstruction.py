@@ -271,6 +271,17 @@ def test_the_parity_flip_squeeze_reads_all_even():
     assert 5e-7 < _gap_to_lambda41(p, t.lambda01) < 6e-7
 
 
+def test_the_spectrum_and_the_report_tell_eigenvalues_apart_alike():
+    """Both merge at ten times the solver's target: lambda_0^1 and
+    lambda_4^1, 5.4e-7 relative apart, are two entries of each table."""
+    p = squeeze_profile(PARITY_FLIP_EPS, 36)
+    table = enumerate_below(p, 9.0)
+    report = full_report(p).even_multiplicity_test
+    assert table.cluster_tol == report.table.cluster_tol == 1e-7
+    assert tuple(e.multiplicity for e in table.entries[:4]) == \
+        report.multiplicities == (2, 2, 2, 2)
+
+
 def test_an_undecided_parity_is_not_all_even_and_says_why():
     p = squeeze_profile(UNDECIDED_EPS, 36)
     t = even_multiplicity_test(p)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import functools
+import importlib
 import math
 import sys
 import threading
@@ -371,9 +372,24 @@ def test_no_module_imports_scipy():
                 f"{path.name}:{node.lineno}"
 
 
+def test_every_exported_name_resolves():
+    """Each module under ``src/revspec`` lists in ``__all__`` only names it
+    defines or imports, so a deletion cannot leave an export behind."""
+    paths = sorted((SRC / "revspec").glob("*.py"))
+    assert len(paths) == 11
+    for path in paths:
+        name = "revspec" if path.stem == "__init__" else f"revspec.{path.stem}"
+        module = importlib.import_module(name)
+        missing = [n for n in module.__all__ if not hasattr(module, n)]
+        assert not missing, (name, missing)
+
+
 def test_refine_rejects_unresolvable_targets(round_profile):
     with pytest.raises(ValueError, match="floor"):
         refine(round_profile, 0, 1, target_rel_err=1e-13)
+    # ten times the target, the tables' resolution, must stay below 1e-2
+    with pytest.raises(ValueError, match=r"\[1e-12, 0\.001\)"):
+        refine(round_profile, 0, 1, target_rel_err=1e-3)
 
 
 def test_refine_names_the_basis_an_oversized_request_needs():

@@ -415,8 +415,8 @@ def test_family_tables_respect_the_global_bounds(small_family):
 def test_enumerate_argument_checks(round_profile):
     with pytest.raises(ValueError, match="positive"):
         enumerate_below(round_profile, 0.0)
-    with pytest.raises(ValueError, match="cluster_tol"):
-        enumerate_below(round_profile, 5.0, cluster_tol=0.5)
+    with pytest.raises(ValueError, match="target_rel_err"):
+        enumerate_below(round_profile, 5.0, target_rel_err=1e-3)
     with pytest.raises(ValueError, match="basis_cap"):
         enumerate_below(round_profile, 5.0, basis_cap=16)
 
@@ -454,7 +454,7 @@ def test_a_channel_that_does_not_clear_its_budget_is_asked_once(round_profile):
 
     with pytest.raises(BudgetError, match="channel 2 did not clear 13 "
                                           "within its budget of 7 eigenvalues"):
-        spectrum._enumerate_below(Store(round_profile), 13.0, 1e-6)
+        spectrum._enumerate_below(Store(round_profile), 13.0)
     assert requests == [(0, 13, 13.0), (1, 13, 13.0), (2, 7, 13.0)]
 
 
@@ -467,7 +467,7 @@ def test_budget_error_is_immediate_even_for_absurd_cutoffs(round_profile):
     assert time.monotonic() - start < 1.0
 
 
-def _exhaustive_table(every, below, cluster_tol=1e-6):
+def _exhaustive_table(every, below, cluster_tol):
     """``(channels, multiplicity, value)`` per distinct eigenvalue at or
     below ``below``, merged as the module documents, from ``(k, j) ->
     value`` solves."""
@@ -501,7 +501,7 @@ def test_the_stop_rule_matches_an_exhaustive_enumeration(small_family):
             every.update(((k, j), v) for j, v in enumerate(cs.eigenvalues, 1))
         for below in cutoffs:
             table = enumerate_below(p, below)
-            expected = _exhaustive_table(every, below)
+            expected = _exhaustive_table(every, below, table.cluster_tol)
             assert [e.channels for e in table.entries] == \
                 [chans for chans, _, _ in expected], (p.name, below)
             assert [e.multiplicity for e in table.entries] == \
@@ -565,7 +565,7 @@ def test_each_channel_is_refined_once_to_its_first_value_above_the_cutoff(
     _record_refinements(monkeypatch,
                         lambda store, k, n, cs: last.__setitem__(k, cs))
     solves = _record_solves(monkeypatch)
-    table = spectrum._enumerate_below(Store(round_profile), 21.0, 1e-6)
+    table = spectrum._enumerate_below(Store(round_profile), 21.0)
     assert [e.multiplicity for e in table.entries] == [3, 5, 7, 9]
     t0 = trace0_integral(round_profile)
     assert requests == [(k, spectrum._channel_budget(21.0, k, t0), 21.0)
@@ -575,7 +575,7 @@ def test_each_channel_is_refined_once_to_its_first_value_above_the_cutoff(
         {0: 5, 1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
     assert spectrum._trace_count(last[1], 21.0) is None
     requests.clear()
-    table = spectrum._enumerate_below(Store(pinched_profile), 21.0, 1e-6)
+    table = spectrum._enumerate_below(Store(pinched_profile), 21.0)
     assert [n for k, n, _ in requests if k == 1] == [21]
     assert len(last[1].eigenvalues) == 2
     assert spectrum._trace_count(last[1], 21.0) == 1
@@ -600,8 +600,8 @@ def test_a_trace_count_that_disagrees_with_the_count_raises(round_profile):
                        match="channel 2: 2 eigenvalues at or below 13 by the "
                              "first converged value above it, 3 by the trace "
                              "certificate"):
-        spectrum._enumerate_below(Store(round_profile), 13.0, 1e-6)
-    spectrum._enumerate_below(spectrum._Channels(round_profile), 13.0, 1e-6)
+        spectrum._enumerate_below(Store(round_profile), 13.0)
+    spectrum._enumerate_below(spectrum._Channels(round_profile), 13.0)
 
 
 def _loop_channel_below(channels, k, below, t0):
