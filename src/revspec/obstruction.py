@@ -220,22 +220,28 @@ def even_multiplicity_test(p: Profile) -> EvenMultiplicityTest:
     ``lambda_0^1 > v_4 (1 + R)``, with ``v_1 .. v_4`` pairwise more than
     ``R`` apart, proves "all even"; anything else is undecided, so
     ``all_even`` is false and ``explanation`` says why.  ``lambda_0^1`` is
-    refined for one value first, as :func:`spectral_test` does.  The table
-    enumerates below ``min(lambda_1^4, lambda_4^1) (1 + 1e-3)``, which holds
-    the first four distinct values; its solves give the eight, and its
-    entries only the multiplicities shown.
+    refined for one value first, as :func:`spectral_test` does.  Each of
+    ``lambda_0^1 < .. < lambda_0^4`` (channel 0 is simple),
+    ``lambda_1^1 < .. < lambda_1^4`` and ``lambda_1^1 < .. < lambda_4^1``
+    holds four distinct values, so the table enumerates below
+    ``min(lambda_0^4, lambda_1^4, lambda_4^1) (1 + 1e-3)``, which holds the
+    first four distinct values.  ``lambda_0^4`` enters as the fourth
+    Rayleigh-Ritz value of the solve that gave ``lambda_0^1``, an upper
+    bound that costs no solve.  The window may lie below ``v_4``, so the
+    eight are asked without its cut; the table's entries give only the
+    multiplicities shown.
     """
     require_valid(p, context="even_multiplicity_test")
     channels = _Channels(p)
-    lambda01 = channels(0, 1).eigenvalues[0]
-    below = min(channels(1, _DISTINCT).eigenvalues[-1],
+    cs0 = channels(0, 1)
+    lambda01 = cs0.eigenvalues[0]
+    below = min(cs0.ritz_values[_DISTINCT - 1],
+                channels(1, _DISTINCT).eigenvalues[-1],
                 channels(_DISTINCT, 1).eigenvalues[0]) * (1.0 + _MARGIN)
     table = _enumerate_below(channels, below)
     resolution = table.cluster_tol
-    # the table's solves, cut after the first value above the window: the
-    # values they leave out lie above v_4
     v = sorted(lam for k in range(1, _DISTINCT + 1)
-               for lam in channels(k, _DISTINCT // k, below).eigenvalues)
+               for lam in channels(k, _DISTINCT // k).eigenvalues)
     v_m = v[_DISTINCT - 1]
     all_even, why = False, ""
     if lambda01 > v_m * (1.0 + resolution):

@@ -64,8 +64,8 @@ split)``, in a :func:`functools.lru_cache` of 64 pairs.  A kept pair is
 read-only and bit for bit the fresh build.  A pair above
 ``BASIS_CACHE_BYTES // 64`` (256 KiB: ``N > 64`` at ``Q = 4N``) is built
 on each use, so the cache holds at most ``BASIS_CACHE_BYTES``, 16 MiB, a
-loose bound: the benchmark's report sweep keeps 31 pairs (2.0 MB), a
-paper-example enumeration below 21 keeps 36 (2.2 MB), and the deepest one
+loose bound: the benchmark's report sweep keeps 26 pairs (1.8 MB), a
+paper-example enumeration below 21 keeps 33 (2.1 MB), and the deepest one
 measured holds at most 3.9 MB.  The mass diagonal is checked on every
 assembly, against that call's weights.  Eigenvalues are not kept from one
 call to the next.
@@ -397,6 +397,12 @@ class _Channels:
         count = min(n, bisect_right(cs.eigenvalues, below) + 1)
         return replace(cs, eigenvalues=cs.eigenvalues[:count],
                        convergence_estimates=cs.convergence_estimates[:count])
+
+    def f_bound(self) -> float:
+        """Twice the largest ``f`` on the nodes of the rules solved so far:
+        an upper bound of ``sup f`` that evaluates ``f`` at no new point.
+        The factor 2 is assumed, not proved."""
+        return 2.0 * max(float(fq.max()) for fq in self._f_kept.values())
 
     def _eigenvalues(self, k: int, N: int) -> np.ndarray:
         if (k, N) not in self._solved:

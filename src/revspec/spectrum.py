@@ -21,6 +21,13 @@ the forms ``q_k(u) = int f u'^2 + k^2 int u^2/f`` share one form domain and
 ``q_{k+1} - q_k = (2k+1) int u^2/f > 0``, so ``lambda_{k+1}^j > lambda_k^j``
 for every ``j``: once a channel ``k >= 1`` has no eigenvalue at or below
 ``Lambda``, no higher channel has one, and the enumeration stops there.
+The same identity bounds the gap: the first eigenfunction of ``L_{k+1}``
+put into ``q_k`` gives ``lambda_{k+1}^1 >= lambda_k^1 + (2k+1)/sup f``.  So
+once ``lambda_k^1 (1 - R) + (2k+1)/F > Lambda`` for an upper bound ``F`` of
+``sup f``, channel ``k+1`` is empty without being solved, and the
+enumeration stops after channel ``k``.  ``F`` is twice the largest ``f``
+the solves have met on their Gauss nodes; that factor 2 is the one input
+of the stop that is assumed, not proved.
 
 Trace side: the Green's operator of channel ``k`` has trace ``1/|k|`` for
 ``k != 0`` and ``(1/2) int (1-x^2)/f`` for the invariant channel; these are
@@ -243,7 +250,11 @@ def enumerate_below(p: Profile, below: float,
 
     Channels are solved in the order ``k = 0, 1, 2, ...`` and the walk
     stops after the first ``k >= 1`` with no eigenvalue at or below
-    ``below``: by min-max no higher channel has one (module docstring).
+    ``below``, or after a ``k >= 1`` whose first value, shrunk by ``R``,
+    plus the gap bound ``(2k+1)/F`` lies above ``below``: by min-max no
+    higher channel has one (module docstring, where ``F``, twice the
+    largest ``f`` on the solves' Gauss nodes, is named as the one assumed
+    input).
     Each channel is refined once, until its values up to and including the
     first one above ``below`` meet ``target_rel_err``; its count is the
     number before that one.  The channel's a-priori budget caps the values
@@ -282,15 +293,16 @@ def _enumerate_below(channels: _Channels, below: float) -> SpectrumTable:
 
     found: list[tuple[float, int, int]] = []  # (value, k, j)
     worst_est = 0.0
+    resolution = 10.0 * channels.target_rel_err
     for k in range(k_max + 1):
         cs = _channel_below(channels, k, below, t0)
         found.extend((lam, k, j) for j, lam in enumerate(cs.eigenvalues, start=1))
         worst_est = max([worst_est, *cs.convergence_estimates])
-        if k and not cs.eigenvalues:
+        if k and (not cs.eigenvalues or cs.eigenvalues[0] * (1.0 - resolution)
+                  + (2 * k + 1) / channels.f_bound() > below):
             break
 
     found.sort()
-    resolution = 10.0 * channels.target_rel_err
     clusters: list[list[tuple[float, int, int]]] = []
     for item in found:
         if clusters and item[0] <= clusters[-1][0][0] * (1.0 + resolution):

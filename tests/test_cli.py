@@ -267,7 +267,9 @@ NECK = "(1-x^2)*(x^2+1e-3)/(1+1e-3)"
 
 def test_a_near_degenerate_pair_of_one_channel_is_one_entry_and_one_line():
     # the neck's lambda_1^1 and lambda_1^2 lie closer than the tables'
-    # resolution: one entry of multiplicity 4, and no warning on stderr
+    # resolution: one entry of multiplicity 4, and no warning on stderr.
+    # Its first four distinct values all lie in channel 0, so the report's
+    # table stops at lambda_0^4 and the report completes
     proc = _fresh_interpreter("-m", "revspec.cli", "spectrum", "--expr", NECK,
                               "--below", "10", "--format", "csv")
     assert proc.returncode == EXIT_OK
@@ -275,8 +277,11 @@ def test_a_near_degenerate_pair_of_one_channel_is_one_entry_and_one_line():
     assert proc.stderr.startswith("certified complete below")
     assert proc.stdout.splitlines()[8].split(",")[2:] == ["4", "1:1;1:2"]
     proc = _fresh_interpreter("-m", "revspec.cli", "analyze", "--expr", NECK)
-    assert proc.returncode == EXIT_FAILURE
-    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.returncode == EXIT_OK
+    assert proc.stderr == ""
+    report = json.loads(proc.stdout)["obstructions"]
+    assert report["verdict"] == "embeddable"
+    assert report["even_multiplicity_test"]["multiplicities"] == [1, 1, 1, 1]
 
 
 def test_spectrum_usage_errors():

@@ -15,8 +15,10 @@ import revspec
 import revspec.obstruction as obstruction
 import revspec.solver as solver
 import revspec.spectrum as spectrum
+from revspec.families import squeeze_profile
 from revspec.profile import (ArclengthProfile, make_profile, momentum_transform,
                              normalize_area)
+from revspec.quadrature import gauss_legendre
 from revspec.solver import TARGET_REL_ERR, ChannelSpectrum, ConvergenceError, refine
 from revspec.spectrum import (
     BudgetError, SpectrumEntry, SpectrumInvariantError, SpectrumTable,
@@ -103,11 +105,12 @@ def _record_solves(monkeypatch) -> list[tuple[int, int]]:
 @pytest.mark.parametrize("which", ["round", "pinched"])
 def test_channel_budgets_push_the_next_bound_past_the_cutoff(
         which, below, round_profile, pinched_profile, monkeypatch):
-    """The walk solves exactly the channels ``0..k0``, ``k0`` the first
-    channel with no value at or below the cutoff (or ``ceil(below)-1``, if
-    that comes first), and every channel in ``k0+1 .. ceil(below)-1``
-    indeed has its first eigenvalue above it; a higher channel has its
-    first bound at or above the cutoff.  Each solved channel's count ``m``
+    """The walk solves exactly the channels ``0..k0``, ``k0`` where it
+    stopped: at the first channel with no value at or below the cutoff, at
+    ``ceil(below)-1``, or earlier where the gap bound proves the next
+    channel empty.  Every channel in ``k0+1 .. ceil(below)-1`` indeed has
+    its first eigenvalue above the cutoff, by a solve of its own; a higher
+    channel has its first bound at or above the cutoff.  Each solved channel's count ``m``
     rests on one fact: its value ``m + 1`` has converged and lies above
     the cutoff, within the channel's a-priori budget (the true eigenvalues
     are ordered, so every later one lies above it too).  Where the trace
@@ -121,9 +124,10 @@ def test_channel_budgets_push_the_next_bound_past_the_cutoff(
     assert sorted({k for k, _ in solves}) == sorted(last)
     monkeypatch.undo()
     counts = Counter(k for e in table.entries for k, _ in e.channels)
-    k0 = min(next(k for k in itertools.count(1) if counts[k] == 0),
-             math.ceil(below) - 1)
+    k0 = max(last)
     assert sorted(last) == list(range(k0 + 1))
+    assert k0 <= min(next(k for k in itertools.count(1) if counts[k] == 0),
+                     math.ceil(below) - 1)
     for k in range(k0 + 1, math.ceil(below)):
         assert refine(p, k, 1).eigenvalues[0] > below
     for k in range(math.ceil(below), math.ceil(below) + 3):
@@ -285,8 +289,9 @@ def test_each_basis_size_is_assembled_once_per_call(call, round_profile,
     # nothing is kept from one call to the next
     assert runs[0] == runs[1]
     if "437" in call:
-        # 88 when each channel was solved to its whole a-priori budget
-        assert len(assembled) == 44
+        # 88 when each channel was solved to its whole a-priori budget, 44
+        # when the walk also solved channel 21, the first empty one
+        assert len(assembled) == 42
 
 
 def test_a_large_cutoff_solves_no_channel_past_its_first_value_above_it(
@@ -485,8 +490,9 @@ def _exhaustive_table(every, below, cluster_tol):
 
 def test_the_stop_rule_matches_an_exhaustive_enumeration(small_family):
     """Every channel ``k < below`` solved to its a-priori budget gives the
-    table that the walk gives, which stops at the first empty channel and
-    counts the deep channels by the trace certificate.  ``small_family``
+    table that the walk gives, which stops where the gap bound proves the
+    next channel empty (or at the first empty channel) and counts the deep
+    channels by the trace certificate.  ``small_family``
     opens with the round sphere and the paper example."""
     cutoffs = (3.0, 13.0, 21.0, 60.0)
     top = max(cutoffs)
@@ -547,9 +553,10 @@ def test_the_trace_certificate_refuses_a_missing_eigenvalue(drop):
 
 def test_each_channel_is_refined_once_to_its_first_value_above_the_cutoff(
         round_profile, pinched_profile, monkeypatch):
-    """Round, below 21: each channel is asked once, for its a-priori budget
-    with the cutoff as the stop, and is served its values up to the first
-    one above 21 from the sizes 16 and 32 alone.  Channel 1 (budget 21,
+    """Round, below 21: each of the channels 0..4 is asked once, for its
+    a-priori budget with the cutoff as the stop, and is served its values
+    up to the first one above 21 from the sizes 16 and 32 alone; channel
+    4's first value, 20, proves channel 5 empty by the gap bound.  Channel 1 (budget 21,
     four values below) gets five values, where the budget alone asked for
     21.  The trace certificate, checked on the same Ritz values, refuses
     it (T - S_16 = 1/17 against 1/21 - 1/30).  Paper example, below 21:
@@ -569,10 +576,10 @@ def test_each_channel_is_refined_once_to_its_first_value_above_the_cutoff(
     assert [e.multiplicity for e in table.entries] == [3, 5, 7, 9]
     t0 = trace0_integral(round_profile)
     assert requests == [(k, spectrum._channel_budget(21.0, k, t0), 21.0)
-                        for k in range(6)]
-    assert sorted(solves) == [(k, N) for k in range(6) for N in (16, 32)]
+                        for k in range(5)]
+    assert sorted(solves) == [(k, N) for k in range(5) for N in (16, 32)]
     assert {k: len(cs.eigenvalues) for k, cs in last.items()} == \
-        {0: 5, 1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
+        {0: 5, 1: 5, 2: 4, 3: 3, 4: 2}
     assert spectrum._trace_count(last[1], 21.0) is None
     requests.clear()
     table = spectrum._enumerate_below(Store(pinched_profile), 21.0)
@@ -580,6 +587,47 @@ def test_each_channel_is_refined_once_to_its_first_value_above_the_cutoff(
     assert len(last[1].eigenvalues) == 2
     assert spectrum._trace_count(last[1], 21.0) == 1
     assert sum(1 for e in table.entries for k, _ in e.channels if k == 1) == 1
+
+
+def test_the_gap_bound_the_walk_stops_by_holds(small_family, round_profile,
+                                              monkeypatch):
+    """``lambda_{k+1}^1 - lambda_k^1 >= (2k+1) / sup f``: the first
+    eigenfunction of ``L_{k+1}`` in the form of ``L_k`` (module docstring).
+    Each value is a fresh solve and ``sup f`` a dense grid's, so the check
+    reads nothing of the walk.  ``small_family`` opens with the round sphere
+    and the paper example; the squeeze is the one whose ``lambda_0^1`` lies
+    next to ``lambda_4^1``.  Round below 21, the bound after channel 4's
+    first value, 20, proves channel 5 empty, and no solve reaches it."""
+    xs = np.linspace(-1.0, 1.0, 20001)
+    for p in [*small_family, squeeze_profile(3.023191452026367, 36)]:
+        sup_f = float(np.max(p.f(xs)))
+        first = [refine(p, k, 1).eigenvalues[0] for k in range(1, 8)]
+        for k, (a, b) in enumerate(zip(first, first[1:]), start=1):
+            assert b - a >= (2 * k + 1) / sup_f, (p.name, k)
+    solves = _record_solves(monkeypatch)
+    enumerate_below(round_profile, 21.0)
+    assert sorted({k for k, _ in solves}) == [0, 1, 2, 3, 4]
+
+
+def test_an_enumeration_evaluates_f_once_per_gauss_rule(pinched_profile):
+    """The walk's bound on ``sup f`` reads the values the solves keep: with
+    the profile's validation report and trace already kept, every
+    evaluation of ``f`` is on the nodes of one Gauss rule, and no rule is
+    evaluated twice."""
+    calls = []
+
+    def f(x):
+        calls.append(np.array(x, copy=True))
+        return pinched_profile.f(x)
+
+    p = replace(pinched_profile, f=f)
+    trace0_integral(p)
+    calls.clear()
+    enumerate_below(p, 21.0)
+    rules = [x.size for x in calls]
+    assert rules and len(rules) == len(set(rules))
+    for x in calls:
+        assert np.array_equal(x, gauss_legendre(x.size)[0])
 
 
 def test_a_trace_count_that_disagrees_with_the_count_raises(round_profile):
