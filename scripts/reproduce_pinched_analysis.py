@@ -21,7 +21,7 @@ def main():
     args = ap.parse_args()
 
     p = builtin_profile("paper-example")
-    print(f"profile: {p.name}   f = {to_string(p.expr)}")
+    print(f"profile: {p.name}   f = {to_string(p.form)}")
 
     t0 = trace0_integral(p)
     print("\n-- invariant-channel trace --")

@@ -21,6 +21,9 @@ them:
 * :func:`make_profile` builds a :class:`Profile` from an expression tree or
   from samples: the clamped C^2 cubic spline with the exact endpoint
   slopes, solved in LAPACK ``dgtsv``'s order (:func:`_clamped_spline`),
+* a :class:`Profile` keeps the exact ``form`` it was built from (an ``Expr``
+  tree, a spline's pieces or a Chebyshev series), and its ``f``, ``f'``,
+  ``f''`` and ``source`` derive from that form in one place per kind,
 * :func:`validate` checks the boundary conditions and interior positivity
   and returns a :class:`ValidationReport`,
 * :func:`arclength_recover` integrates ``ds = dx / sqrt(f)``; the endpoint
@@ -41,7 +44,7 @@ them:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -133,22 +136,38 @@ def _finite_or_none(v: float) -> float | None:
 
 
 @dataclass(frozen=True)
+class _Spline:
+    """A cubic spline's ``knots`` and the coefficient ``rows`` c0..c3 of its
+    pieces, as :func:`_power_sum` reads them: on piece ``i``, ``f = c0 s^3 +
+    c1 s^2 + c2 s + c3`` with ``s = x - knots[i]``."""
+
+    knots: tuple[float, ...]
+    rows: tuple[np.ndarray, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class Profile:
     """Metric profile in the coordinates where the area form is flat.
 
-    ``f``, ``df``, ``d2f`` are vectorized callables on [-1, 1].  ``source``
-    is one of ``"expression"``, ``"samples"``, ``"transformed"``.  Profiles
-    are immutable, so each keeps its validation report and its channel-0
-    trace integral once computed.
+    ``f``, ``df``, ``d2f`` are vectorized callables on [-1, 1], derived
+    from the exact ``form``: an ``Expr`` tree, a :class:`_Spline` through
+    samples, or the ``Chebyshev`` series ``g`` with ``f = (1 - x^2) g`` of a
+    transformed profile.  ``source`` names the kind: ``"expression"``,
+    ``"samples"`` or ``"transformed"``.  Profiles are immutable, so each
+    keeps its validation report and its channel-0 trace integral once
+    computed; they compare by identity (a series is unhashable).
     """
 
     f: Callable
     df: Callable
     d2f: Callable
-    source: str
-    expr: Optional[Expr] = None
+    form: object
     name: str = ""
-    knots: Optional[tuple[float, ...]] = None
+
+    @property
+    def source(self) -> str:    # keyed without loading numpy.polynomial
+        return ("samples" if isinstance(self.form, _Spline) else
+                "expression" if isinstance(self.form, Expr) else "transformed")
 
     @cached_property
     def _report(self) -> ValidationReport:
@@ -163,14 +182,12 @@ class Profile:
 class ArclengthProfile:
     """Metric in arclength form ``ds^2 + a(s)^2 dtheta^2`` on ``[0, length]``.
 
-    ``d2a`` is optional: :func:`arclength_recover` fills it and
-    :func:`normalize_area` carries it along, but nothing here reads it
-    (:func:`momentum_transform` reads ``a``, and ``da`` only at the two ends
-    to validate).  ``scale_factor`` records the cumulative homothety applied
-    by :func:`normalize_area` (eigenvalues of the original metric are
-    ``scale_factor**2`` times those of the normalized one).  The profile
-    holds functions of ``s`` only; the meridian's ``x(s)`` stays with the
-    map that computes it.
+    ``d2a`` is optional and nothing here fills or reads it; it stays because
+    callers such as ``bench/workloads.py`` pass it.  ``scale_factor`` records
+    the cumulative homothety applied by :func:`normalize_area` (eigenvalues
+    of the original metric are ``scale_factor**2`` times those of the
+    normalized one).  The profile holds functions of ``s`` only; the
+    meridian's ``x(s)`` stays with the map that computes it.
     """
 
     a: Callable
@@ -213,7 +230,8 @@ def make_profile(defn, name: str = "") -> Profile:
     row interchanges included, so f, f' and f'' are the floats of
     ``scipy.interpolate.CubicSpline`` and its derivatives, bit for bit.  A
     non-finite sample, or slopes that overflow, raise
-    :class:`ProfileDefinitionError` naming the first such sample.
+    :class:`ProfileDefinitionError` naming the first such sample; so does a
+    definition that is neither a tree nor a sequence of number pairs.
     """
     if defn is None:
         raise ProfileDefinitionError("empty profile definition")
@@ -229,30 +247,25 @@ def profile_from_text(text: str, name: str = "") -> Profile:
 
 def _profile_from_expr(expr: Expr, name: str) -> Profile:
     d1 = differentiate(expr)
-    d2 = differentiate(d1)
+    trees = (expr, d1, differentiate(d1))
     probe = np.concatenate(([-1.0], validation_grid(), np.linspace(-1, 1, 257)))
     try:
-        for e in (expr, d1, d2):
+        for e in trees:
             evaluate(e, probe)
     except EvalDomainError as err:
         raise ProfileDefinitionError(
             f"expression '{to_string(expr)}' is not evaluable on [-1, 1]: {err}"
         ) from err
-
-    def f(x):
-        return evaluate(expr, x)
-
-    def df(x):
-        return evaluate(d1, x)
-
-    def d2f(x):
-        return evaluate(d2, x)
-
-    return Profile(f=f, df=df, d2f=d2f, source="expression", expr=expr, name=name)
+    f, df, d2f = (partial(evaluate, e) for e in trees)
+    return Profile(f=f, df=df, d2f=d2f, form=expr, name=name)
 
 
 def _profile_from_samples(defn, name: str) -> Profile:
-    arr = np.asarray(list(defn), dtype=float)
+    try:
+        arr = np.asarray(list(defn), dtype=float)
+    except (TypeError, ValueError) as err:
+        raise ProfileDefinitionError(
+            f"a profile needs an expression tree or (x, f) pairs: {err}") from err
     if arr.size == 0:
         raise ProfileDefinitionError("no samples given")
     if arr.ndim != 2 or arr.shape[1] != 2:
@@ -270,19 +283,22 @@ def _profile_from_samples(defn, name: str) -> Profile:
         raise ProfileDefinitionError("sample abscissae must be strictly increasing")
     if abs(x[0] + 1.0) > 1e-9 or abs(x[-1] - 1.0) > 1e-9:
         raise ProfileDefinitionError("samples must cover [-1, 1] endpoint to endpoint")
-    f, df, d2f = (_pointwise(g) for g in _clamped_spline(x, y))
-    return Profile(f=f, df=df, d2f=d2f, source="samples", name=name,
-                   knots=tuple(float(v) for v in x))
+    spline = _clamped_spline(x, y)
+    c0, c1, c2, _ = spline.rows
+    with np.errstate(all="ignore"):    # as in the solve, pieces may overflow
+        pieces = (spline.rows, (3 * c0, 2 * c1, c2), (6 * c0, 2 * c1))
+    f, df, d2f = (_pointwise(_power_sum(x, rows)) for rows in pieces)
+    return Profile(f=f, df=df, d2f=d2f, form=spline, name=name)
 
 
-def _clamped_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, ...]:
-    """f, f' and f'' of the clamped C^2 cubic spline through ``(x, y)`` with
-    end slopes +2 and -2 (de Boor, *A Practical Guide to Splines*, ch. IV).
+def _clamped_spline(x: np.ndarray, y: np.ndarray) -> _Spline:
+    """The clamped C^2 cubic spline through ``(x, y)`` with end slopes +2
+    and -2 (de Boor, *A Practical Guide to Splines*, ch. IV).
 
-    The floats are those of ``scipy.interpolate.CubicSpline(x, y,
-    bc_type=((1, 2), (1, -2)))`` and its derivatives, bit for bit: scipy's
-    system for the knot slopes (:func:`_dgtsv`), its Hermite coefficients
-    and ``PPoly``'s evaluation (:func:`_power_sum`).
+    Its pieces are those of ``scipy.interpolate.CubicSpline(x, y,
+    bc_type=((1, 2), (1, -2)))``, bit for bit (scipy's system for the knot
+    slopes, :func:`_dgtsv`, and its Hermite coefficients), and so are f, f'
+    and f'' evaluated from them by :func:`_power_sum`.
     """
     h = np.diff(x)
     with np.errstate(all="ignore"):    # samples near the float range overflow
@@ -298,9 +314,8 @@ def _clamped_spline(x: np.ndarray, y: np.ndarray) -> tuple[Callable, ...]:
                 f"samples too large: the spline's slope at sample {bad[0]} "
                 f"(x = {float(x[bad[0]])!r}) is not finite")
         t = (m[:-1] + m[1:] - 2 * d) / h
-        c0, c1, c2 = t / h, (d - m[:-1]) / h - t, m[:-1]
-        pieces = ((c0, c1, c2, y[:-1]), (3 * c0, 2 * c1, c2), (6 * c0, 2 * c1))
-    return tuple(_power_sum(x, rows) for rows in pieces)
+        rows = (t / h, (d - m[:-1]) / h - t, m[:-1], y[:-1])
+    return _Spline(knots=tuple(float(v) for v in x), rows=rows)
 
 
 def _dgtsv(dl: list, d: list, du: list, b: list) -> list:
@@ -523,26 +538,15 @@ class _MeridianMap:
 def arclength_recover(p: Profile) -> ArclengthProfile:
     """Recover the arclength form of a validated profile.
 
-    ``a = sqrt(f)`` along the meridian, ``a' = f'/2`` (chain rule through
-    ``dx/ds = a``), ``a'' = f'' a / 2``.  The endpoint slopes come out as
-    +1 and -1 exactly because the profile's boundary slopes are +2 and -2.
+    ``a = sqrt(f)`` along the meridian and ``a' = f'/2`` (chain rule
+    through ``dx/ds = a``).  The endpoint slopes come out as +1 and -1
+    exactly because the profile's boundary slopes are +2 and -2.
     """
     require_valid(p, context="arclength_recover")
     mm = _MeridianMap(p)
-
-    def sqrt_f(x):
-        return np.sqrt(np.clip(np.asarray(p.f(x), dtype=float), 0.0, None))
-
-    a = _pointwise(lambda s: sqrt_f(mm.x_of_s(s)))
+    a = _pointwise(lambda s: np.sqrt(np.clip(p.f(mm.x_of_s(s)), 0.0, None)))
     da = _pointwise(lambda s: 0.5 * np.asarray(p.df(mm.x_of_s(s)), dtype=float))
-
-    @_pointwise
-    def d2a(s):
-        x = mm.x_of_s(s)
-        return 0.5 * np.asarray(p.d2f(x), dtype=float) * sqrt_f(x)
-
-    return ArclengthProfile(a=a, da=da, d2a=d2a, length=mm.length,
-                            source="recovered")
+    return ArclengthProfile(a=a, da=da, length=mm.length, source="recovered")
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +574,7 @@ def normalize_area(ap: ArclengthProfile) -> ArclengthProfile:
 
     a = _pointwise(lambda s: c * np.asarray(ap.a(np.asarray(s) / c), dtype=float))
     da = _pointwise(lambda s: ap.da(np.asarray(s) / c))
-    d2a = None if ap.d2a is None else _pointwise(
-        lambda s: np.asarray(ap.d2a(np.asarray(s) / c), dtype=float) / c)
-    return ArclengthProfile(a=a, da=da, d2a=d2a, length=c * ap.length,
-                            source=ap.source,
+    return ArclengthProfile(a=a, da=da, length=c * ap.length, source=ap.source,
                             scale_factor=c * ap.scale_factor)
 
 
@@ -595,10 +596,10 @@ def momentum_transform(ap: ArclengthProfile) -> Profile:
     of degree 16, 32, 64, ... (one inversion of ``x(s)`` per point) until
     the coefficients reach a noise plateau under the chop of Aurentz &
     Trefethen ("Chopping a Chebyshev series", ACM TOMS 43, 2017) at
-    ``tol`` = machine epsilon.  The chopped series is kept, with its end
-    values set back to 1 (the dropped tail moved them by its sum), and
-    ``f'`` and ``f''`` are the derivatives of ``(1 - x^2) g``.  A profile
-    with no plateau by degree :data:`PROXY_MAX_DEGREE` raises
+    ``tol`` = machine epsilon.  The chopped series, with its end values set
+    back to 1 (the dropped tail moved them by its sum), is the profile's
+    ``form``; ``f'`` and ``f''`` are the derivatives of ``(1 - x^2) g``.  A
+    profile with no plateau by degree :data:`PROXY_MAX_DEGREE` raises
     :class:`ProxyResolutionError`.
     """
     report = validate_arclength(ap)
@@ -652,7 +653,7 @@ def momentum_transform(ap: ArclengthProfile) -> Profile:
         return (1.0 - x) * (1.0 + x) * g(x)
 
     return Profile(f=f_value, df=_pointwise(f.deriv()), d2f=_pointwise(f.deriv(2)),
-                   source="transformed")
+                   form=g)
 
 
 def _lobatto_coefficients(values: np.ndarray) -> np.ndarray:
@@ -721,11 +722,9 @@ def gauss_bonnet_residual(p: Profile) -> float:
     """
     require_valid(p, context="gauss_bonnet_residual")
     try:
-        if p.knots is not None:
-            total = 0.0
-            ks = p.knots
-            for a, b in zip(ks[:-1], ks[1:]):
-                total += integrate_gl(p.d2f, a, b, 4)
+        if p.source == "samples":
+            ks = p.form.knots
+            total = sum(integrate_gl(p.d2f, a, b, 4) for a, b in zip(ks[:-1], ks[1:]))
         else:
             total, _ = integrate_adaptive(p.d2f, -1.0, 1.0, rtol=1e-11, n0=64)
     except QuadratureError as exc:

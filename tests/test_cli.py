@@ -1,3 +1,4 @@
+import ast
 import io
 import json
 import os
@@ -602,6 +603,31 @@ def test_analyze_integrates_the_channel_0_trace_once(tmp_path, capsys,
     assert len(calls) == 1
     assert json.loads(out)["bounds"]["trace0_integral"] == \
         calls[0]._trace0
+
+
+def _imports(node, in_function=False):
+    """(module, in a function body) for every absolute import under
+    ``node``; ``from m import n`` counts as ``m.n``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from ((alias.name, in_function) for alias in child.names)
+        elif isinstance(child, ast.ImportFrom) and not child.level:
+            yield from ((f"{child.module}.{alias.name}", in_function)
+                        for alias in child.names)
+        yield from _imports(child, in_function or isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)))
+
+
+def test_no_module_imports_scipy_and_none_loads_numpy_polynomial():
+    # a static scan, beside the run-time checks of single commands: scipy
+    # is a test dependency only, and numpy.polynomial (3-6 ms of every cold
+    # command) is imported only inside the function that needs it
+    modules = sorted((ROOT / "src" / "revspec").rglob("*.py"))
+    assert modules
+    for path in modules:
+        for name, in_function in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+            assert name.split(".")[0] != "scipy", (path.name, name)
+            assert in_function or not name.startswith("numpy.polynomial"), (path.name, name)
 
 
 def test_arclength_analysis_and_expression_meshes_load_no_scipy(tmp_path):

@@ -28,7 +28,7 @@ def test_unknown_builtin_lists_the_known_ones():
 def test_squeeze_zero_is_round(round_profile):
     p = squeeze_profile(0.0)
     assert p.name == "round"
-    assert to_string(p.expr) == to_string(round_profile.expr)
+    assert to_string(p.form) == to_string(round_profile.form)
 
 
 def test_squeeze_nine_is_the_pinched_builtin(pinched_profile):
@@ -59,9 +59,9 @@ def test_squeeze_rejects_bad_parameters(eps, n, snippet):
 def test_random_bump_is_deterministic_per_seed():
     a = random_bump_profile(np.random.default_rng(7))
     b = random_bump_profile(np.random.default_rng(7))
-    assert to_string(a.expr) == to_string(b.expr)
+    assert to_string(a.form) == to_string(b.form)
     c = random_bump_profile(np.random.default_rng(8))
-    assert to_string(c.expr) != to_string(a.expr)
+    assert to_string(c.form) != to_string(a.form)
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1))

@@ -189,6 +189,40 @@ def test_the_searches_cost_does_not_grow_with_the_peaks(which, peaks):
     assert calls["d2f"] <= 1 + obstruction._ROUNDS
 
 
+def _spline_max_slope(p) -> float:
+    """max |f'| of a sample profile from its cubic pieces: on each,
+    f' = 3 c0 s^2 + 2 c1 s + c2 peaks at an end or at the vertex."""
+    c0, c1, c2, _ = p.form.rows
+    h = np.diff(p.form.knots)
+    best = np.maximum(np.abs(c2), np.abs(3.0 * c0 * h * h + 2.0 * c1 * h + c2))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = -c1 / (3.0 * c0)
+    inside = (s > 0.0) & (s < h)
+    s = np.where(inside, s, 0.0)
+    return float(np.max(np.maximum(best, np.abs(3.0 * c0 * s * s + 2.0 * c1 * s + c2))))
+
+
+def test_the_slope_search_on_samples_meets_the_closed_form(pinched_profile):
+    """``sup_test`` against the exact max of ``|f'|`` over the spline's
+    pieces: at a pole (the quadratic, the tent) or inside (the bump, the
+    sampled paper-example, on uniform and Chebyshev knots)."""
+    x41, x201 = np.linspace(-1.0, 1.0, 41), np.linspace(-1.0, 1.0, 201)
+    cheb = -np.cos(np.pi * np.arange(101) / 100)
+    bump = profile_from_text("(1 - x^2) * (1 + (1 - x^2)*(0.3*x + 0.2*x^2))")
+    profiles = [make_profile(list(zip(x41, 1.0 - x41 ** 2)), name="quadratic-41"),
+                _straight_stretch_profile(),
+                make_profile(list(zip(x201, bump.f(x201))), name="sampled-bump"),
+                *(make_profile(list(zip(x, pinched_profile.f(x))), name=f"pinched-{x.size}")
+                  for x in (x201, cheb))]
+    interior = 0
+    for p in profiles:
+        st = sup_test(p)
+        exact = _spline_max_slope(p)
+        assert st.max_slope == pytest.approx(exact, rel=1e-12, abs=0.0), p.name
+        interior += abs(st.argmax_x) < 0.99
+    assert interior == 3
+
+
 def test_a_nan_slope_sample_is_not_embeddable(round_profile):
     """A slope the grid cannot evaluate is no evidence of embeddability."""
     def df(x):

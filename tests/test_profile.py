@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import revspec
+from revspec.exprs import evaluate, to_string
 from revspec.profile import (
     ArclengthProfile, AreaMismatchError, InvalidProfileError,
-    PROXY_MAX_DEGREE, ProfileDefinitionError, ProxyResolutionError, area_of,
+    PROXY_MAX_DEGREE, Profile, ProfileDefinitionError, ProxyResolutionError, area_of,
     arclength_recover, curvature,
     gauss_bonnet_residual, make_profile, momentum_transform, normalize_area,
     profile_from_text, require_valid, validate, validate_arclength,
@@ -40,7 +41,6 @@ def test_expression_profile_has_exact_derivatives(round_profile):
 def test_profile_from_text_records_name():
     p = profile_from_text("1 - x^2", name="unit")
     assert p.name == "unit"
-    assert p.expr is not None
     assert float(p.f(0.0)) == 1.0
 
 
@@ -54,12 +54,61 @@ def test_empty_definition_rejected():
         make_profile(None)
 
 
+@pytest.mark.parametrize("defn", [
+    "1 - x^2",
+    {"x": list(np.linspace(-1.0, 1.0, 20)), "f": [0.0] * 20},
+    [(x, 0.0) if i % 2 else (x,) for i, x in enumerate(np.linspace(-1.0, 1.0, 20))],
+    5,
+], ids=["text", "json-layout", "ragged", "number"])
+def test_a_malformed_definition_is_a_definition_error(defn):
+    """Neither a tree nor (x, f) pairs: one definition error, not numpy's."""
+    with pytest.raises(ProfileDefinitionError,
+                       match=r"^a profile needs an expression tree or \(x, f\) pairs"):
+        make_profile(defn)
+
+
+def test_a_profile_has_five_fields():
+    assert [f.name for f in dataclasses.fields(Profile)] == [
+        "f", "df", "d2f", "form", "name"]
+
+
+def test_an_expression_profile_carries_its_tree():
+    text = "(1.0-x^2)*(1.0+0.3*x*(1.0-x^2))"
+    p = profile_from_text(text)
+    assert p.source == "expression"
+    assert to_string(p.form) == text
+    x = np.linspace(-1.0, 1.0, 101)
+    assert np.array_equal(p.f(x), evaluate(p.form, x))
+
+
+def test_a_sample_profile_carries_its_spline():
+    x = np.linspace(-1.0, 1.0, 41)
+    y = (1.0 - x * x) * (1.0 + 0.3 * np.sin(3.0 * x))
+    p = make_profile(list(zip(x, y)))
+    assert p.source == "samples"
+    assert p.form.knots == tuple(x.tolist())
+    assert [len(row) for row in p.form.rows] == [40] * 4
+    # s = 0 at a piece's left end leaves its constant term, the sample
+    assert [p.f(v) for v in x[:-1]] == y[:-1].tolist()
+    assert np.array_equal(p.f(x[:-1]), y[:-1])
+
+
+def test_a_transformed_profile_carries_its_series():
+    q = momentum_transform(_bumped_sine(0.3, 0.4))
+    assert q.source == "transformed"
+    assert isinstance(q.form, np.polynomial.Chebyshev)
+    x = np.linspace(-1.0, 1.0, 1001)
+    assert np.array_equal(q.f(x), (1.0 - x) * (1.0 + x) * q.form(x))
+    assert q.form(-1.0) == pytest.approx(1.0, abs=1e-15)
+    assert q.form(1.0) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_sample_profile_reproduces_quadratic_exactly():
     # clamped cubic spline through quadratic data is that quadratic
     xs = np.linspace(-1.0, 1.0, 41)
     p = make_profile(list(zip(xs, 1 - xs ** 2)), name="sampled")
     assert p.source == "samples"
-    assert p.knots is not None and len(p.knots) == 41
+    assert p.form.knots == tuple(xs.tolist())
     grid = np.linspace(-1.0, 1.0, 401)
     assert np.max(np.abs(p.f(grid) - (1 - grid ** 2))) < 1e-12
     assert validate(p).passed
@@ -332,8 +381,7 @@ def test_momentum_transform_rejects_wrong_area():
 
 def test_transform_round_trip_on_the_pinched_profile(pinched_profile):
     ap = arclength_recover(pinched_profile)
-    q = momentum_transform(ArclengthProfile(
-        a=ap.a, da=ap.da, d2a=ap.d2a, length=ap.length))
+    q = momentum_transform(ArclengthProfile(a=ap.a, da=ap.da, length=ap.length))
     x = np.linspace(-1.0, 1.0, 301)
     assert np.max(np.abs(q.f(x) - pinched_profile.f(x))) < 1e-10
     assert np.max(np.abs(q.df(x) - pinched_profile.df(x))) < 1e-9
