@@ -37,6 +37,7 @@ import numpy as np
 from .obstruction import sup_test
 from .profile import Profile, _MeridianMap, require_valid
 from .quadrature import CumulativeIntegral
+from .serialize import plain
 
 __all__ = [
     "ProfileCurve", "EmbeddingMesh", "MetricResiduals",
@@ -52,8 +53,10 @@ class NotEmbeddableError(ValueError):
     def __init__(self, max_slope: float, argmax_x: float):
         self.max_slope = max_slope
         self.argmax_x = argmax_x
+        excess = (f"= 2 + {max_slope - 2.0:.3g}" if np.isfinite(max_slope)
+                  else "is not finite")
         super().__init__(
-            f"profile is not embeddable: max|f'| = 2 + {max_slope - 2.0:.3g} "
+            f"profile is not embeddable: max|f'| {excess} "
             f"near x = {argmax_x:.6g} (slope criterion)")
 
 
@@ -108,9 +111,8 @@ class MetricResiduals:
     rms: float
 
     def to_json_dict(self) -> dict:
-        return {"sup_ds": self.sup_ds, "rms_ds": self.rms_ds,
-                "sup_dtheta": self.sup_dtheta, "rms_dtheta": self.rms_dtheta,
-                "sup": self.sup, "rms": self.rms}
+        """The fields as JSON data (:func:`~revspec.serialize.plain`)."""
+        return plain(self)
 
 
 def embed_profile_curve(p: Profile, n_samples: int = 256) -> ProfileCurve:

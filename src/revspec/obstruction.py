@@ -26,11 +26,12 @@ verdict and is not part of the report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .profile import Profile, curvature, require_valid
+from .serialize import plain
 from .spectrum import (SpectrumTable, _Channels, _enumerate_below,
                        trace0_integral, trace_partial_sum)
 
@@ -86,14 +87,14 @@ class EvenMultiplicityTest:
     resolution cannot decide it, and then ``all_even`` is false.
     ``multiplicities`` and ``lambda_m`` are the first (up to) four distinct
     multiplicities and the fourth value inside the certified part of
-    ``table``, a display of the spectrum around the decision.
+    ``table``, a display of the spectrum around the decision (not in JSON).
     """
 
     multiplicities: tuple[int, ...]
     all_even: bool
     lambda01: float
     lambda_m: float | None
-    table: SpectrumTable
+    table: SpectrumTable = field(metadata={"json": False})
     explanation: str = ""
 
 
@@ -119,30 +120,11 @@ class ObstructionReport:
     consistency_failures: tuple[str, ...]
 
     def to_json_dict(self) -> dict:
-        s, em = self.sup_test, self.even_multiplicity_test
-        return {
-            "sup_test": {"max_slope": s.max_slope, "argmax_x": s.argmax_x,
-                         "embeddable": s.embeddable},
-            "spectral_test": {
-                "lambda01": self.spectral_test.lambda01,
-                "threshold": self.spectral_test.threshold,
-                "triggered": self.spectral_test.triggered},
-            "abreu_freitas_test": {
-                "lambda01": self.abreu_freitas_test.lambda01,
-                "threshold": self.abreu_freitas_test.threshold,
-                "triggered": self.abreu_freitas_test.triggered,
-                "label": "external (Abreu-Freitas)"},
-            "even_multiplicity_test": {
-                "multiplicities": list(em.multiplicities),
-                "all_even": em.all_even,
-                "lambda01": em.lambda01,
-                "lambda_m": em.lambda_m,
-                "explanation": em.explanation},
-            "negative_curvature_witness": self.negative_curvature_witness,
-            "verdict": self.verdict,
-            "spectral_verdict": self.spectral_verdict,
-            "consistency_failures": list(self.consistency_failures),
-        }
+        """The fields as JSON data (:func:`~revspec.serialize.plain`), with
+        the external test labeled as such."""
+        doc = plain(self)
+        doc["abreu_freitas_test"]["label"] = "external (Abreu-Freitas)"
+        return doc
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +251,18 @@ def negative_curvature_witness(p: Profile) -> float | None:
 
     Samples ``K = -f''/2`` on the slope test's grid and refines the cell of
     the most negative sample (:func:`_refine_max` of ``-K``); ``K`` is
-    negative at the returned point.  Returning None means no witness was
-    *found*; it is not a proof that curvature is nonnegative.
+    negative at the returned point; both steps skip a nan ``K``, which is
+    never a witness.  Returning None means no witness was *found*; it is
+    not a proof that curvature is nonnegative.
     """
     require_valid(p, context="negative_curvature_witness")
     xs = np.linspace(-1.0, 1.0, _GRID + 1)
     ks = np.asarray(curvature(p, xs), dtype=float)
-    i = int(np.argmin(ks))
-    if ks[i] >= 0.0:
+    i = int(np.argmin(np.where(ks < 0.0, ks, np.inf)))
+    if not ks[i] < 0.0:
         return None
-    return _refine_max(lambda t: -curvature(p, t), xs[i:i + 1])[0]
+    return _refine_max(lambda t: np.fmax(-curvature(p, t), -np.inf),
+                       xs[i:i + 1])[0]
 
 
 def trace_flag(p: Profile) -> TraceFlag:

@@ -51,6 +51,7 @@ import numpy as np
 
 from .exprs import Expr, EvalDomainError, differentiate, evaluate, parse, to_string
 from .quadrature import CumulativeIntegral, QuadratureError, integrate_adaptive, integrate_gl
+from .serialize import plain
 
 __all__ = [
     "Profile", "ArclengthProfile", "Check", "ValidationReport",
@@ -118,21 +119,9 @@ class ValidationReport:
         return all(c.passed for c in self.checks)
 
     def to_json_dict(self) -> dict:
-        """The checks, with ``None`` (JSON ``null``) for each value, target
-        or tolerance that is not finite (a check so valued has failed)."""
-        return {
-            "passed": self.passed,
-            "checks": [
-                {"name": c.name, "value": _finite_or_none(c.value),
-                 "target": _finite_or_none(c.target),
-                 "tol": _finite_or_none(c.tol), "passed": c.passed}
-                for c in self.checks
-            ],
-        }
-
-
-def _finite_or_none(v: float) -> float | None:
-    return v if np.isfinite(v) else None
+        """``passed`` and the checks as JSON data (:func:`~revspec.serialize.plain`):
+        a check's value, target or tolerance that is not finite is ``None``."""
+        return {"passed": self.passed, **plain(self)}
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,12 @@ inputs on the same machine, installation and BLAS thread count: floats go
 through ``%.17g`` (shortest-exact round-trip is repr-dependent; 17
 significant digits is fixed), JSON is sorted-key with two-space indent and
 a ``schema`` version, and all text is written with LF endings regardless
-of platform.  JSON holds no nan or infinity: since schema 3, a validation
-check's value, target or tolerance that is not finite is written as
-``null``.  Since schema 4, ``analyze``'s even-multiplicity test has no
-``reduction_holds`` key: parity is one decision, and an undecided one is
-named in its ``explanation``.
+of platform.  A result's JSON is its fields (:func:`plain`), and every
+float that is not finite is ``null``: schema 3's rule for validation
+values, now for all, which changes no document any version could write
+(such a float made ``json_text`` raise), so the schema stays 4.  Since
+schema 4, ``analyze``'s even-multiplicity test has no ``reduction_holds``
+key: parity is one decision, and an undecided one is in ``explanation``.
 
 Across CPUs, BLAS builds, BLAS thread counts and numpy versions,
 float fields may differ in their last digits: a few ULPs for mesh vertices,
@@ -23,16 +24,32 @@ everywhere.
 from __future__ import annotations
 
 import json
+import math
 from collections.abc import Iterable
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
-__all__ = ["SCHEMA_VERSION", "fmt17", "json_text", "write_text", "write_blocks"]
+__all__ = ["SCHEMA_VERSION", "fmt17", "plain", "json_text", "write_text", "write_blocks"]
 
 SCHEMA_VERSION = 4
 
 
 def fmt17(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def plain(value):
+    """``value`` as JSON data: a dataclass is the dict of its fields but those
+    marked ``field(metadata={"json": False})``, a tuple or list is a list, a
+    float that is not finite is ``None``, and anything else is itself."""
+    if is_dataclass(value):
+        return {f.name: plain(getattr(value, f.name)) for f in fields(value)
+                if f.metadata.get("json", True)}
+    if isinstance(value, (tuple, list)):
+        return [plain(v) for v in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
 
 
 def json_text(payload: dict) -> str:

@@ -141,6 +141,28 @@ def test_analyze_writes_a_non_finite_check_value_as_null(capsys):
     assert not any(c["passed"] for c in checks)
 
 
+# f' is nan or inf within about 3e-5 of 0.2998046875, a point of the slope
+# grid, where exp(A) overflows; no validation point falls there
+_A = "1000000*exp(-((x-0.2998046875)/0.00001)^2)"
+NAN_SLOPE = f"(1-x^2)*(1+0.001*(exp({_A})*exp(-{_A})-1))"
+
+
+def test_a_slope_that_is_not_finite_is_null_and_not_embeddable(capsys,
+                                                               tmp_path):
+    code, out, err = run(capsys, "analyze", f"--expr={NAN_SLOPE}")
+    assert (code, err) == (EXIT_NOT_EMBEDDABLE, "")
+    obs = json.loads(out)["obstructions"]
+    assert obs["sup_test"]["max_slope"] is None
+    assert obs["sup_test"]["embeddable"] is False
+    assert obs["negative_curvature_witness"] is None
+    assert obs["verdict"] == "not_embeddable"
+    code, out, err = run(capsys, "mesh", "--out", str(tmp_path / "m.obj"),
+                         f"--expr={NAN_SLOPE}")
+    assert (code, out) == (EXIT_NOT_EMBEDDABLE, "")
+    assert err.count("\n") == 1
+    assert "max|f'| is not finite near x = 0.2997" in err
+
+
 def test_analyze_names_an_overflowing_constant(capsys):
     code, out, err = run(capsys, "analyze",
                          "--expr=(1 - x^2)*(1 + 0*(1e200)^2)")
@@ -630,6 +652,22 @@ def test_no_module_imports_scipy_and_none_loads_numpy_polynomial():
             assert in_function or not name.startswith("numpy.polynomial"), (path.name, name)
 
 
+def test_only_serialize_writes_json():
+    # one JSON writer, so every document passes its allow_nan=False backstop
+    writers = ("json.dump", "json.dumps")
+    for path in sorted((ROOT / "src" / "revspec").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute)
+                 and isinstance(node.value, ast.Name)]
+        imported = [name for name, _ in _imports(tree)]
+        used = [name for name in calls + imported if name in writers]
+        if path.name == "serialize.py":
+            assert used == ["json.dumps"]
+        else:
+            assert not used, (path.name, used)
+
+
 def test_arclength_analysis_and_expression_meshes_load_no_scipy(tmp_path):
     # a fresh interpreter per run, as for the spectrum test above
     path = tmp_path / "a.json"
@@ -930,6 +968,7 @@ def _command(tmp_path_factory, command: str) -> list[str]:
 @example(text="(1 - x^2)*(1 + 0*(1e200)^2)")
 @example(text="(1-x^2)*(1+1e300*x^2*(1-x^2)^2)")
 @example(text="(1-x^2)*(1+1e-300*sin(1e300*x)*(1-x^2)^2)")
+@example(text=NAN_SLOPE)
 def test_fuzz_expression_text_through_every_command(tmp_path_factory, command,
                                                     text):
     _documented_exit(_command(tmp_path_factory, command) + [f"--expr={text}"])

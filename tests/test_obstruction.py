@@ -358,6 +358,27 @@ def test_witness_on_the_pinched_profile(pinched_profile):
     assert abs(x) == pytest.approx(0.95348615, abs=1e-4)
 
 
+# A factor that is 1 up to rounding except within about 3e-5 of 0.2998046875,
+# a point of the 4 097-point grid, where exp(A) overflows and the factor is
+# inf or nan (inf * 0): no validation point falls there.
+_A = "1000000*exp(-((x-0.2998046875)/0.00001)^2)"
+NAN_FACTOR = f"(1+0.001*(exp({_A})*exp(-{_A})-1))"
+
+
+def test_a_nan_curvature_sample_is_no_witness():
+    p = profile_from_text(f"(1-x^2)*{NAN_FACTOR}")
+    assert math.isnan(curvature(p, 0.2998046875))
+    assert negative_curvature_witness(p) is None
+
+
+def test_a_nan_curvature_sample_hides_no_witness():
+    p = profile_from_text(f"10*(1 - x^2)/(1 + 9*x^36)*{NAN_FACTOR}")
+    x = negative_curvature_witness(p)
+    assert x is not None
+    assert curvature(p, x) < 0
+    assert abs(x) == pytest.approx(0.95348615, abs=1e-4)
+
+
 def test_trace_flag_round(round_profile):
     flag = trace_flag(round_profile)
     assert flag.trace0 == pytest.approx(1.0, abs=1e-12)
