@@ -173,6 +173,18 @@ def test_analyze_names_an_overflowing_constant(capsys):
     assert err.count("\n") == 1
 
 
+def test_a_domain_error_in_the_derivative_names_its_subexpression(capsys):
+    """f' of sqrt(1 - x^2)^2 divides by zero at the poles; the message
+    quotes the derivative's quotient, with no dead terms in it."""
+    code, out, err = run(capsys, "analyze",
+                         "--expr=sqrt(1-x^2)^2*(1+0.1*sin(3*x))")
+    assert (code, out) == (EXIT_INVALID_PROFILE, "")
+    assert err == (
+        "profile error: expression 'sqrt(1.0-x^2)^2*(1.0+0.1*sin(3.0*x))' is "
+        "not evaluable on [-1, 1]: division by zero in subexpression "
+        "'-(2.0*x)/(2.0*sqrt(1.0-x^2))'\n")
+
+
 def test_analyze_unparseable_expression(capsys):
     code, _, err = run(capsys, "analyze", "--expr", "1 +")
     assert code == EXIT_INVALID_PROFILE
