@@ -28,9 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .profile import Profile, curvature, require_valid
+from .profile import Profile, _maximum, require_valid
 from .serialize import plain
 from .spectrum import (SpectrumTable, _Channels, _enumerate_below,
                        trace0_integral, trace_partial_sum)
@@ -48,11 +46,6 @@ XI1 = 2.4048255576957727686
 ABREU_FREITAS_THRESHOLD = XI1 * XI1 / 2.0
 TRACE_FLAG_THRESHOLD = math.pi * math.pi / 16.0
 
-# uniform sampling intervals on [-1, 1] of the slope and curvature searches
-_GRID = 4096
-# points per bracket and rounds of the refinement: each round narrows every
-# bracket 32-fold, so 10 take two grid steps below one ulp
-_POINTS, _ROUNDS = 65, 10
 # the slope test's allowance above 2
 _SLOPE_TOL = 1e-9
 # lambda_0^1 above this obstructs embedding
@@ -131,45 +124,19 @@ class ObstructionReport:
 # individual tests
 # ---------------------------------------------------------------------------
 
-def _refine_max(g, centres: np.ndarray) -> tuple[float, float]:
-    """(arg, value) of the largest ``g`` found in the grid cells around
-    ``centres``.  Each round evaluates ``g`` once, on :data:`_POINTS` points
-    across every bracket (clipped to [-1, 1]), then narrows each to the
-    neighbours of its best point.  A bracket's middle point is its centre,
-    so no best value drops, and ``value`` is ``g`` at ``arg``."""
-    offsets = np.linspace(-1.0, 1.0, _POINTS)
-    half = 2.0 / _GRID
-    rows = np.arange(centres.size)
-    for _ in range(_ROUNDS):
-        xs = np.clip(centres[:, None] + half * offsets, -1.0, 1.0)
-        vals = np.asarray(g(xs), dtype=float)
-        best = np.argmax(vals, axis=1)
-        centres, top = xs[rows, best], vals[rows, best]
-        half /= (_POINTS - 1) // 2
-    i = int(np.argmax(top))
-    return float(centres[i]), float(top[i])
-
-
 def sup_test(p: Profile) -> SupTest:
-    """Maximum of ``|f'|`` as resolved by a 4 097-point grid, and the
-    decisive embeddability verdict.
+    """Maximum of ``|f'|`` and the decisive embeddability verdict.
 
-    Uniform grid of spacing ``2/4096`` (about 4.9e-4; endpoints included —
-    the poles attain ``|f'| = 2`` exactly), then :func:`_refine_max` of
-    every grid local maximum at once, poles included (a maximum just inside
-    a pole lies in its grid cell); ``max_slope`` is ``|f'(argmax_x)|``.  A
-    feature of ``f'`` narrower than the spacing can fall between the
-    samples and go unseen: this is the sup over what the grid resolves, not
-    a proved global bound.  Embeddable iff that max is at most ``2 + 1e-9``;
-    meshing asks this test too.
+    ``max_slope`` is ``|f'(argmax_x)|`` at the largest ``|f'|`` found by
+    :func:`revspec.profile._maximum`: exact up to rounding for a spline or
+    a series, the sup over what a 4 097-point grid resolves for an
+    expression (a feature of ``f'`` narrower than about 4.9e-4 can go
+    unseen: not a proved bound).  A nan slope is a peak, so not
+    embeddable.  Embeddable iff that max is at most ``2 + 1e-9``; meshing
+    asks this test too.
     """
     require_valid(p, context="sup_test")
-    xs = np.linspace(-1.0, 1.0, _GRID + 1)
-    slopes = np.abs(np.asarray(p.df(xs), dtype=float))
-    padded = np.concatenate(([-np.inf], slopes, [-np.inf]))
-    # no neighbour larger: a nan sample is a peak, so nan is not embeddable
-    peaks = np.flatnonzero(~((slopes < padded[:-2]) | (slopes < padded[2:])))
-    x, v = _refine_max(lambda t: np.abs(p.df(t)), xs[peaks])
+    x, v = _maximum(p, 1)
     return SupTest(max_slope=v, argmax_x=x,
                    embeddable=bool(v <= 2.0 + _SLOPE_TOL))
 
@@ -249,20 +216,14 @@ def even_multiplicity_test(p: Profile) -> EvenMultiplicityTest:
 def negative_curvature_witness(p: Profile) -> float | None:
     """A point where the Gauss curvature is negative, or None at this resolution.
 
-    Samples ``K = -f''/2`` on the slope test's grid and refines the cell of
-    the most negative sample (:func:`_refine_max` of ``-K``); ``K`` is
-    negative at the returned point; both steps skip a nan ``K``, which is
-    never a witness.  Returning None means no witness was *found*; it is
-    not a proof that curvature is nonnegative.
+    The largest ``f''`` by :func:`revspec.profile._maximum`, if ``K =
+    -f''/2 < 0`` there; a nan ``K`` is never a witness.  For a spline or a
+    series None means ``K >= 0`` up to rounding; for an expression, resolved
+    on the slope test's grid, it means no witness was *found*.
     """
     require_valid(p, context="negative_curvature_witness")
-    xs = np.linspace(-1.0, 1.0, _GRID + 1)
-    ks = np.asarray(curvature(p, xs), dtype=float)
-    i = int(np.argmin(np.where(ks < 0.0, ks, np.inf)))
-    if not ks[i] < 0.0:
-        return None
-    return _refine_max(lambda t: np.fmax(-curvature(p, t), -np.inf),
-                       xs[i:i + 1])[0]
+    x, v = _maximum(p, 2)
+    return x if v > 0.0 else None
 
 
 def trace_flag(p: Profile) -> TraceFlag:

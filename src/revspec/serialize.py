@@ -1,7 +1,7 @@
 """Deterministic output formatting shared by the CLI and tests.
 
 Every file the toolkit writes is byte-identical across runs for the same
-inputs on the same machine, installation and BLAS thread count: floats go
+inputs on one machine, installation, BLAS kernel and thread count: floats go
 through ``%.17g`` (shortest-exact round-trip is repr-dependent; 17
 significant digits is fixed), JSON is sorted-key with two-space indent and
 a ``schema`` version, and all text is written with LF endings regardless
@@ -12,13 +12,13 @@ values, now for all, which changes no document any version could write
 schema 4, ``analyze``'s even-multiplicity test has no ``reduction_holds``
 key: parity is one decision, and an undecided one is in ``explanation``.
 
-Across CPUs, BLAS builds, BLAS thread counts and numpy versions,
+Across CPUs, numpy versions and BLAS builds, kernels and thread counts,
 float fields may differ in their last digits: a few ULPs for mesh vertices,
 somewhat more for eigenvalues, which come from BLAS and LAPACK.  The thread
 count alone moves ``paper-example`` eigenvalues by up to about 6e-14
 relative (the default pool against ``OPENBLAS_NUM_THREADS=1`` on a 2-core
-x86-64 host).  Layout, face lines, key order and number format are exact
-everywhere.
+x86-64 host), the kernel (``OPENBLAS_CORETYPE``) alone by up to 2.7e-14.
+Layout, face lines, key order and number format are exact everywhere.
 """
 
 from __future__ import annotations

@@ -399,10 +399,11 @@ class _Channels:
                        convergence_estimates=cs.convergence_estimates[:count])
 
     def f_bound(self) -> float:
-        """Twice the largest ``f`` on the nodes of the rules solved so far:
-        an upper bound of ``sup f`` that evaluates ``f`` at no new point.
-        The factor 2 is assumed, not proved."""
-        return 2.0 * max(float(fq.max()) for fq in self._f_kept.values())
+        """An upper bound of ``sup f``: a spline's or a series' exact one
+        (``Profile._sup_f``); for an expression, twice the largest ``f`` on
+        the nodes of the rules solved so far, which evaluates ``f`` at no new
+        point, and that factor 2 is assumed, not proved."""
+        return self.p._sup_f or 2.0 * max(float(fq.max()) for fq in self._f_kept.values())
 
     def _eigenvalues(self, k: int, N: int) -> np.ndarray:
         if (k, N) not in self._solved:

@@ -25,9 +25,10 @@ The same identity bounds the gap: the first eigenfunction of ``L_{k+1}``
 put into ``q_k`` gives ``lambda_{k+1}^1 >= lambda_k^1 + (2k+1)/sup f``.  So
 once ``lambda_k^1 (1 - R) + (2k+1)/F > Lambda`` for an upper bound ``F`` of
 ``sup f``, channel ``k+1`` is empty without being solved, and the
-enumeration stops after channel ``k``.  ``F`` is twice the largest ``f``
-the solves have met on their Gauss nodes; that factor 2 is the one input
-of the stop that is assumed, not proved.
+enumeration stops after channel ``k``.  ``F`` is a spline's or a series'
+exact largest ``f`` widened by 1e-12 relative, or for an expression twice
+the largest ``f`` the solves have met on their Gauss nodes: that factor 2
+is the one input of the stop that is assumed, not proved.
 
 Trace side: the Green's operator of channel ``k`` has trace ``1/|k|`` for
 ``k != 0`` and ``(1/2) int (1-x^2)/f`` for the invariant channel; these are
@@ -252,9 +253,8 @@ def enumerate_below(p: Profile, below: float,
     stops after the first ``k >= 1`` with no eigenvalue at or below
     ``below``, or after a ``k >= 1`` whose first value, shrunk by ``R``,
     plus the gap bound ``(2k+1)/F`` lies above ``below``: by min-max no
-    higher channel has one (module docstring, where ``F``, twice the
-    largest ``f`` on the solves' Gauss nodes, is named as the one assumed
-    input).
+    higher channel has one (module docstring, where ``F`` and the factor 2
+    it assumes for an expression are named).
     Each channel is refined once, until its values up to and including the
     first one above ``below`` meet ``target_rel_err``; its count is the
     number before that one.  The channel's a-priori budget caps the values

@@ -64,11 +64,17 @@ def family_reports(acceptance_family):
     return reports, time.perf_counter() - start
 
 
+@pytest.fixture(scope="session")
+def workloads():
+    """The benchmark's input module, ``bench/workloads.py``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        return importlib.import_module("workloads")
+
+
 @pytest.fixture
-def bench_squeezes(monkeypatch):
+def bench_squeezes(workloads):
     """paper-example and the other squeeze members of the benchmark's
     ``family_inputs(11)``: even expression profiles."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
-    workloads = importlib.import_module("workloads")
     inputs = workloads.family_inputs(11)[:len(workloads.SQUEEZE_GRID)]
     return [profile_from_text(inp.text, name=inp.name) for inp in inputs]

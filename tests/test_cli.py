@@ -680,6 +680,33 @@ def test_only_serialize_writes_json():
             assert not used, (path.name, used)
 
 
+def test_only_profile_asks_a_profile_its_kind():
+    # how a profile's extremes are found follows its kind, so the kind is
+    # read behind one module, and the verdicts sample no grid of their own
+    def asks_kind(node):
+        if isinstance(node, ast.Compare):
+            return any(isinstance(n, ast.Attribute) and n.attr == "source"
+                       for n in (node.left, *node.comparators))
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("isinstance", "type") and node.args):
+            arg = node.args[0]
+            return (isinstance(arg, ast.Attribute) and arg.attr == "form"
+                    or isinstance(arg, ast.Name) and arg.id == "form")
+        return False
+
+    for path in sorted((ROOT / "src" / "revspec").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        asks = [node.lineno for node in ast.walk(tree) if asks_kind(node)]
+        assert bool(asks) == (path.name == "profile.py"), (path.name, asks)
+        if path.name == "obstruction.py":
+            names = {node.attr if isinstance(node, ast.Attribute) else node.id
+                     for node in ast.walk(tree)
+                     if isinstance(node, (ast.Attribute, ast.Name))}
+            sampling = {"linspace", "arange", "geomspace", "logspace", "meshgrid",
+                        "validation_grid", "_GRID", "_refine_max"}
+            assert not names & sampling, sorted(names & sampling)
+
+
 def test_arclength_analysis_and_expression_meshes_load_no_scipy(tmp_path):
     # a fresh interpreter per run, as for the spectrum test above
     path = tmp_path / "a.json"

@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
+import revspec
 import revspec.obstruction as obstruction
+import revspec.profile as profile
 import revspec.solver as solver
 from revspec.families import squeeze_profile
 from revspec.obstruction import (
@@ -13,7 +15,7 @@ from revspec.obstruction import (
     even_multiplicity_test, full_report, negative_curvature_witness,
     spectral_test, sup_test, trace_flag,
 )
-from revspec.profile import (curvature, make_profile, profile_from_text,
+from revspec.profile import (Profile, curvature, make_profile, profile_from_text,
                              validate)
 from revspec.solver import refine
 from revspec.spectrum import enumerate_below
@@ -71,6 +73,20 @@ def test_sup_refines_inside_the_pole_cells():
     assert not st.embeddable
 
 
+def test_a_series_slope_peaks_at_a_pole_that_no_root_names():
+    # f = (1 - x^2)(0.9 + 0.1 x^2) has f' = -1.6 x - 0.4 x^3 and f'' < 0:
+    # |f'| peaks at the poles alone, where f'' has no root, and K > 0
+    from numpy.polynomial import Chebyshev
+    g = Chebyshev((0.95, 0.0, 0.05))
+    f = g * Chebyshev((0.5, 0.0, -0.5))
+    p = Profile(f=f, df=f.deriv(), d2f=f.deriv(2), form=g, name="series")
+    assert p.source == "transformed" and validate(p).passed
+    st = sup_test(p)
+    assert abs(st.argmax_x) == 1.0
+    assert st.max_slope == pytest.approx(2.0, abs=1e-14)
+    assert negative_curvature_witness(p) is None
+
+
 # ---------------------------------------------------------------------------
 # golden-section reference: the scalar searches the array refinement
 # replaces, one evaluation per step around each candidate grid point
@@ -121,12 +137,15 @@ def golden_witness(p):
 
 
 @pytest.fixture(scope="module")
-def search_inputs(acceptance_family, round_profile, pinched_profile):
-    """The acceptance family, both builtins, the pole-tangent c-family and
-    a sharp x^144 pinch."""
+def search_inputs(acceptance_family, round_profile, pinched_profile, workloads):
+    """The acceptance family, both builtins, the pole-tangent c-family, a
+    sharp x^144 pinch, and the sample and arclength members of the
+    benchmark's ``family_inputs(11)``: splines and Chebyshev series."""
     extra = [profile_from_text(f"(1-x^2)*(1+{c}*(1-x^2))", name=f"c={c}")
              for c in ("0.25", "0.25001", "0.2501")]
     extra.append(profile_from_text("101*(1-x^2)/(1+100*x^144)", name="x144"))
+    extra.extend(workloads.make_profile(revspec, inp)
+                 for inp in workloads.family_inputs(11) if inp.kind != "expression")
     return [*acceptance_family, round_profile, pinched_profile, *extra]
 
 
@@ -184,9 +203,9 @@ def test_the_searches_cost_does_not_grow_with_the_peaks(which, peaks):
     assert np.count_nonzero((slopes >= padded[:-2])
                             & (slopes >= padded[2:])) == peaks
     sup_test(q)
-    assert calls["df"] <= 1 + obstruction._ROUNDS
+    assert calls["df"] <= 1 + profile._ROUNDS
     negative_curvature_witness(q)
-    assert calls["d2f"] <= 1 + obstruction._ROUNDS
+    assert calls["d2f"] <= 1 + profile._ROUNDS
 
 
 def _spline_max_slope(p) -> float:
